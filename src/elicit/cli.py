@@ -27,9 +27,9 @@ from .estimation import fit
 from .evaluation import climatology_predictions, skill_score
 from .numerics import Bracket
 from .distributions import sample_iid
-from .scoring import average_score, prepare_realizations, score_values
+from .scoring import average_score, expected_score_stats, prepare_realizations
 from .transforms import CATALOG_ROWS, catalog, identity
-from .verify import builtin_suite, load_suite_file, run_suite, suite_passed
+from .verify import as_expected, builtin_suite, load_suite_file, run_suite, suite_passed
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -65,11 +65,20 @@ def _read_csv(path: str, columns):
                     raise DataError(f"{path}: row {rownum}: cannot parse {c}={cell!r}") from None
     if not data[columns[0]]:
         raise DataError(f"{path}: no data rows")
-    return {c: np.asarray(v, dtype=float) for c, v in data.items()}
+    arrays = {c: np.asarray(v, dtype=float) for c, v in data.items()}
+    for c, arr in arrays.items():
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"{path}: row {i + 2}: non-finite {c}={float(arr[i])!r}")
+    return arrays
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity: not valid JSON
+        raise EvaluationError(f"non-finite value in the output: {exc}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -204,10 +213,10 @@ def _cmd_verify(args) -> int:
     _emit(payload, args.out)
     ok = suite_passed(configs, reports)
     for cfg, rpt in zip(configs, reports):
-        status = "PASS" if rpt.passed == cfg.expect_pass else "FAIL"
+        status = "PASS" if as_expected(cfg, rpt) else "FAIL"
         expected = "" if cfg.expect_pass else " (expected-fail)"
         print(f"{status} {rpt.check}{expected}: {rpt.notes}", file=sys.stderr)
-    print(f"{'OK' if ok else 'FAILED'}: {sum(r.passed == c.expect_pass for c, r in zip(configs, reports))}"
+    print(f"{'OK' if ok else 'FAILED'}: {sum(as_expected(c, r) for c, r in zip(configs, reports))}"
           f"/{len(reports)} checks as expected", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
@@ -220,11 +229,8 @@ def _cmd_curve(args) -> int:
     draws = sample_iid(dist, args.n, args.seed)
     prepared = prepare_realizations(spec, draws)
     zs = np.linspace(bracket.lo, bracket.hi, args.points)
-    rows = []
-    for z in zs:
-        vals = np.asarray(score_values(spec, float(z), prepared), dtype=float)
-        rows.append((float(z), float(np.mean(vals)),
-                     float(np.std(vals, ddof=1) / np.sqrt(len(vals)))))
+    means, stderrs = expected_score_stats(spec, zs, prepared)
+    rows = [(float(z), float(m), float(s)) for z, m, s in zip(zs, means, stderrs)]
     out = args.out or "-"
     if out == "-":
         writer = csv.writer(sys.stdout)

@@ -211,6 +211,10 @@ class Empirical:
     Quantiles are set-valued: ``quantile`` returns the closed interval of
     optimal points ([v_(k), v_(k+1)] when tau*n is an integer k, a singleton
     otherwise).
+
+    ``values`` is a tuple of floats, or a read-only copy of a 1-D float
+    array when the law is built from an array of draws (no per-value Python
+    objects). Two laws are equal when their values are, in order.
     """
 
     values: tuple
@@ -220,19 +224,40 @@ class Empirical:
     _sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
+        if isinstance(self.values, np.ndarray):
+            vals = np.array(self.values, dtype=float)
+            if vals.ndim != 1:
+                raise ParameterError(f"Empirical draws must be 1-D, got shape {vals.shape}")
+            vals.flags.writeable = False
+            arr = vals
+        else:
+            vals = tuple(float(v) for v in self.values)
+            arr = np.asarray(vals, dtype=float)
+        if arr.size == 0:
             raise ParameterError("Empirical requires at least one value")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(arr).all():
             raise ParameterError("Empirical values must all be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_sorted", np.sort(np.asarray(vals, dtype=float)))
+        object.__setattr__(self, "_sorted", np.sort(arr))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash(tuple(np.asarray(self.values).tolist()))
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        """The values in ascending order (read-only)."""
+        return self._sorted
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self._sorted, size=int(n), replace=True)
 
     def cdf(self, y: float) -> float:
-        return float(np.searchsorted(self._sorted, y, side="right")) / len(self.values)
+        return float(np.searchsorted(self._sorted, y, side="right")) / self._sorted.size
 
     def quantile(self, tau: float) -> Interval:
         tau = _check_tau(tau)

@@ -61,7 +61,15 @@ def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
         vals = score.transform.g.apply(y)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     pad = 0.01 * max(hi - lo, 1e-9 * max(1.0, abs(lo), abs(hi)), 1e-12)
-    return Bracket(lo - pad, hi + pad)
+    # A padded end must stay where the score evaluates predictions: g's
+    # domain (both) or codomain (prediction); otherwise keep the data end.
+    g = score.transform.g
+    where = g.domain if mode == "both" else g.codomain if mode == "prediction" else None
+    lo_p, hi_p = lo - pad, hi + pad
+    if where is not None:
+        lo_p = lo_p if where.contains(lo_p) else lo
+        hi_p = hi_p if where.contains(hi_p) else hi
+    return Bracket(lo_p, hi_p)
 
 
 def _annotated_objective(score: ScoreSpec, y: np.ndarray):

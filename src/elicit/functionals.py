@@ -269,9 +269,9 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
         return FunctionalValue(val, se, "mc")
 
     if spec.kind == "quantile":
-        emp = Empirical(tuple(w))
+        emp = Empirical(w)
         iv = emp.quantile(spec.tau)
-        se = _quantile_stderr(np.sort(w), spec.tau)
+        se = _quantile_stderr(emp.sorted_values, spec.tau)
         return FunctionalValue(iv, se, "mc", notes="empirical quantile interval")
 
     if spec.kind in ("expectile", "gexpectile"):

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
 from .scoring import ScoreSpec, TransformMode, evaluate_score, _effective_y, _effective_z
+from .sweep import Piecewise, SortedStats, attach, flat, split_stats
 from .transforms import Bijection
 
 IDENT_FAMILIES = ("mean", "quantile", "expectile", "mv")
@@ -57,10 +58,11 @@ class IdentSpec:
 
 
 class _PreparedIdentY:
-    __slots__ = ("y",)
+    __slots__ = ("y", "sweep")
 
     def __init__(self, spec: IdentSpec, y):
         self.y = _effective_y(spec, y)  # same transform semantics as scoring
+        self.sweep = None  # sorted statistics, built on the first sweep
 
 
 def prepare_ident_realizations(spec: IdentSpec, y) -> _PreparedIdentY:
@@ -92,16 +94,40 @@ def evaluate_identification(spec: IdentSpec, z, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _sorted_stats(spec: IdentSpec, p: _PreparedIdentY) -> SortedStats:
+    """Sorted statistics in the family's centred basis: quantile {1},
+    mean/expectile {1, t} with t = w - mean(w); the mean has no breakpoint
+    and is not sorted."""
+    if spec.family == "mv":
+        raise ParameterError("identification sweeps take scalar predictions")
+    ordered = spec.family != "mean"
+    if spec.family == "quantile":
+        key = ("one", ordered)
+        return attach(p, key, lambda: SortedStats(p.y, lambda w: (), key, (), ordered))
+    key = ("lin", ordered)
+
+    def build() -> SortedStats:
+        c = float(np.mean(p.y))
+        return SortedStats(p.y, lambda w: (w - c,), key, (c,), ordered)
+
+    return attach(p, key, build)
+
+
+def _piece(spec: IdentSpec, z, st: SortedStats) -> Piecewise:
+    """Coefficients of V(z, w) on the basis of :func:`_sorted_stats`."""
+    u = float(_effective_z(spec, z))
+    if spec.family == "quantile":
+        return Piecewise(st.cut(u), np.array([1.0 - spec.tau]), np.array([-spec.tau]))
+    lin = np.array([u - st.centre[0], -1.0])
+    if spec.family == "mean":
+        return flat(lin)
+    return Piecewise(st.cut(u), 2.0 * (1.0 - spec.tau) * lin, 2.0 * spec.tau * lin)
+
+
 def expected_ident_curve(spec: IdentSpec, zs, prepared: _PreparedIdentY):
     """Empirical mean and stderr of V(z, Y) at each z over common draws."""
-    n = np.size(prepared.y)
-    means = np.empty(len(zs))
-    stderrs = np.empty(len(zs))
-    for i, z in enumerate(np.asarray(zs, float)):
-        v = ident_values(spec, z, prepared)
-        means[i] = np.mean(v)
-        stderrs[i] = np.std(v, ddof=1) / math.sqrt(n)
-    return means, stderrs
+    st = _sorted_stats(spec, prepared)
+    return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
 
 
 @dataclass(frozen=True)
@@ -131,17 +157,11 @@ def orientation_probe(spec: IdentSpec, dist, functional_value: float,
 
     draws = sample_iid(dist, n, seed)
     prepared = prepare_ident_realizations(spec, draws)
-    estimates, stderrs, ok = [], [], True
-    for d in offsets:
-        v = ident_values(spec, functional_value + d, prepared)
-        est = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(n))
-        estimates.append(est)
-        stderrs.append(se)
-        if not (math.copysign(1.0, est) == math.copysign(1.0, d) and abs(est) > 3.0 * se):
-            ok = False
-    return OrientationReport(passed=ok, offsets=offsets,
-                             estimates=tuple(estimates), stderrs=tuple(stderrs))
+    estimates, stderrs = (tuple(float(x) for x in a) for a in expected_ident_curve(
+        spec, [functional_value + d for d in offsets], prepared))
+    ok = all(math.copysign(1.0, est) == math.copysign(1.0, d) and abs(est) > 3.0 * se
+             for d, est, se in zip(offsets, estimates, stderrs))
+    return OrientationReport(passed=ok, offsets=offsets, estimates=estimates, stderrs=stderrs)
 
 
 def osband_residual(score: ScoreSpec, ident: IdentSpec, h: Callable[[float], float],

@@ -19,13 +19,13 @@ admits only ``none`` and ``realization`` (predictions stay in pair space).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
+from .sweep import Piecewise, SortedStats, attach, flat, split_stats
 from .transforms import Bijection
 
 FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
@@ -170,19 +170,31 @@ def _effective_z(spec: ScoreSpec, z):
 
 
 class _PreparedY:
-    """Realizations with transform and family-level functions pre-applied."""
+    """Realizations with transform and family-level functions pre-applied.
 
-    __slots__ = ("y", "phi_y", "gin_y")
+    ``sweep`` holds the sorted sufficient statistics, built on the first
+    sweep over these realizations; ``y`` keeps the draw order.
+    """
+
+    __slots__ = ("y", "phi_y", "gin_y", "sweep")
 
     def __init__(self, spec: ScoreSpec, y):
         self.y = _effective_y(spec, y)
         self.phi_y = spec.phi.phi(self.y) if spec.family in ("expectile", "bregman") else None
         self.gin_y = spec.g_inner.apply(self.y) if spec.family == "gpl" else None
+        self.sweep = None
 
 
 def prepare_realizations(spec: ScoreSpec, y) -> _PreparedY:
     """Pre-transform realizations once; reuse across many prediction values."""
     return _PreparedY(spec, y)
+
+
+def _mv_pair(z):
+    x1, x2 = float(z[0]), float(z[1])
+    if x2 <= 0:
+        raise DomainError(x2, context="mean-variance score (variance coordinate must be > 0)")
+    return x1, x2
 
 
 def _core_score(spec: ScoreSpec, z_eff, p: _PreparedY):
@@ -206,9 +218,7 @@ def _core_score(spec: ScoreSpec, z_eff, p: _PreparedY):
         ind = np.greater_equal(z_eff, y).astype(float)
         return np.abs(ind - spec.tau) * gap
     # mv: z_eff is the (x1, x2) pair, untransformed by design.
-    x1, x2 = float(z_eff[0]), float(z_eff[1])
-    if x2 <= 0:
-        raise DomainError(x2, context="mean-variance score (variance coordinate must be > 0)")
+    x1, x2 = _mv_pair(z_eff)
     return (x1 * x1 - 2.0 * x2 - 2.0 * x1 * np.asarray(y) + np.square(y)) / (x2 * x2)
 
 
@@ -271,8 +281,67 @@ def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
         raise
 
 
+def _sorted_stats(spec: ScoreSpec, p: _PreparedY) -> SortedStats:
+    """The prepared draws' sorted statistics in the family's centred basis:
+    se/mv {1, t, t^2}, ae/apl {1, t}, gpl {1, g_in(w)}, expectile/bregman
+    {1, t, phi(w)}, with t = w - mean(w). Families whose score has no
+    breakpoint in w are not sorted."""
+    fam = spec.family
+    if fam == "gpl":
+        basis_id = spec.g_inner
+    elif fam in ("expectile", "bregman"):
+        basis_id = spec.phi
+    else:
+        basis_id = "quad" if fam in ("se", "mv") else "lin"
+    ordered = fam not in ("se", "bregman", "mv")
+    key = (basis_id, ordered)
+
+    def build() -> SortedStats:
+        if fam == "gpl":
+            cg = float(np.mean(p.gin_y))
+            return SortedStats(p.y, lambda w: (spec.g_inner.apply(w) - cg,), key, (cg,), ordered)
+        c = float(np.mean(p.y))
+        if fam in ("expectile", "bregman"):
+            cp = float(np.mean(p.phi_y))
+            return SortedStats(p.y, lambda w: (w - c, np.asarray(spec.phi.phi(w), float) - cp),
+                               key, (c, cp), ordered)
+        if basis_id == "quad":
+            return SortedStats(p.y, lambda w: (w - c, np.square(w - c)), key, (c,), ordered)
+        return SortedStats(p.y, lambda w: (w - c,), key, (c,), ordered)
+
+    return attach(p, key, build)
+
+
+def _piece(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
+    """Coefficients of S(z, w) on the basis of :func:`_sorted_stats`; the
+    breakpoint is the effective prediction u, with 1{u >= w} = 1 at ties."""
+    fam = spec.family
+    if fam == "mv":
+        x1, x2 = _mv_pair(z)
+        v = x1 - st.centre[0]
+        return flat(np.array([v * v - 2.0 * x2, -2.0 * v, 1.0]) / (x2 * x2))
+    u = float(_effective_z(spec, z))
+    if fam == "se":
+        v = u - st.centre[0]
+        return flat([v * v, -2.0 * v, 1.0])
+    if fam in ("expectile", "bregman"):
+        c, cp = st.centre
+        slope = float(spec.phi.dphi(u))
+        gap = np.array([cp - float(spec.phi.phi(u)) + slope * (u - c), -slope, 1.0])
+        if fam == "bregman":
+            return flat(0.5 * gap)
+        return Piecewise(st.cut(u), (1.0 - spec.tau) * gap, spec.tau * gap)
+    h = float(spec.g_inner.apply(u)) if fam == "gpl" else u
+    lin = np.array([h - st.centre[0], -1.0])
+    if fam == "ae":
+        return Piecewise(st.cut(u), lin, -lin)
+    return Piecewise(st.cut(u), (1.0 - spec.tau) * lin, -spec.tau * lin)
+
+
 def expected_score(spec: ScoreSpec, z, prepared: _PreparedY) -> float:
-    return float(np.mean(score_values(spec, z, prepared)))
+    """Empirical expected score of one prediction over the prepared draws."""
+    st = _sorted_stats(spec, prepared)
+    return st.mean(_piece(spec, z, st))
 
 
 def expected_score_curve(spec: ScoreSpec, zs, prepared: _PreparedY) -> np.ndarray:
@@ -280,22 +349,26 @@ def expected_score_curve(spec: ScoreSpec, zs, prepared: _PreparedY) -> np.ndarra
     return np.array([expected_score(spec, z, prepared) for z in np.asarray(zs, float)])
 
 
+def expected_score_stats(spec: ScoreSpec, zs, prepared: _PreparedY):
+    """Empirical expected score and its standard error at each z.
+
+    Returns (means, stderrs) arrays, one entry per z.
+    """
+    st = _sorted_stats(spec, prepared)
+    return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
+
+
 def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: _PreparedY):
     """Paired statistics of S(z_ref, Y) - S(z, Y) over common draws.
 
     Returns (mean_diff, stderr_diff) arrays, one entry per z. The pairing
     (common random numbers) makes small expected-score differences resolvable
-    far below the marginal noise level.
+    far below the marginal noise level. At z == z_ref both are exactly 0.
     """
-    s_ref = np.asarray(score_values(spec, z_ref, prepared), dtype=float)
-    n = s_ref.size
-    means = np.empty(len(zs))
-    stderrs = np.empty(len(zs))
-    for i, z in enumerate(np.asarray(zs, float)):
-        d = s_ref - score_values(spec, z, prepared)
-        means[i] = np.mean(d)
-        stderrs[i] = np.std(d, ddof=1) / math.sqrt(n)
-    return means, stderrs
+    st = _sorted_stats(spec, prepared)
+    ref = _piece(spec, z_ref, st)
+    return split_stats([st.diff_stats(ref, _piece(spec, z, st))
+                         for z in np.asarray(zs, float)])
 
 
 def homogeneity_probe(spec: ScoreSpec, order_candidates: Sequence[float],

@@ -1,3 +1,5 @@
+from hypothesis import settings
+
 ACCEPTANCE_LINES = []
 
 
@@ -13,3 +15,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# Property tests draw the same examples on every run and keep no example
+# database: a failure reproduces from the test alone.
+settings.register_profile("elicit", derandomize=True, database=None, deadline=None,
+                          max_examples=25)
+settings.load_profile("elicit")

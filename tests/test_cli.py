@@ -86,6 +86,23 @@ class TestScoreCommand:
         assert main(["score", "--score", "se", "--data", path]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_column(self, tmp_path, capsys, cell):
+        path = write_csv(tmp_path / "bad.csv", [[1.0, 1.0], [2.0, cell]], ["y", "z"])
+        assert main(["score", "--score", "se", "--data", path]) == 2
+        assert "row 3: non-finite z=" in capsys.readouterr().err
+        path = write_csv(tmp_path / "bad_y.csv", [[cell]], ["y"])
+        assert main(["fit", "--model", "constant", "--score", "se", "--data", path]) == 2
+        assert "row 2: non-finite y=" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_result_exits_3_not_invalid_json(self, zy_file, capsys):
+        # finite cells whose squared error overflows to infinity
+        path = zy_file([-1e200], [1e200])
+        assert main(["score", "--score", "se", "--data", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite" in captured.err
+
     def test_domain_violation_exit_code(self, zy_file, capsys):
         path = zy_file([1.0, 1.0], [1.0, -4.0])
         assert main(["score", "--score", "se@both:log", "--data", path]) == 3
@@ -212,6 +229,33 @@ class TestVerifyCommand:
             "score=gpl:tau=0.5:g=identity functional=quantile:tau=0.5 "
             "bracket=0.5,2.5 n=10000 points=51 expect=fail\n")
         assert main(["verify", "--suite", str(suite), "--seed", "3"]) == 0
+
+    def test_check_raising_non_package_error_exits_1_with_valid_json(self, tmp_path, capsys):
+        from elicit import ConvexGenerator, register_convex_generator
+
+        def broken(t):
+            raise ZeroDivisionError("phi divides by zero")
+
+        register_convex_generator(ConvexGenerator("broken-cli", phi=broken, dphi=broken))
+        suite = tmp_path / "suite.txt"
+        suite.write_text(
+            "name=boom kind=consistency dist=normal(0,1) "
+            "score=expectile:tau=0.5:phi=broken-cli functional=mean bracket=-2,2 "
+            "n=20000 points=41\n"
+            "name=fine kind=consistency dist=normal(0,1) score=se functional=mean "
+            "bracket=-2,2 n=20000 points=41 tol_abs=0.05\n")
+        out = tmp_path / "r.json"
+        assert main(["verify", "--suite", str(suite), "--seed", "3", "--out", str(out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        reports = json.loads(out.read_text(), parse_constant=reject)
+        assert [r["check"] for r in reports] == ["boom", "fine"]
+        assert reports[0]["error"] == {"type": "ZeroDivisionError",
+                                       "message": "phi divides by zero"}
+        assert reports[0]["estimate"] is None and reports[0]["target"] is None
+        assert reports[1]["pass"] and "error" not in reports[1]
 
     def test_malformed_suite_exit_2(self, tmp_path, capsys):
         suite = tmp_path / "suite.txt"

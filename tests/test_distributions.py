@@ -154,3 +154,31 @@ def test_parameter_validation():
         Empirical(())
     with pytest.raises(ParameterError):
         Empirical((1.0, math.nan))
+
+
+class TestEmpiricalFromDraws:
+    def test_array_law_matches_tuple_law(self):
+        draws = np.random.default_rng(5).normal(size=1001)
+        emp, ref = Empirical(draws), Empirical(tuple(draws))
+        assert emp == ref and hash(emp) == hash(ref)
+        assert emp.quantile(0.3) == ref.quantile(0.3)
+        assert emp.cdf(0.1) == ref.cdf(0.1)
+        assert emp.mean() == ref.mean() and emp.partial_mean_above(0.2) == ref.partial_mean_above(0.2)
+        assert isinstance(ref.values, tuple) and repr(Empirical((1.0, 2.0))) == \
+            "Empirical(values=(1.0, 2.0))"
+
+    def test_values_are_a_read_only_copy(self):
+        draws = np.array([3.0, 1.0, 2.0])
+        emp = Empirical(draws)
+        draws[0] = 100.0
+        assert emp.support() == Interval.closed(1.0, 3.0)
+        assert not emp.values.flags.writeable
+        assert Empirical((2.0, 1.0)) != Empirical((1.0, 2.0))
+
+    def test_validation(self):
+        with pytest.raises(ParameterError):
+            Empirical(np.array([]))
+        with pytest.raises(ParameterError):
+            Empirical(np.array([1.0, math.inf]))
+        with pytest.raises(ParameterError):
+            Empirical(np.ones((2, 2)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ class TestConstantFits:
         spec = ScoreSpec("se", transform=TransformMode.both(catalog("log")))
         res = fit("constant", spec, y=[1.0, 4.0])
         assert res.theta[0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_padding_stays_inside_the_transform_domain(self):
+        # A wide spread puts the padded lower end below 0 and the parabolic
+        # polish steps there; under log the end must stay at the data
+        # minimum. Under prediction:exp the bracket lives in exp's
+        # codomain (0, inf), with the same optimum.
+        y = np.array([0.5, 1.0, 2.0, 1000.0])
+        gmean = math.exp(float(np.mean(np.log(y))))
+        res = fit("constant", ScoreSpec("se", transform=TransformMode.both(catalog("log"))), y=y)
+        assert res.theta[0] == pytest.approx(gmean, rel=1e-6)
+        spec = ScoreSpec("se", transform=TransformMode.prediction_only(catalog("exp")))
+        res = fit("constant", spec, y=np.log(y))
+        assert res.theta[0] == pytest.approx(gmean, rel=1e-6)
 
     def test_objective_reported_at_theta(self):
         res = fit("constant", ScoreSpec("se"), y=[0.0, 2.0])

@@ -222,6 +222,33 @@ class TestRunSuite:
         assert not reports[0].passed
         assert "error" in reports[0].notes
 
+    def test_non_package_exceptions_become_error_reports(self):
+        import json
+
+        from elicit import ConvexGenerator, register_convex_generator
+
+        def broken(t):
+            raise TypeError("phi is broken")
+
+        register_convex_generator(ConvexGenerator("broken-test", phi=broken, dphi=broken))
+        configs = [cfg(name="boom", score="expectile:tau=0.5:phi=broken-test"),
+                   cfg(name="boom-xfail", score="expectile:tau=0.5:phi=broken-test",
+                       expect_pass=False),
+                   cfg(name="good", score="se")]
+        for jobs in (1, 2):
+            reports = run_suite(configs, parallelism=jobs)
+            assert [r.check for r in reports] == ["boom", "boom-xfail", "good"]
+            assert reports[2].passed and reports[2].error is None
+            for rpt in reports[:2]:
+                doc = rpt.to_json_dict()
+                assert doc["error"] == {"type": "TypeError", "message": "phi is broken"}
+                assert doc["estimate"] is None and doc["target"] is None
+                assert doc["notes"].startswith("error:")
+                json.dumps(doc, allow_nan=False)
+            # an errored check never counts as its expected verdict
+            assert not suite_passed(configs[1:2], reports[1:2])
+            assert not suite_passed(configs, reports)
+
     def test_order_is_input_order(self):
         configs = [cfg(name=f"c{i}", score="se", n=10**4, points=21) for i in range(6)]
         reports = run_suite(configs, parallelism=4)
@@ -333,3 +360,19 @@ def test_transformed_expectation_and_half_expectile_agree():
     assert r_se.passed and r_ex.passed
     assert abs(r_se.estimate - r_ex.estimate) <= 0.02 * max(abs(r_se.estimate),
                                                             abs(r_ex.estimate))
+
+
+def test_pair_check_counts_monte_carlo_target_error():
+    # A target whose mean is off by 0.04 but carries a Monte Carlo stderr of
+    # 0.03. E[V1] = 0.04 is 4 of the check's own stderrs (0.01), and at a
+    # mean near 3 E[V2] moves by 2 * 3 * 0.04; both are within 3 combined
+    # stderrs once the target's error is counted.
+    from dataclasses import replace
+
+    base = cfg(kind="pair", score="mv", functional="mvpair", dist=Normal(3.0, 1.0),
+               n=10**4, seed=11, bracket=(2.0, 4.0), bracket2=(0.5, 2.0),
+               tol_abs=1e-3, tol_rel=1e-3)
+    mean, var = check_pair_consistency(base).estimate  # the sample moments
+    off = replace(base, target=(mean + 0.04, var))
+    assert not check_pair_consistency(replace(off, target_stderr=(0.0, 0.0))).passed
+    assert check_pair_consistency(replace(off, target_stderr=(0.03, 0.0))).passed
