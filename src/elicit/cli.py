@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -20,11 +21,9 @@ import sys
 import numpy as np
 
 from . import specs
-from .errors import (BracketingError, DataError, DegenerateReferenceError,
-                     DomainError, ElicitError, EvaluationError, ParameterError,
-                     SpecParseError)
+from .errors import DataError, ElicitError, EvaluationError, ParameterError, SpecParseError
 from .estimation import fit
-from .evaluation import climatology_predictions, skill_score
+from .evaluation import climatology_predictions, score_climatology, skill_score
 from .numerics import Bracket
 from .distributions import sample_iid
 from .scoring import average_score, expected_score_stats, prepare_realizations
@@ -95,12 +94,13 @@ def _cmd_catalog(args) -> int:
                 "name": name,
                 "example_params": list(params),
                 "constraint": constraint,
-                "domain": str(catalog(name, params).domain),
-                "codomain": str(catalog(name, params).codomain),
-                "monotonicity": catalog(name, params).monotonicity,
+                "domain": str(bij.domain),
+                "codomain": str(bij.codomain),
+                "monotonicity": bij.monotonicity,
                 "functional": functional,
             }
             for name, params, constraint, functional in CATALOG_ROWS
+            for bij in (catalog(name, params),)
         ]
     if family in (None, "scores"):
         sections["scores"] = [
@@ -175,11 +175,10 @@ def _cmd_score(args) -> int:
             raise ParameterError("skill scores are defined for scalar-prediction families")
         if args.skill == "climatology":
             ref = climatology_predictions(identity(), y)
-        else:  # g-climatology
-            g = spec.transform.g
-            if spec.transform.mode == "none" or g is None:
+        else:  # g-climatology, in the score's transform mode
+            if spec.transform.mode == "none":
                 raise ParameterError("g-climatology requires a transformed score (e.g. se@both:log)")
-            ref = climatology_predictions(g, y)
+            ref = np.full_like(y, score_climatology(spec.transform, y))
         payload["skill"] = skill_score(spec, z, ref, "zero-optimum", y)
         payload["reference"] = args.skill
         payload["reference_value"] = float(ref[0])
@@ -231,16 +230,12 @@ def _cmd_curve(args) -> int:
     zs = np.linspace(bracket.lo, bracket.hi, args.points)
     means, stderrs = expected_score_stats(spec, zs, prepared)
     rows = [(float(z), float(m), float(s)) for z, m, s in zip(zs, means, stderrs)]
-    out = args.out or "-"
-    if out == "-":
-        writer = csv.writer(sys.stdout)
+    to_stdout = (args.out or "-") == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else \
+            open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(["z", "escore", "stderr"])
         writer.writerows(rows)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z", "escore", "stderr"])
-            writer.writerows(rows)
     return EXIT_OK
 
 
@@ -304,10 +299,6 @@ def main(argv=None) -> int:
     except (SpecParseError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, EvaluationError, BracketingError,
-            DegenerateReferenceError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ElicitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

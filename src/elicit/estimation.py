@@ -19,7 +19,6 @@ from scipy.optimize import minimize as _scipy_minimize
 from .errors import DomainError, ParameterError
 from .numerics import Bracket, minimize1d
 from .scoring import ScoreSpec, average_score, prepare_realizations, score_values
-from .transforms import Bijection
 
 MODEL_KINDS = ("constant", "linear", "constant_pair")
 
@@ -45,20 +44,21 @@ def _as_model(model) -> ModelSpec:
     return ModelSpec(model) if isinstance(model, str) else model
 
 
-def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
-    """Data-driven bracket for a constant prediction, in prediction units.
+def _in_prediction_units(score: ScoreSpec, y: np.ndarray) -> np.ndarray:
+    """The data where optimal constants lie: g(y) when g acts on one
+    argument only (under ``prediction`` the parameter lives in transformed
+    space), the raw data for plain and jointly-transformed scores."""
+    t = score.transform
+    if t.mode == "prediction":
+        return t.g.apply(y)
+    return y if t.mode == "both" else t.realization(y)
 
-    Optimal constants lie in the convex hull of the data: of the raw data for
-    plain and jointly-transformed scores, of the transformed data otherwise.
-    """
+
+def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
+    """Data-driven bracket for a constant prediction, in prediction units:
+    optimal constants lie in the convex hull of :func:`_in_prediction_units`."""
     mode = score.transform.mode
-    if mode in ("none", "both"):
-        vals = y
-    elif mode == "realization":
-        g = score.transform.g
-        vals = g.apply(y) if isinstance(g, Bijection) else np.asarray(g(y), float)
-    else:  # prediction: the parameter lives in transformed space
-        vals = score.transform.g.apply(y)
+    vals = _in_prediction_units(score, y)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     pad = 0.01 * max(hi - lo, 1e-9 * max(1.0, abs(lo), abs(hi)), 1e-12)
     # A padded end must stay where the score evaluates predictions: g's
@@ -134,13 +134,10 @@ def _simplex(obj, x0: np.ndarray, tol: float):
 
 def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float) -> FitResult:
     if init == "auto":
-        target = y
-        g = score.transform.g
-        if score.transform.mode in ("realization", "prediction") and g is not None:
-            try:
-                target = g.apply(y) if isinstance(g, Bijection) else np.asarray(g(y), float)
-            except DomainError:
-                target = y
+        try:
+            target = _in_prediction_units(score, y)
+        except DomainError:
+            target = y
         slope, intercept = np.polyfit(x, target, 1)
         x0 = np.array([intercept, slope], dtype=float)
     else:

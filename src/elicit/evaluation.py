@@ -7,7 +7,10 @@ Nash-Sutcliffe efficiency is the squared-error skill score with the sample
 mean (climatology) as the reference.
 
 For a transformed score with transformation g, the matching reference is the
-transformed climatology g^-1(mean of g(y)), replicated across the test set.
+constant whose effective prediction is the mean of the effective
+realizations (:func:`score_climatology`), replicated across the test set; for
+the jointly transformed score S(g(z), g(y)) that is the transformed
+climatology g^-1(mean of g(y)).
 The reference is the plain inverse-transformed mean; a printed form carrying
 an extra leading 1/n factor on the replicated value is not used, as only the
 unscaled value reduces to the ordinary climatology when g is the identity.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateReferenceError, DomainError, ParameterError
-from .scoring import ScoreSpec, average_score
+from .scoring import ScoreSpec, TransformMode, average_score
 from .transforms import Bijection
 
 # Families whose pointwise minimum over z is 0 (required for the
@@ -63,19 +66,29 @@ def nse(z, y) -> float:
     return skill_score(ScoreSpec("se"), z, clim, "zero-optimum", y)
 
 
-def transformed_climatology(g: Bijection, y) -> float:
-    """g^-1 of the mean of g(y): the climatology in transformed units."""
+def score_climatology(transform: TransformMode, y) -> float:
+    """The constant prediction whose effective prediction is the mean of the
+    effective realizations: mean(y) under ``none``, mean(g(y)) under
+    ``realization``, g(mean(y)) under ``prediction`` and g^-1(mean(g(y)))
+    under ``both``."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
-        raise ParameterError("transformed_climatology requires observations")
+        raise ParameterError("a climatology requires observations")
     try:
-        w = g.apply(y)
+        m = float(np.mean(transform.realization(y)))
     except DomainError as exc:
         for i, yi in enumerate(y):
-            if not g.domain.contains(float(yi)):
-                raise DomainError(float(yi), g.domain, f"observation index {i}") from exc
+            if exc.domain is not None and not exc.domain.contains(float(yi)):
+                raise DomainError(float(yi), exc.domain, f"observation index {i}") from exc
         raise
-    return float(g.invert(float(np.mean(w))))
+    if transform.mode == "both":
+        return float(transform.g.invert(m))
+    return float(transform.g.apply(m)) if transform.mode == "prediction" else m
+
+
+def transformed_climatology(g: Bijection, y) -> float:
+    """g^-1 of the mean of g(y): the climatology in transformed units."""
+    return score_climatology(TransformMode.both(g), y)
 
 
 def climatology_predictions(g: Bijection, y) -> np.ndarray:

@@ -26,7 +26,7 @@ from .distributions import (DistributionSpec, Empirical, Lognormal, Normal,
                             Uniform, sample_iid)
 from .errors import DomainError, EvaluationError, ParameterError
 from .intervals import Interval
-from .numerics import Bracket, Seed, root1d
+from .numerics import Bracket, Seed, mean_stderr, root1d
 from .transforms import Bijection
 
 KINDS = ("mean", "quantile", "expectile", "gmean", "gexpectile", "mvpair")
@@ -223,7 +223,7 @@ def _empirical_psi_root(w: np.ndarray, tau: float) -> float:
 def _mc_expectile_with_se(w: np.ndarray, tau: float):
     root = _empirical_psi_root(w, tau)
     term = tau * np.maximum(w - root, 0.0) - (1.0 - tau) * np.maximum(root - w, 0.0)
-    se_psi = float(np.std(term, ddof=1) / math.sqrt(w.size))
+    se_psi = mean_stderr(term)
     # slope of the population balance at the root: -(tau (1 - F) + (1 - tau) F)
     f_hat = float(np.mean(w <= root))
     slope = tau * (1.0 - f_hat) + (1.0 - tau) * f_hat
@@ -238,6 +238,16 @@ def _quantile_stderr(w_sorted: np.ndarray, tau: float) -> float:
     lo_q = float(w_sorted[max(0, math.ceil(lo_t * n) - 1)])
     hi_q = float(w_sorted[max(0, math.ceil(hi_t * n) - 1)])
     return 0.5 * (hi_q - lo_q)
+
+
+def sample_mv_pair(w) -> FunctionalValue:
+    """Sample (mean, variance) of the draws ``w`` with their standard errors."""
+    w = np.asarray(w, dtype=float)
+    m = float(np.mean(w))
+    v = float(np.var(w, ddof=1))
+    m4 = float(np.mean((w - m) ** 4))
+    se_v = math.sqrt(max(m4 - v * v, 0.0) / w.size)
+    return FunctionalValue((m, v), (mean_stderr(w), se_v), "mc")
 
 
 def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
@@ -256,12 +266,11 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
         w = draws
 
     if spec.kind == "mean":
-        se = float(np.std(w, ddof=1) / math.sqrt(n))
-        return FunctionalValue(float(np.mean(w)), se, "mc")
+        return FunctionalValue(float(np.mean(w)), mean_stderr(w), "mc")
 
     if spec.kind == "gmean":
         m = float(np.mean(w))
-        se_m = float(np.std(w, ddof=1) / math.sqrt(n))
+        se_m = mean_stderr(w)
         if not spec.g.codomain.contains(m):
             raise DomainError(m, spec.g.codomain, "gmean: mean of transformed draws")
         val = float(spec.g.invert(m))
@@ -283,12 +292,7 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
         return FunctionalValue(val, se, "mc")
 
     if spec.kind == "mvpair":
-        m = float(np.mean(w))
-        v = float(np.var(w, ddof=1))
-        se_m = float(np.std(w, ddof=1) / math.sqrt(n))
-        m4 = float(np.mean((w - m) ** 4))
-        se_v = math.sqrt(max(m4 - v * v, 0.0) / n)
-        return FunctionalValue((m, v), (se_m, se_v), "mc")
+        return sample_mv_pair(w)
 
     raise ParameterError(f"unknown functional kind {spec.kind!r}")
 

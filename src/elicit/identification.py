@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
-from .scoring import ScoreSpec, TransformMode, evaluate_score, _effective_y, _effective_z
-from .sweep import Piecewise, SortedStats, attach, flat, split_stats
+from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, evaluate_score,
+                      sorted_stats)
+from .sweep import Piecewise, SortedStats, flat, split_stats
 from .transforms import Bijection
 
 IDENT_FAMILIES = ("mean", "quantile", "expectile", "mv")
@@ -57,24 +58,16 @@ class IdentSpec:
                 "mean-variance identification admits only 'none' or 'realization' transforms")
 
 
-class _PreparedIdentY:
-    __slots__ = ("y", "sweep")
-
-    def __init__(self, spec: IdentSpec, y):
-        self.y = _effective_y(spec, y)  # same transform semantics as scoring
-        self.sweep = None  # sorted statistics, built on the first sweep
+def prepare_ident_realizations(spec: IdentSpec, y) -> PreparedRealizations:
+    return PreparedRealizations(spec.transform, y)
 
 
-def prepare_ident_realizations(spec: IdentSpec, y) -> _PreparedIdentY:
-    return _PreparedIdentY(spec, y)
-
-
-def ident_values(spec: IdentSpec, z, prepared: _PreparedIdentY):
+def ident_values(spec: IdentSpec, z, prepared: PreparedRealizations):
     y = prepared.y
     if spec.family == "mv":
         x1, x2 = float(z[0]), float(z[1])
         return (x1 - np.asarray(y), x2 + x1 * x1 - np.square(y))
-    z_eff = _effective_z(spec, z)
+    z_eff = spec.transform.prediction(z)
     if spec.family == "mean":
         return np.subtract(z_eff, y)
     ind = np.greater_equal(z_eff, y).astype(float)
@@ -94,28 +87,10 @@ def evaluate_identification(spec: IdentSpec, z, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _sorted_stats(spec: IdentSpec, p: _PreparedIdentY) -> SortedStats:
-    """Sorted statistics in the family's centred basis: quantile {1},
-    mean/expectile {1, t} with t = w - mean(w); the mean has no breakpoint
-    and is not sorted."""
-    if spec.family == "mv":
-        raise ParameterError("identification sweeps take scalar predictions")
-    ordered = spec.family != "mean"
-    if spec.family == "quantile":
-        key = ("one", ordered)
-        return attach(p, key, lambda: SortedStats(p.y, lambda w: (), key, (), ordered))
-    key = ("lin", ordered)
-
-    def build() -> SortedStats:
-        c = float(np.mean(p.y))
-        return SortedStats(p.y, lambda w: (w - c,), key, (c,), ordered)
-
-    return attach(p, key, build)
-
-
 def _piece(spec: IdentSpec, z, st: SortedStats) -> Piecewise:
-    """Coefficients of V(z, w) on the basis of :func:`_sorted_stats`."""
-    u = float(_effective_z(spec, z))
+    """Coefficients of V(z, w) on the family's basis: quantile {1},
+    mean/expectile {1, t} with t = w - mean(w)."""
+    u = float(spec.transform.prediction(z))
     if spec.family == "quantile":
         return Piecewise(st.cut(u), np.array([1.0 - spec.tau]), np.array([-spec.tau]))
     lin = np.array([u - st.centre[0], -1.0])
@@ -124,9 +99,12 @@ def _piece(spec: IdentSpec, z, st: SortedStats) -> Piecewise:
     return Piecewise(st.cut(u), 2.0 * (1.0 - spec.tau) * lin, 2.0 * spec.tau * lin)
 
 
-def expected_ident_curve(spec: IdentSpec, zs, prepared: _PreparedIdentY):
+def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
     """Empirical mean and stderr of V(z, Y) at each z over common draws."""
-    st = _sorted_stats(spec, prepared)
+    if spec.family == "mv":
+        raise ParameterError("identification sweeps take scalar predictions")
+    st = sorted_stats(prepared, "one" if spec.family == "quantile" else "lin",
+                      spec.family != "mean")
     return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
 
 

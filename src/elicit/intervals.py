@@ -69,9 +69,6 @@ class Interval:
         """Distance from t to the interval (0 when inside)."""
         return max(0.0, self.lo - t, t - self.hi)
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"

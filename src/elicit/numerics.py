@@ -164,6 +164,11 @@ def root1d(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
     return float(0.5 * (a + b))
 
 
+def mean_stderr(x) -> float:
+    """Standard error of the mean of the samples ``x``: std(ddof=1) / sqrt(n)."""
+    return float(np.std(x, ddof=1) / math.sqrt(np.size(x)))
+
+
 def mc_expectation(h: Callable, dist, n: int, seed: Seed) -> McEstimate:
     """Monte Carlo estimate of E[h(Y)] for Y distributed per ``dist``.
 
@@ -186,8 +191,7 @@ def mc_expectation(h: Callable, dist, n: int, seed: Seed) -> McEstimate:
             f"h produced non-finite value {vals[i]!r} at draw y={draws[i]!r} (index {i})"
         )
     value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return McEstimate(value=value, stderr=stderr, n=n)
+    return McEstimate(value=value, stderr=mean_stderr(vals), n=n)
 
 
 def default_diff_step(z: float) -> float:

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
-from .sweep import Piecewise, SortedStats, attach, flat, split_stats
+from .sweep import Piecewise, SortedStats, flat, split_stats
 from .transforms import Bijection
 
 FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
@@ -45,7 +45,6 @@ class ConvexGenerator:
     phi: Callable = field(compare=False, repr=False)
     dphi: Callable = field(compare=False, repr=False)
     d2phi: Callable | None = field(compare=False, repr=False, default=None)
-    strictly_convex: bool = True
 
 
 def _square_d2(t):
@@ -113,6 +112,28 @@ class TransformMode:
         g = self.g.label if isinstance(self.g, Bijection) else getattr(self.g, "__name__", "g")
         return f"{self.mode}:{g}"
 
+    def realization(self, y):
+        """Effective realizations: g(y) under ``realization`` and ``both``.
+
+        A bare callable g (realization mode only) must return finite values.
+        """
+        if self.mode not in ("realization", "both"):
+            return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
+        if isinstance(self.g, Bijection):
+            return self.g.apply(y)
+        out = np.asarray(self.g(np.asarray(y, dtype=float)), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError("realization transform produced non-finite values")
+        return float(out) if np.ndim(y) == 0 else out
+
+    def prediction(self, z):
+        """Effective prediction: g(z) under ``both``, g^-1(z) under ``prediction``."""
+        if self.mode == "both":
+            return self.g.apply(z)
+        if self.mode == "prediction":
+            return self.g.invert(z)
+        return z
+
 
 @dataclass(frozen=True)
 class ScoreSpec:
@@ -145,59 +166,82 @@ class ScoreSpec:
         return replace(self, transform=transform)
 
 
-def _apply_forward(g, t):
-    if isinstance(g, Bijection):
-        return g.apply(t)
-    out = np.asarray(g(np.asarray(t, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("realization transform produced non-finite values")
-    return float(out) if np.ndim(t) == 0 else out
+class PreparedRealizations:
+    """Realizations prepared once for many predictions; scores and
+    identification functions share this object.
 
-
-def _effective_y(spec: ScoreSpec, y):
-    if spec.transform.mode in ("realization", "both"):
-        return _apply_forward(spec.transform.g, y)
-    return np.asarray(y, dtype=float) if np.ndim(y) else float(y)
-
-
-def _effective_z(spec: ScoreSpec, z):
-    mode = spec.transform.mode
-    if mode == "both":
-        return spec.transform.g.apply(z)
-    if mode == "prediction":
-        return spec.transform.g.invert(z)
-    return z
-
-
-class _PreparedY:
-    """Realizations with transform and family-level functions pre-applied.
-
-    ``sweep`` holds the sorted sufficient statistics, built on the first
-    sweep over these realizations; ``y`` keeps the draw order.
+    ``y`` holds the effective realizations w in draw order; ``column`` the
+    family's extra basis column, phi(w) for expectile/bregman and g_in(w) for
+    gpl, else None; ``sweep`` the sorted statistics of :func:`sorted_stats`.
     """
 
-    __slots__ = ("y", "phi_y", "gin_y", "sweep")
+    __slots__ = ("y", "column", "sweep")
 
-    def __init__(self, spec: ScoreSpec, y):
-        self.y = _effective_y(spec, y)
-        self.phi_y = spec.phi.phi(self.y) if spec.family in ("expectile", "bregman") else None
-        self.gin_y = spec.g_inner.apply(self.y) if spec.family == "gpl" else None
+    def __init__(self, transform: TransformMode, y, column: Callable | None = None):
+        self.y = transform.realization(y)
+        self.column = None if column is None else column(self.y)
         self.sweep = None
 
 
-def prepare_realizations(spec: ScoreSpec, y) -> _PreparedY:
+def _basis(spec: ScoreSpec):
+    """The family's basis for :func:`sorted_stats`."""
+    if spec.family == "gpl":
+        return spec.g_inner
+    if spec.family in ("expectile", "bregman"):
+        return spec.phi
+    return "quad" if spec.family in ("se", "mv") else "lin"
+
+
+def prepare_realizations(spec: ScoreSpec, y) -> PreparedRealizations:
     """Pre-transform realizations once; reuse across many prediction values."""
-    return _PreparedY(spec, y)
+    basis = _basis(spec)
+    column = basis.phi if isinstance(basis, ConvexGenerator) else \
+        basis.apply if isinstance(basis, Bijection) else None
+    return PreparedRealizations(spec.transform, y, column)
+
+
+def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
+    """The prepared draws' sorted statistics on a centred basis, built on
+    first use and kept on ``p`` until a sweep asks for another basis.
+
+    ``basis`` is "one" {1}, "lin" {1, t}, "quad" {1, t, t^2}, a convex
+    generator phi {1, t, phi(w)} or an inner transformation g_in
+    {1, g_in(w)}, with t = w - mean(w) and phi/g_in centred at their mean.
+    Families without a breakpoint pass ``ordered=False``: their draws are
+    neither sorted nor copied.
+    """
+    key = (basis, ordered)
+    if p.sweep is not None and p.sweep.key == key:
+        return p.sweep
+    if isinstance(basis, Bijection):
+        cg = float(np.mean(p.column))
+        columns, centre = (lambda w: (basis.apply(w) - cg,)), (cg,)
+    elif basis == "one":
+        columns, centre = (lambda w: ()), ()
+    else:
+        c = float(np.mean(p.y))
+        if basis == "lin":
+            columns, centre = (lambda w: (w - c,)), (c,)
+        elif basis == "quad":
+            columns, centre = (lambda w: (w - c, np.square(w - c))), (c,)
+        else:
+            cp = float(np.mean(p.column))
+            columns, centre = (lambda w: (w - c, np.asarray(basis.phi(w), float) - cp)), (c, cp)
+    p.sweep = SortedStats(p.y, columns, key, centre, ordered)
+    return p.sweep
 
 
 def _mv_pair(z):
-    x1, x2 = float(z[0]), float(z[1])
-    if x2 <= 0:
-        raise DomainError(x2, context="mean-variance score (variance coordinate must be > 0)")
+    """The (x1, x2) coordinates of one pair or of an (n, 2) array of pairs."""
+    z = np.asarray(z, dtype=float)
+    x1, x2 = z[..., 0], z[..., 1]
+    if np.any(x2 <= 0):
+        raise DomainError(float(x2[x2 <= 0].flat[0]),
+                          context="mean-variance score (variance coordinate must be > 0)")
     return x1, x2
 
 
-def _core_score(spec: ScoreSpec, z_eff, p: _PreparedY):
+def _core_score(spec: ScoreSpec, z_eff, p: PreparedRealizations):
     fam = spec.family
     y = p.y
     if fam == "se":
@@ -210,9 +254,9 @@ def _core_score(spec: ScoreSpec, z_eff, p: _PreparedY):
         return (ind - spec.tau) * np.subtract(z_eff, y)
     if fam == "gpl":
         ind = np.greater_equal(z_eff, y).astype(float)
-        return (ind - spec.tau) * np.subtract(spec.g_inner.apply(z_eff), p.gin_y)
+        return (ind - spec.tau) * np.subtract(spec.g_inner.apply(z_eff), p.column)
     if fam in ("expectile", "bregman"):
-        gap = p.phi_y - spec.phi.phi(z_eff) + spec.phi.dphi(z_eff) * np.subtract(z_eff, y)
+        gap = p.column - spec.phi.phi(z_eff) + spec.phi.dphi(z_eff) * np.subtract(z_eff, y)
         if fam == "bregman":
             return 0.5 * gap
         ind = np.greater_equal(z_eff, y).astype(float)
@@ -222,11 +266,9 @@ def _core_score(spec: ScoreSpec, z_eff, p: _PreparedY):
     return (x1 * x1 - 2.0 * x2 - 2.0 * x1 * np.asarray(y) + np.square(y)) / (x2 * x2)
 
 
-def score_values(spec: ScoreSpec, z, prepared: _PreparedY):
+def score_values(spec: ScoreSpec, z, prepared: PreparedRealizations):
     """Scores of one prediction against pre-transformed realizations."""
-    if spec.family == "mv":
-        return _core_score(spec, z, prepared)
-    return _core_score(spec, _effective_z(spec, z), prepared)
+    return _core_score(spec, spec.transform.prediction(z), prepared)
 
 
 def evaluate_score(spec: ScoreSpec, z, y) -> float:
@@ -243,84 +285,38 @@ def _annotate_index(exc, i: int):
 
 
 def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
-    """Realized average score (1/n) sum S(z_i, y_i)."""
-    if spec.family == "mv":
-        z_arr = np.asarray(z, dtype=float)
-        if z_arr.ndim != 2 or z_arr.shape[1] != 2:
-            raise ParameterError("mv predictions must be an (n, 2) array of (x1, x2) pairs")
-        y_arr = np.asarray(y, dtype=float)
-        if len(z_arr) != len(y_arr):
-            raise ParameterError(f"length mismatch: {len(z_arr)} predictions, {len(y_arr)} realizations")
-        if len(y_arr) == 0:
-            raise ParameterError("average_score requires at least one observation")
-        total = 0.0
-        for i, (zi, yi) in enumerate(zip(z_arr, y_arr)):
-            try:
-                total += float(score_values(spec, zi, prepare_realizations(spec, yi)))
-            except (DomainError, EvaluationError) as exc:
-                raise _annotate_index(exc, i) from exc
-        return total / len(y_arr)
-
+    """Realized average score (1/n) sum S(z_i, y_i); for the mv family z is
+    an (n, 2) array of (x1, x2) pairs."""
     z_arr = np.asarray(z, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    if z_arr.shape != y_arr.shape:
+    if spec.family == "mv" and (z_arr.ndim != 2 or z_arr.shape[1] != 2):
+        raise ParameterError("mv predictions must be an (n, 2) array of (x1, x2) pairs")
+    if z_arr.shape != y_arr.shape + ((2,) if spec.family == "mv" else ()):
         raise ParameterError(f"length mismatch: {z_arr.shape} predictions, {y_arr.shape} realizations")
-    if z_arr.size == 0:
+    if y_arr.size == 0:
         raise ParameterError("average_score requires at least one observation")
     try:
-        zy = _effective_z(spec, z_arr) if spec.transform.mode in ("both", "prediction") else z_arr
         p = prepare_realizations(spec, y_arr)
-        return float(np.mean(_core_score(spec, zy, p)))
+        return float(np.mean(_core_score(spec, spec.transform.prediction(z_arr), p)))
     except (DomainError, EvaluationError):
         # Re-scan pointwise so the error names the offending row.
         for i, (zi, yi) in enumerate(zip(z_arr, y_arr)):
             try:
-                evaluate_score(spec, float(zi), float(yi))
+                evaluate_score(spec, zi, yi)
             except (DomainError, EvaluationError) as exc:
                 raise _annotate_index(exc, i) from exc
         raise
 
 
-def _sorted_stats(spec: ScoreSpec, p: _PreparedY) -> SortedStats:
-    """The prepared draws' sorted statistics in the family's centred basis:
-    se/mv {1, t, t^2}, ae/apl {1, t}, gpl {1, g_in(w)}, expectile/bregman
-    {1, t, phi(w)}, with t = w - mean(w). Families whose score has no
-    breakpoint in w are not sorted."""
-    fam = spec.family
-    if fam == "gpl":
-        basis_id = spec.g_inner
-    elif fam in ("expectile", "bregman"):
-        basis_id = spec.phi
-    else:
-        basis_id = "quad" if fam in ("se", "mv") else "lin"
-    ordered = fam not in ("se", "bregman", "mv")
-    key = (basis_id, ordered)
-
-    def build() -> SortedStats:
-        if fam == "gpl":
-            cg = float(np.mean(p.gin_y))
-            return SortedStats(p.y, lambda w: (spec.g_inner.apply(w) - cg,), key, (cg,), ordered)
-        c = float(np.mean(p.y))
-        if fam in ("expectile", "bregman"):
-            cp = float(np.mean(p.phi_y))
-            return SortedStats(p.y, lambda w: (w - c, np.asarray(spec.phi.phi(w), float) - cp),
-                               key, (c, cp), ordered)
-        if basis_id == "quad":
-            return SortedStats(p.y, lambda w: (w - c, np.square(w - c)), key, (c,), ordered)
-        return SortedStats(p.y, lambda w: (w - c,), key, (c,), ordered)
-
-    return attach(p, key, build)
-
-
 def _piece(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
-    """Coefficients of S(z, w) on the basis of :func:`_sorted_stats`; the
-    breakpoint is the effective prediction u, with 1{u >= w} = 1 at ties."""
+    """Coefficients of S(z, w) on the family's basis; the breakpoint is the
+    effective prediction u, with 1{u >= w} = 1 at ties."""
     fam = spec.family
     if fam == "mv":
         x1, x2 = _mv_pair(z)
         v = x1 - st.centre[0]
         return flat(np.array([v * v - 2.0 * x2, -2.0 * v, 1.0]) / (x2 * x2))
-    u = float(_effective_z(spec, z))
+    u = float(spec.transform.prediction(z))
     if fam == "se":
         v = u - st.centre[0]
         return flat([v * v, -2.0 * v, 1.0])
@@ -338,37 +334,41 @@ def _piece(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
     return Piecewise(st.cut(u), (1.0 - spec.tau) * lin, -spec.tau * lin)
 
 
-def expected_score(spec: ScoreSpec, z, prepared: _PreparedY) -> float:
+def _stats(spec: ScoreSpec, p: PreparedRealizations) -> SortedStats:
+    return sorted_stats(p, _basis(spec), spec.family not in ("se", "bregman", "mv"))
+
+
+def expected_score(spec: ScoreSpec, z, prepared: PreparedRealizations) -> float:
     """Empirical expected score of one prediction over the prepared draws."""
-    st = _sorted_stats(spec, prepared)
+    st = _stats(spec, prepared)
     return st.mean(_piece(spec, z, st))
 
 
-def expected_score_curve(spec: ScoreSpec, zs, prepared: _PreparedY) -> np.ndarray:
+def expected_score_curve(spec: ScoreSpec, zs, prepared: PreparedRealizations) -> np.ndarray:
     """Empirical expected score at each z, over a common draw set."""
     return np.array([expected_score(spec, z, prepared) for z in np.asarray(zs, float)])
 
 
-def expected_score_stats(spec: ScoreSpec, zs, prepared: _PreparedY):
+def expected_score_stats(spec: ScoreSpec, zs, prepared: PreparedRealizations):
     """Empirical expected score and its standard error at each z.
 
     Returns (means, stderrs) arrays, one entry per z.
     """
-    st = _sorted_stats(spec, prepared)
+    st = _stats(spec, prepared)
     return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
 
 
-def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: _PreparedY):
+def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations):
     """Paired statistics of S(z_ref, Y) - S(z, Y) over common draws.
 
     Returns (mean_diff, stderr_diff) arrays, one entry per z. The pairing
     (common random numbers) makes small expected-score differences resolvable
     far below the marginal noise level. At z == z_ref both are exactly 0.
     """
-    st = _sorted_stats(spec, prepared)
+    st = _stats(spec, prepared)
     ref = _piece(spec, z_ref, st)
     return split_stats([st.diff_stats(ref, _piece(spec, z, st))
-                         for z in np.asarray(zs, float)])
+                        for z in np.asarray(zs, float)])
 
 
 def homogeneity_probe(spec: ScoreSpec, order_candidates: Sequence[float],

@@ -146,12 +146,3 @@ def split_stats(pairs):
     """(means, stderrs) arrays from a list of (mean, stderr) pairs."""
     out = np.array(pairs, dtype=float).reshape(-1, 2)
     return out[:, 0].copy(), out[:, 1].copy()
-
-
-def attach(prepared, key, build: Callable[[], SortedStats]) -> SortedStats:
-    """The prepared realizations' sorted statistics for ``key``, built on
-    first use and rebuilt only when a sweep asks for another basis."""
-    stats = prepared.sweep
-    if stats is None or stats.key != key:
-        stats = prepared.sweep = build()
-    return stats

@@ -74,18 +74,6 @@ class Bijection:
         return self._eval(self.derivative, t, self.domain, "derivative")
 
 
-def apply(bij: Bijection, t):
-    return bij.apply(t)
-
-
-def invert(bij: Bijection, t):
-    return bij.invert(t)
-
-
-def deriv(bij: Bijection, t):
-    return bij.deriv(t)
-
-
 def roundtrip_check(bij: Bijection, grid) -> float:
     """Max relative error of invert(apply(t)) - t over the grid."""
     worst = 0.0

@@ -40,10 +40,11 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .distributions import DistributionSpec, Empirical, Exponential, Lognormal, Normal, Uniform, sample_iid
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
-from .functionals import FunctionalSpec, FunctionalValue, functional_value, scalar_value
+from .functionals import (FunctionalSpec, FunctionalValue, functional_value, sample_mv_pair,
+                          scalar_value)
 from .identification import IdentSpec, expected_ident_curve, ident_values, prepare_ident_realizations
 from .intervals import Interval
-from .numerics import Bracket, Seed, derive_seed, minimize1d
+from .numerics import Bracket, Seed, derive_seed, mean_stderr, minimize1d
 from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
                       prepare_realizations, score_diff_stats)
 from .transforms import Bijection, catalog
@@ -83,6 +84,9 @@ class CheckConfig:
             raise ParameterError(f"checks need n >= {MIN_N}, got {self.n}")
         if self.points < 5:
             raise ParameterError("grid needs at least 5 points")
+        for name, tol in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
+            if not 0.0 <= tol < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {tol}")
         if self.kind in ("consistency", "strictness", "pair", "revelation", "realization"):
             if self.score is None:
                 raise ParameterError(f"{self.kind} check requires a score spec")
@@ -155,14 +159,17 @@ def _tolerance(cfg: CheckConfig, target_scalar: float, target_se: float) -> floa
     return max(cfg.tol_abs, cfg.tol_rel * abs(target_scalar), 3.0 * target_se)
 
 
-def _grid(cfg: CheckConfig) -> np.ndarray:
-    return np.linspace(cfg.bracket.lo, cfg.bracket.hi, cfg.points)
+def _target_se(target: FunctionalValue) -> float:
+    """The stderr of a scalar target (0 for a pair's)."""
+    return float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
 
 
-def _polished_argmin(score: ScoreSpec, zs: np.ndarray, prepared, bracket: Bracket) -> float:
-    """Grid argmin refined by bracketed search between its neighbors."""
-    means = expected_score_curve(score, zs, prepared)
-    i = int(np.argmin(means))
+def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, bracket: Bracket, seed: Seed):
+    """Draws, prepared realizations, grid, and the grid argmin refined by
+    bracketed search between its neighbors: returns (prepared, zs, argmin)."""
+    prepared = prepare_realizations(score, sample_iid(cfg.dist, cfg.n, seed))
+    zs = np.linspace(bracket.lo, bracket.hi, cfg.points)
+    i = int(np.argmin(expected_score_curve(score, zs, prepared)))
     if i == 0 or i == len(zs) - 1:
         raise BracketingError(
             f"expected-score minimum at grid endpoint z={zs[i]:.6g}; "
@@ -172,7 +179,7 @@ def _polished_argmin(score: ScoreSpec, zs: np.ndarray, prepared, bracket: Bracke
         return expected_score(score, z, prepared)
 
     tol = max(1e-9, 1e-6 * max(1.0, abs(zs[i])))
-    return minimize1d(esc, Bracket(zs[i - 1], zs[i + 1]), tol)
+    return prepared, zs, minimize1d(esc, Bracket(zs[i - 1], zs[i + 1]), tol)
 
 
 def _argmin_stderr(score: ScoreSpec, z_star: float, zs: np.ndarray, prepared) -> float:
@@ -211,16 +218,12 @@ def _timed(fn):
 def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValue,
                       bracket: Bracket, check_name: str):
     """Shared argmin-vs-target machinery; returns (report, argmin stderr)."""
-    draws = sample_iid(cfg.dist, cfg.n, cfg.seed)
-    prepared = prepare_realizations(score, draws)
-    zs = np.linspace(bracket.lo, bracket.hi, cfg.points)
-    z_star = _polished_argmin(score, zs, prepared, bracket)
+    prepared, zs, z_star = _swept_argmin(cfg, score, bracket, cfg.seed)
 
     t_scalar = scalar_value(target.value)
-    t_se = float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
     # Total Monte Carlo uncertainty: target noise plus argmin localization.
     se_argmin = _argmin_stderr(score, z_star, zs, prepared)
-    se = math.hypot(t_se, se_argmin)
+    se = math.hypot(_target_se(target), se_argmin)
     tol = _tolerance(cfg, t_scalar, se)
     dist_ok = _target_distance(z_star, target.value) <= tol
 
@@ -256,10 +259,7 @@ def check_strictness(cfg: CheckConfig) -> VerificationReport:
     Fails when any grid point farther than the tolerance from the empirical
     minimizer is not significantly above the minimum.
     """
-    draws = sample_iid(cfg.dist, cfg.n, cfg.seed)
-    prepared = prepare_realizations(cfg.score, draws)
-    zs = _grid(cfg)
-    z_star = _polished_argmin(cfg.score, zs, prepared, cfg.bracket)
+    prepared, zs, z_star = _swept_argmin(cfg, cfg.score, cfg.bracket, cfg.seed)
 
     flat_tol = max(cfg.tol_abs, cfg.tol_rel * max(1.0, abs(z_star)))
     dmean, dse = score_diff_stats(cfg.score, z_star, zs, prepared)
@@ -269,12 +269,11 @@ def check_strictness(cfg: CheckConfig) -> VerificationReport:
     n_flat = int(np.sum(~(rise[far] > 3.0 * dse[far])))
 
     target = _resolve_target(cfg)
-    t_se = float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
     notes = f"argmin={z_star:.6g}; flat-tol={flat_tol:.4g}; " \
             f"non-strict points beyond tol: {n_flat}/{int(np.sum(far))}"
     return VerificationReport(
         check=cfg.name, passed=strict_ok, estimate=z_star, target=target.value,
-        stderr=t_se, tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed,
+        stderr=_target_se(target), tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed,
         wall_ms=0.0, notes=notes)
 
 
@@ -284,17 +283,16 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
     target = _resolve_target(cfg)
     t_scalar = scalar_value(target.value)
 
-    draws = sample_iid(cfg.dist, cfg.n, cfg.seed)
-    prepared = prepare_ident_realizations(cfg.ident, draws)
+    prepared = prepare_ident_realizations(cfg.ident, sample_iid(cfg.dist, cfg.n, cfg.seed))
     (est0,), (se0,) = expected_ident_curve(cfg.ident, [t_scalar], prepared)
     est0, se0 = float(est0), float(se0)
 
-    zs = _grid(cfg)
+    zs = np.linspace(cfg.bracket.lo, cfg.bracket.hi, cfg.points)
     vmeans, vses = expected_ident_curve(cfg.ident, zs, prepared)
 
     # A Monte Carlo target misses the true zero by se_t; the expected
     # identification value moves by (local slope) x that much.
-    se_t = float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
+    se_t = _target_se(target)
     if se_t > 0.0:
         delta = float(zs[1] - zs[0])
         (v_lo, v_hi), _ = expected_ident_curve(
@@ -344,10 +342,8 @@ def check_revelation(cfg: CheckConfig) -> VerificationReport:
     trans_bracket = Bracket(min(lo, hi), max(lo, hi))
     trans_score = cfg.score.with_transform(TransformMode.prediction_only(g))
 
-    draws = sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 1))
-    prepared = prepare_realizations(trans_score, draws)
-    zs = np.linspace(trans_bracket.lo, trans_bracket.hi, cfg.points)
-    z_trans = _polished_argmin(trans_score, zs, prepared, trans_bracket)
+    prepared, zs, z_trans = _swept_argmin(cfg, trans_score, trans_bracket,
+                                          derive_seed(cfg.seed, 1))
 
     target = float(g.apply(z_base))
     # Both argmins carry Monte Carlo noise; the base error maps through g'.
@@ -372,11 +368,11 @@ def check_realization_transform(cfg: CheckConfig) -> VerificationReport:
     if cfg.target is not None:
         target = _resolve_target(cfg)
     else:
-        target = _transformed_functional(cfg)
+        target = _transformed_functional(cfg, score.transform)
     return _consistency_body(cfg, score, target, cfg.bracket, cfg.name)[0]
 
 
-def _transformed_functional(cfg: CheckConfig) -> FunctionalValue:
+def _transformed_functional(cfg: CheckConfig, transform: TransformMode) -> FunctionalValue:
     """Functional of the law of g(Y), via pushforward or transformed draws."""
     from .functionals import pushforward_law
 
@@ -384,14 +380,12 @@ def _transformed_functional(cfg: CheckConfig) -> FunctionalValue:
         law = pushforward_law(cfg.dist, cfg.g)
         if law is not None:
             return functional_value(cfg.functional, law, n=cfg.n, seed=derive_seed(cfg.seed, 7919))
-    draws = sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919))
-    w = cfg.g.apply(draws) if isinstance(cfg.g, Bijection) else np.asarray(cfg.g(draws), float)
+    w = transform.realization(sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919)))
     fv = functional_value(cfg.functional, Empirical(w),
                           n=cfg.n, seed=derive_seed(cfg.seed, 7920))
     if isinstance(fv.stderr, float) and fv.stderr == 0.0:
         # exact on the empirical law, but the draws themselves carry noise
-        se = float(np.std(w, ddof=1) / math.sqrt(w.size))
-        fv = FunctionalValue(fv.value, se, "mc", notes="transformed-draw estimate")
+        fv = FunctionalValue(fv.value, mean_stderr(w), "mc", notes="transformed-draw estimate")
     return fv
 
 
@@ -409,8 +403,7 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
     se_t1, se_t2 = (float(s) for s in (target.stderr if isinstance(target.stderr, (tuple, list))
                                        else (target.stderr, target.stderr)))
 
-    draws = sample_iid(cfg.dist, cfg.n, cfg.seed)
-    prepared = prepare_realizations(cfg.score, draws)
+    prepared = prepare_realizations(cfg.score, sample_iid(cfg.dist, cfg.n, cfg.seed))
 
     # Coarse grid, then simplex polish over (x1, log x2).
     side = max(9, int(math.isqrt(cfg.points)))
@@ -428,21 +421,17 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
 
     # The empirical pair argmin is the sample (mean, variance) of the
     # transformed draws; combine its sampling error with the target's.
-    w = np.asarray(prepared.y, dtype=float)
-    v_hat = float(np.var(w, ddof=1))
-    m4 = float(np.mean((w - np.mean(w)) ** 4))
-    se1 = math.hypot(se_t1, float(np.std(w, ddof=1) / math.sqrt(cfg.n)))
-    se2 = math.hypot(se_t2, math.sqrt(max(m4 - v_hat * v_hat, 0.0) / cfg.n))
+    se_m, se_v = sample_mv_pair(prepared.y).stderr
+    se1 = math.hypot(se_t1, se_m)
+    se2 = math.hypot(se_t2, se_v)
     tol1 = _tolerance(cfg, t1, se1)
     tol2 = _tolerance(cfg, t2, se2)
     argmin_ok = abs(x1_star - t1) <= tol1 and abs(x2_star - t2) <= tol2
 
-    ident = IdentSpec("mv", transform=cfg.score.transform)
-    ident_prep = prepare_ident_realizations(ident, draws)
-    v1, v2 = ident_values(ident, (t1, t2), ident_prep)
+    # The score's prepared draws are the identification's effective draws.
+    v1, v2 = ident_values(IdentSpec("mv", transform=cfg.score.transform), (t1, t2), prepared)
     e1, e2 = float(np.mean(v1)), float(np.mean(v2))
-    s1 = float(np.std(v1, ddof=1) / math.sqrt(cfg.n))
-    s2 = float(np.std(v2, ddof=1) / math.sqrt(cfg.n))
+    s1, s2 = mean_stderr(v1), mean_stderr(v2)
     # A Monte Carlo target misses the true zero: E[V1] moves by the error of
     # t1, E[V2] by that of t2 plus 2 t1 times that of t1 (their covariance
     # bounded by Cauchy-Schwarz).
@@ -641,11 +630,17 @@ def load_suite_file(path: str, seed: Seed):
                 dist = parse_dist(kv.pop("dist"))
                 functional = parse_functional(kv.pop("functional"))
                 lo, hi = (float(v) for v in kv.pop("bracket").split(","))
+                n = float(kv.pop("n", "1000000"))
+                if not (math.isfinite(n) and n == int(n)):
+                    raise SpecParseError(f"n must be a finite integer, got {n!r}")
+                expect = kv.pop("expect", "pass")
+                if expect not in ("pass", "fail"):
+                    raise SpecParseError(f"expect must be pass or fail, got {expect!r}")
                 cfg = CheckConfig(
                     name=kv.pop("name", f"line{lineno}"),
                     kind=kind, dist=dist, functional=functional,
                     bracket=Bracket(lo, hi),
-                    n=int(float(kv.pop("n", "1000000"))),
+                    n=int(n),
                     seed=int(kv.pop("seed")) if "seed" in kv else derive_seed(seed, len(configs)),
                     score=parse_score(kv.pop("score")) if "score" in kv else None,
                     ident=parse_ident(kv.pop("ident")) if "ident" in kv else None,
@@ -656,7 +651,7 @@ def load_suite_file(path: str, seed: Seed):
                     tol_rel=float(kv.pop("tol_rel", "0.02")),
                     target=float(kv.pop("target")) if "target" in kv else None,
                     g=parse_bijection(kv.pop("g")) if "g" in kv else None,
-                    expect_pass=kv.pop("expect", "pass") == "pass",
+                    expect_pass=expect == "pass",
                 )
                 if kv:
                     raise SpecParseError(f"unknown keys {sorted(kv)}")

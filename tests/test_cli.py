@@ -72,6 +72,23 @@ class TestScoreCommand:
         assert payload["skill"] == 0.0
         assert payload["reference_value"] == 2.0
 
+    @pytest.mark.parametrize("mode", ["realization", "prediction", "both"])
+    def test_g_climatology_is_the_score_optimal_constant(self, zy_file, capsys, mode):
+        y = np.random.default_rng(5).lognormal(0.0, 1.0, 1000)
+        path = zy_file((1.1 * y).tolist(), y.tolist())
+        score = f"se@{mode}:log"
+        assert main(["score", "--score", score, "--data", path,
+                     "--skill", "g-climatology"]) == 0
+        ref = json.loads(capsys.readouterr().out)["reference_value"]
+        assert main(["fit", "--model", "constant", "--score", score, "--data", path]) == 0
+        theta = json.loads(capsys.readouterr().out)["theta"][0]
+        exact = {"realization": np.mean(np.log(y)), "prediction": np.log(np.mean(y)),
+                 "both": np.exp(np.mean(np.log(y)))}[mode]
+        assert ref == pytest.approx(exact, rel=1e-12)
+        # the bracketed minimizer resolves smooth non-quadratic objectives
+        # to about 1e-7 relative
+        assert ref == pytest.approx(theta, rel=1e-7)
+
     def test_g_climatology_requires_transform(self, zy_file, capsys):
         path = zy_file([1.0], [1.0])
         assert main(["score", "--score", "se", "--data", path,
@@ -256,6 +273,20 @@ class TestVerifyCommand:
                                        "message": "phi divides by zero"}
         assert reports[0]["estimate"] is None and reports[0]["target"] is None
         assert reports[1]["pass"] and "error" not in reports[1]
+
+    @pytest.mark.parametrize("bad", ["expect=passs", "n=inf", "n=20000.7", "tol_abs=nan",
+                                     "tol_rel=-0.1"])
+    def test_bad_suite_value_exit_2_names_line(self, tmp_path, capsys, bad):
+        tokens = {"name": "c", "kind": "consistency", "dist": "normal(0,1)", "score": "se",
+                  "functional": "mean", "bracket": "-2,2", "n": "20000", "points": "41"}
+        key, value = bad.split("=")
+        tokens[key] = value
+        suite = tmp_path / "suite.txt"
+        suite.write_text("# header\n" + " ".join(f"{k}={v}" for k, v in tokens.items()) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["verify", "--suite", str(suite), "--out", str(out)]) == 2
+        assert "suite.txt:2:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_suite_exit_2(self, tmp_path, capsys):
         suite = tmp_path / "suite.txt"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elicit import (Bijection, ConvexGenerator, DomainError, Interval,
+from elicit import (Bijection, ConvexGenerator, DomainError, EvaluationError, Interval,
                     ParameterError, ScoreSpec, TransformMode, average_score,
                     catalog, convex_generator, evaluate_score, homogeneity_probe,
                     register_convex_generator)
@@ -121,6 +121,50 @@ class TestAverageScore:
         expected = (evaluate_score(ScoreSpec("mv"), z[0], y[0])
                     + evaluate_score(ScoreSpec("mv"), z[1], y[1])) / 2
         assert average_score(ScoreSpec("mv"), z, y) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("mode", [TransformMode.none(),
+                                      TransformMode.realization_only(catalog("log"))])
+    def test_mv_matches_per_row_oracle(self, mode):
+        rng = np.random.default_rng(11)
+        y = rng.lognormal(0.0, 1.0, 500)
+        z = np.column_stack([rng.normal(0.0, 1.0, 500), rng.uniform(0.5, 2.0, 500)])
+        spec = ScoreSpec("mv", transform=mode)
+        oracle = np.mean([evaluate_score(spec, zi, yi) for zi, yi in zip(z, y)])
+        assert average_score(spec, z, y) == pytest.approx(oracle, rel=1e-12)
+
+    def test_mv_names_first_bad_row(self):
+        spec = ScoreSpec("mv", transform=TransformMode.realization_only(catalog("log")))
+        with pytest.raises(DomainError, match="index 1, mean-variance"):
+            average_score(spec, [(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="index 2"):
+            average_score(spec, [(0.0, 1.0)] * 3, [1.0, 2.0, -3.0])
+        with pytest.raises(ParameterError, match="length mismatch"):
+            average_score(spec, [(0.0, 1.0)] * 3, [1.0, 2.0])
+
+
+class TestTransformMode:
+    def test_arguments_per_mode(self):
+        log = catalog("log")
+        cases = [(TransformMode.none(), 4.0, 4.0),
+                 (TransformMode.realization_only(log), math.log(4.0), 4.0),
+                 (TransformMode.prediction_only(log), 4.0, math.exp(4.0)),
+                 (TransformMode.both(log), math.log(4.0), math.log(4.0))]
+        for mode, w, u in cases:
+            assert mode.realization(4.0) == w
+            assert mode.prediction(4.0) == u
+            assert np.array_equal(mode.realization(np.array([4.0, 4.0])), [w, w])
+
+    def test_bare_callable_is_checked_for_finite_values(self):
+        mode = TransformMode.realization_only(np.sqrt)
+        assert np.array_equal(mode.realization(np.array([4.0, 9.0])), [2.0, 3.0])
+        assert mode.realization(4.0) == 2.0
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError):
+            mode.realization(np.array([4.0, -1.0]))
+
+    def test_bare_callable_error_names_row(self):
+        spec = se(TransformMode.realization_only(np.sqrt))
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="at index 1"):
+            average_score(spec, [1.0, 1.0, 1.0], [4.0, -1.0, 9.0])
 
 
 class TestNonnegativityAndZeros:

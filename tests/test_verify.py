@@ -306,6 +306,13 @@ def test_suite_file_roundtrip(tmp_path):
     assert suite_passed(configs, reports)
 
 
+@pytest.mark.parametrize("tol", [{"tol_abs": math.nan}, {"tol_abs": math.inf},
+                                 {"tol_rel": -0.01}, {"tol_rel": math.nan}])
+def test_check_config_rejects_bad_tolerances(tol):
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        cfg(score="se", **tol)
+
+
 def test_suite_file_error_carries_line(tmp_path):
     from elicit.errors import SpecParseError
     path = tmp_path / "suite.txt"
