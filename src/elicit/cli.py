@@ -24,7 +24,6 @@ from . import specs
 from .errors import DataError, ElicitError, EvaluationError, ParameterError, SpecParseError
 from .estimation import fit
 from .evaluation import climatology_predictions, score_climatology, skill_score
-from .numerics import Bracket
 from .distributions import sample_iid
 from .scoring import average_score, expected_score_stats, prepare_realizations
 from .transforms import CATALOG_ROWS, catalog, identity
@@ -36,9 +35,24 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("ELICIT_SEED")
-    return int(env) if env else 0
+def _flag(parse):
+    """An argparse type from ``parse``: its ValueError becomes a usage error
+    naming the flag. argparse converts a string default (ELICIT_SEED for
+    --seed) the same way, and only for subcommands that take the flag."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _at_least(least: int):
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise ValueError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+    return _flag(parse)
 
 
 def _read_csv(path: str, columns):
@@ -223,11 +237,9 @@ def _cmd_verify(args) -> int:
 def _cmd_curve(args) -> int:
     spec = specs.parse_score(args.score)
     dist = specs.parse_dist(args.dist)
-    lo, hi = (float(v) for v in args.bracket.split(","))
-    bracket = Bracket(lo, hi)
     draws = sample_iid(dist, args.n, args.seed)
     prepared = prepare_realizations(spec, draws)
-    zs = np.linspace(bracket.lo, bracket.hi, args.points)
+    zs = np.linspace(args.bracket.lo, args.bracket.hi, args.points)
     means, stderrs = expected_score_stats(spec, zs, prepared)
     rows = [(float(z), float(m), float(s)) for z, m, s in zip(zs, means, stderrs)]
     to_stdout = (args.out or "-") == "-"
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help="builtin:NAME or a suite file path")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_at_least(0), default=os.environ.get("ELICIT_SEED", "0"))
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--timings", action="store_true",
@@ -278,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="expected-score curve as CSV")
     p.add_argument("--score", required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--bracket", required=True, metavar="LO,HI")
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--n", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--bracket", type=_flag(specs.parse_bracket), required=True, metavar="LO,HI")
+    p.add_argument("--points", type=_at_least(1), default=201)
+    p.add_argument("--n", type=_at_least(2), default=10**5)
+    p.add_argument("--seed", type=_at_least(0), default=os.environ.get("ELICIT_SEED", "0"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_curve)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .distributions import (DistributionSpec, Empirical, Lognormal, Normal,
                             Uniform, sample_iid)
 from .errors import DomainError, EvaluationError, ParameterError
+from .identification import IdentSpec, expected_ident_curve, prepare_ident_realizations
 from .intervals import Interval
 from .numerics import Bracket, Seed, mean_stderr, root1d
 from .transforms import Bijection
@@ -199,33 +200,31 @@ def analytic_functional(dist: DistributionSpec, spec: FunctionalSpec):
     raise ParameterError(f"unknown functional kind {spec.kind!r}")
 
 
-def _empirical_psi_root(w: np.ndarray, tau: float) -> float:
-    """Root of the empirical asymmetric-deviation balance on transformed draws."""
+def _mc_expectile(w: np.ndarray, tau: float):
+    """Root of the empirical asymmetric-deviation balance
+    psi(z) = tau E[(w - z)^+] - (1 - tau) E[(z - w)^+] on the draws w, and its
+    standard error. psi is -1/2 times the mean expectile identification
+    function, which the sorted sweep evaluates without a pass over w."""
+    ident = IdentSpec("expectile", tau=tau)
+    prepared = prepare_ident_realizations(ident, w)
+
+    def psi(z: float) -> float:
+        return -0.5 * float(expected_ident_curve(ident, [z], prepared)[0][0])
+
     lo, hi = float(np.min(w)), float(np.max(w))
     span = max(hi - lo, 1e-12)
     lo, hi = lo - 0.01 * span, hi + 0.01 * span
-
-    def psi(z: float) -> float:
-        return tau * float(np.mean(np.maximum(w - z, 0.0))) - \
-            (1.0 - tau) * float(np.mean(np.maximum(z - w, 0.0)))
-
     try:
         root = root1d(psi, Bracket(lo, hi), 1e-10 * max(1.0, abs(lo), abs(hi)))
     except Exception as exc:
         raise EvaluationError(
             f"expectile root bracketing failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
     eps = 1e-6 * max(1.0, abs(root))
-    if psi(root - eps) <= 0.0 <= psi(root + eps) and psi(root - eps) == psi(root + eps):
+    if psi(root - eps) == 0.0 == psi(root + eps):
         raise EvaluationError("flat identification region: expectile not unique")
-    return root
-
-
-def _mc_expectile_with_se(w: np.ndarray, tau: float):
-    root = _empirical_psi_root(w, tau)
-    term = tau * np.maximum(w - root, 0.0) - (1.0 - tau) * np.maximum(root - w, 0.0)
-    se_psi = mean_stderr(term)
+    se_psi = 0.5 * float(expected_ident_curve(ident, [root], prepared)[1][0])
     # slope of the population balance at the root: -(tau (1 - F) + (1 - tau) F)
-    f_hat = float(np.mean(w <= root))
+    f_hat = prepared.sweep.cut(root) / w.size  # the sweep's sorted draws: #{w <= root}
     slope = tau * (1.0 - f_hat) + (1.0 - tau) * f_hat
     return root, se_psi / max(slope, 1e-12)
 
@@ -257,13 +256,14 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
     if analytic is not None:
         stderr = (0.0, 0.0) if isinstance(analytic, tuple) else 0.0
         return FunctionalValue(analytic, stderr, "analytic")
+    return functional_from_draws(spec, sample_iid(dist, n, seed))
 
-    draws = np.asarray(sample_iid(dist, n, seed), dtype=float)
-    if spec.kind in ("gmean", "gexpectile") or (spec.kind == "mvpair" and spec.g is not None):
-        _check_support(dist, spec.g, spec.kind)
-        w = np.asarray(spec.g.apply(draws), dtype=float)
-    else:
-        w = draws
+
+def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
+    """Monte Carlo value of the functional, and its stderr, from draws of the law."""
+    w = np.asarray(draws, dtype=float)
+    if spec.g is not None and spec.kind in ("gmean", "gexpectile", "mvpair"):
+        w = np.asarray(spec.g.apply(w), dtype=float)
 
     if spec.kind == "mean":
         return FunctionalValue(float(np.mean(w)), mean_stderr(w), "mc")
@@ -284,17 +284,14 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
         return FunctionalValue(iv, se, "mc", notes="empirical quantile interval")
 
     if spec.kind in ("expectile", "gexpectile"):
-        root, se_root = _mc_expectile_with_se(w, spec.tau)
+        root, se_root = _mc_expectile(w, spec.tau)
         if spec.kind == "expectile":
             return FunctionalValue(root, se_root, "mc")
         val = float(spec.g.invert(root))
         se = se_root / max(abs(float(spec.g.deriv(val))), 1e-300)
         return FunctionalValue(val, se, "mc")
 
-    if spec.kind == "mvpair":
-        return sample_mv_pair(w)
-
-    raise ParameterError(f"unknown functional kind {spec.kind!r}")
+    return sample_mv_pair(w)  # mvpair
 
 
 def g_quantile(dist: DistributionSpec, g: Bijection, tau: float):

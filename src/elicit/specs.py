@@ -9,14 +9,32 @@ Transforms are ``name`` or ``name(p1,p2,...)``; distributions likewise:
 
 from __future__ import annotations
 
+import dataclasses
 import shlex
 
-from .errors import SpecParseError
+from .errors import ParameterError, SpecParseError
 from .functionals import FunctionalSpec
 from .identification import IdentSpec
+from .numerics import Bracket
 from .scoring import ScoreSpec, TransformMode, convex_generator
-from .transforms import Bijection, catalog
+from .transforms import Bijection, catalog, format_number
 from . import distributions as dist_mod
+
+
+def _numbers(args: str, what: str, text: str) -> list:
+    """The comma-separated floats of ``args`` (none when blank)."""
+    try:
+        return [float(a) for a in args.split(",")] if args.strip() else []
+    except ValueError as exc:
+        raise SpecParseError(f"bad {what} in {text!r}: {exc}") from exc
+
+
+def parse_bracket(text: str) -> Bracket:
+    """``lo,hi`` with finite lo < hi."""
+    try:
+        return Bracket(*_numbers(text, "bracket", text))
+    except (TypeError, ParameterError) as exc:
+        raise SpecParseError(f"bracket must be 'lo,hi' with finite lo < hi, got {text!r}") from exc
 
 
 def parse_bijection(text: str) -> Bijection:
@@ -25,10 +43,7 @@ def parse_bijection(text: str) -> Bijection:
         if not text.endswith(")"):
             raise SpecParseError(f"malformed transform spec {text!r}")
         name, args = text[:-1].split("(", 1)
-        try:
-            params = [float(a) for a in args.split(",")] if args.strip() else []
-        except ValueError as exc:
-            raise SpecParseError(f"bad transform parameters in {text!r}: {exc}") from exc
+        params = _numbers(args, "transform parameters", text)
     else:
         name, params = text, []
     try:
@@ -98,7 +113,7 @@ def parse_score(text: str) -> ScoreSpec:
 def format_score(spec: ScoreSpec) -> str:
     parts = [spec.family]
     if spec.tau is not None:
-        parts.append(f"tau={spec.tau:g}")
+        parts.append(f"tau={format_number(spec.tau)}")
     if spec.family in ("expectile", "bregman") and spec.phi is not None:
         parts.append(f"phi={spec.phi.name}")
     if spec.g_inner is not None:
@@ -124,7 +139,7 @@ def parse_ident(text: str) -> IdentSpec:
 def format_ident(spec: IdentSpec) -> str:
     out = spec.family
     if spec.tau is not None:
-        out += f":tau={spec.tau:g}"
+        out += f":tau={format_number(spec.tau)}"
     if spec.transform.mode != "none":
         out += f"@{spec.transform.mode}:{format_bijection(spec.transform.g)}"
     return out
@@ -148,13 +163,15 @@ def parse_functional(text: str) -> FunctionalSpec:
 def format_functional(spec: FunctionalSpec) -> str:
     parts = [spec.kind]
     if spec.tau is not None:
-        parts.append(f"tau={spec.tau:g}")
+        parts.append(f"tau={format_number(spec.tau)}")
     if spec.g is not None:
         parts.append(f"g={format_bijection(spec.g)}")
     return ":".join(parts)
 
 
-_DIST_ARITY = {"normal": 2, "lognormal": 2, "exponential": 1, "uniform": 2}
+_DISTS = {"normal": dist_mod.Normal, "lognormal": dist_mod.Lognormal,
+          "exponential": dist_mod.Exponential, "uniform": dist_mod.Uniform,
+          "empirical": dist_mod.Empirical}
 
 
 def parse_dist(text: str):
@@ -162,42 +179,26 @@ def parse_dist(text: str):
     if "(" not in text or not text.endswith(")"):
         raise SpecParseError(f"distribution spec needs parameters: {text!r}")
     name, args = text[:-1].split("(", 1)
-    name = name.strip().lower()
+    cls = _DISTS.get(name.strip().lower())
+    if cls is None:
+        raise SpecParseError(f"unknown distribution {name.strip()!r}")
+    params = _numbers(args, "distribution parameters", text)
     try:
-        params = [float(a) for a in args.split(",")] if args.strip() else []
-    except ValueError as exc:
-        raise SpecParseError(f"bad distribution parameters in {text!r}: {exc}") from exc
-    try:
-        if name == "normal":
-            return dist_mod.Normal(*params)
-        if name == "lognormal":
-            return dist_mod.Lognormal(*params)
-        if name == "exponential":
-            return dist_mod.Exponential(*params)
-        if name == "uniform":
-            return dist_mod.Uniform(*params)
-        if name == "empirical":
-            return dist_mod.Empirical(tuple(params))
+        return cls(tuple(params)) if cls is dist_mod.Empirical else cls(*params)
     except TypeError as exc:
-        raise SpecParseError(
-            f"{name} expects {_DIST_ARITY.get(name, '?')} parameter(s): {exc}") from exc
+        raise SpecParseError(f"{text!r}: expects {len(dataclasses.fields(cls))} "
+                             f"parameter(s): {exc}") from exc
     except Exception as exc:
         raise SpecParseError(f"bad distribution spec {text!r}: {exc}") from exc
-    raise SpecParseError(f"unknown distribution {name!r}")
 
 
 def format_dist(dist) -> str:
-    if isinstance(dist, dist_mod.Normal):
-        return f"normal({dist.mu:g},{dist.sigma:g})"
-    if isinstance(dist, dist_mod.Lognormal):
-        return f"lognormal({dist.mu:g},{dist.sigma:g})"
-    if isinstance(dist, dist_mod.Exponential):
-        return f"exponential({dist.rate:g})"
-    if isinstance(dist, dist_mod.Uniform):
-        return f"uniform({dist.lo:g},{dist.hi:g})"
-    if isinstance(dist, dist_mod.Empirical):
-        return "empirical(" + ",".join(f"{v:g}" for v in dist.values) + ")"
-    raise SpecParseError(f"unknown distribution object {dist!r}")
+    name = next((k for k, cls in _DISTS.items() if type(dist) is cls), None)
+    if name is None:
+        raise SpecParseError(f"unknown distribution object {dist!r}")
+    params = dist.values if name == "empirical" else \
+        [getattr(dist, f.name) for f in dataclasses.fields(dist)]
+    return f"{name}({','.join(map(format_number, params))})"
 
 
 def parse_suite_line(line: str) -> dict:

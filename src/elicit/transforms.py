@@ -50,7 +50,7 @@ class Bijection:
     @property
     def label(self) -> str:
         if self.params:
-            return f"{self.name}({', '.join(f'{p:g}' for p in self.params)})"
+            return f"{self.name}({', '.join(map(format_number, self.params))})"
         return self.name
 
     def _eval(self, fn, t, where: Interval, what: str):
@@ -72,6 +72,13 @@ class Bijection:
 
     def deriv(self, t):
         return self._eval(self.derivative, t, self.domain, "derivative")
+
+
+def format_number(x: float) -> str:
+    """``x`` as text that parses back to the same float: the short ``:g``
+    form when it does, else ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def roundtrip_check(bij: Bijection, grid) -> float:

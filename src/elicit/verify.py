@@ -38,16 +38,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .distributions import DistributionSpec, Empirical, Exponential, Lognormal, Normal, Uniform, sample_iid
+from .distributions import DistributionSpec, sample_iid
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
-from .functionals import (FunctionalSpec, FunctionalValue, functional_value, sample_mv_pair,
-                          scalar_value)
+from .functionals import (FunctionalSpec, FunctionalValue, functional_from_draws,
+                          functional_value, pushforward_law, sample_mv_pair, scalar_value)
 from .identification import IdentSpec, expected_ident_curve, ident_values, prepare_ident_realizations
 from .intervals import Interval
-from .numerics import Bracket, Seed, derive_seed, mean_stderr, minimize1d
+from .numerics import Bracket, Seed, check_seed, derive_seed, mean_stderr, minimize1d
 from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
                       prepare_realizations, score_diff_stats)
-from .transforms import Bijection, catalog
+from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional, parse_ident,
+                    parse_score, parse_suite_line)
+from .transforms import Bijection
 
 CHECK_KINDS = ("consistency", "strictness", "identification", "pair",
                "revelation", "realization")
@@ -80,6 +82,12 @@ class CheckConfig:
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
             raise ParameterError(f"unknown check kind {self.kind!r}")
+        for name in ("n", "points"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n < MIN_N:
             raise ParameterError(f"checks need n >= {MIN_N}, got {self.n}")
         if self.points < 5:
@@ -204,6 +212,15 @@ def _argmin_stderr(score: ScoreSpec, z_star: float, zs: np.ndarray, prepared) ->
     return min(se_slope / curv, width)
 
 
+def _report(cfg: CheckConfig, passed, estimate, target, stderr, notes: str,
+            error: dict | None = None) -> VerificationReport:
+    """The report of ``cfg``'s check; name, tolerances and seed come from ``cfg``."""
+    return VerificationReport(
+        check=cfg.name, passed=bool(passed), estimate=estimate, target=target, stderr=stderr,
+        tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed, wall_ms=0.0, notes=notes,
+        error=error)
+
+
 def _timed(fn):
     @functools.wraps(fn)
     def wrapper(cfg: CheckConfig) -> VerificationReport:
@@ -216,7 +233,7 @@ def _timed(fn):
 
 
 def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValue,
-                      bracket: Bracket, check_name: str):
+                      bracket: Bracket):
     """Shared argmin-vs-target machinery; returns (report, argmin stderr)."""
     prepared, zs, z_star = _swept_argmin(cfg, score, bracket, cfg.seed)
 
@@ -238,18 +255,14 @@ def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValu
         notes += f" target-interval={target.value} (scalar=lower endpoint)"
     if not ineq_ok:
         notes += "; truth beats curve inequality violated"
-    report = VerificationReport(
-        check=check_name, passed=bool(dist_ok and ineq_ok), estimate=z_star,
-        target=target.value, stderr=se, tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel,
-        seed=cfg.seed, wall_ms=0.0, notes=notes)
-    return report, se_argmin
+    return _report(cfg, dist_ok and ineq_ok, z_star, target.value, se, notes), se_argmin
 
 
 @_timed
 def check_consistency(cfg: CheckConfig) -> VerificationReport:
     """Does the expected score minimize at the functional's value?"""
     target = _resolve_target(cfg)
-    return _consistency_body(cfg, cfg.score, target, cfg.bracket, cfg.name)[0]
+    return _consistency_body(cfg, cfg.score, target, cfg.bracket)[0]
 
 
 @_timed
@@ -271,10 +284,7 @@ def check_strictness(cfg: CheckConfig) -> VerificationReport:
     target = _resolve_target(cfg)
     notes = f"argmin={z_star:.6g}; flat-tol={flat_tol:.4g}; " \
             f"non-strict points beyond tol: {n_flat}/{int(np.sum(far))}"
-    return VerificationReport(
-        check=cfg.name, passed=strict_ok, estimate=z_star, target=target.value,
-        stderr=_target_se(target), tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed,
-        wall_ms=0.0, notes=notes)
+    return _report(cfg, strict_ok, z_star, target.value, _target_se(target), notes)
 
 
 @_timed
@@ -316,10 +326,7 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
 
     notes = f"t*={t_scalar:.6g}; |E[V(t*)]|={abs(est0):.3g} vs 3se={3 * se0:.3g}; " \
             f"nonzero+sign-flip at {int(np.sum(far))} grid points"
-    return VerificationReport(
-        check=cfg.name, passed=bool(zero_ok and nonzero_ok and sides_ok),
-        estimate=est0, target=0.0, stderr=se0, tol_abs=cfg.tol_abs,
-        tol_rel=cfg.tol_rel, seed=cfg.seed, wall_ms=0.0, notes=notes)
+    return _report(cfg, zero_ok and nonzero_ok and sides_ok, est0, 0.0, se0, notes)
 
 
 @_timed
@@ -330,11 +337,9 @@ def check_revelation(cfg: CheckConfig) -> VerificationReport:
     if not isinstance(cfg.g, Bijection) or cfg.g.inverse is None:
         raise ParameterError("revelation check requires an invertible Bijection")
 
-    base, se_base = _consistency_body(cfg, cfg.score, _resolve_target(cfg),
-                                      cfg.bracket, cfg.name + "/base")
+    base, se_base = _consistency_body(cfg, cfg.score, _resolve_target(cfg), cfg.bracket)
     if not base.passed:
-        return replace(base, check=cfg.name, passed=False,
-                       notes="base consistency failed: " + base.notes)
+        return replace(base, notes="base consistency failed: " + base.notes)
     z_base = float(base.estimate)
 
     g = cfg.g
@@ -350,11 +355,8 @@ def check_revelation(cfg: CheckConfig) -> VerificationReport:
     se = math.hypot(abs(float(g.deriv(z_base))) * se_base,
                     _argmin_stderr(trans_score, z_trans, zs, prepared))
     tol = _tolerance(cfg, target, se)
-    passed = abs(z_trans - target) <= tol
-    return VerificationReport(
-        check=cfg.name, passed=bool(passed), estimate=z_trans, target=target,
-        stderr=se, tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed,
-        wall_ms=0.0, notes=f"base argmin={z_base:.6g}; transformed argmin={z_trans:.6g}")
+    return _report(cfg, abs(z_trans - target) <= tol, z_trans, target, se,
+                   f"base argmin={z_base:.6g}; transformed argmin={z_trans:.6g}")
 
 
 @_timed
@@ -369,24 +371,17 @@ def check_realization_transform(cfg: CheckConfig) -> VerificationReport:
         target = _resolve_target(cfg)
     else:
         target = _transformed_functional(cfg, score.transform)
-    return _consistency_body(cfg, score, target, cfg.bracket, cfg.name)[0]
+    return _consistency_body(cfg, score, target, cfg.bracket)[0]
 
 
 def _transformed_functional(cfg: CheckConfig, transform: TransformMode) -> FunctionalValue:
     """Functional of the law of g(Y), via pushforward or transformed draws."""
-    from .functionals import pushforward_law
-
     if isinstance(cfg.g, Bijection):
         law = pushforward_law(cfg.dist, cfg.g)
         if law is not None:
             return functional_value(cfg.functional, law, n=cfg.n, seed=derive_seed(cfg.seed, 7919))
     w = transform.realization(sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919)))
-    fv = functional_value(cfg.functional, Empirical(w),
-                          n=cfg.n, seed=derive_seed(cfg.seed, 7920))
-    if isinstance(fv.stderr, float) and fv.stderr == 0.0:
-        # exact on the empirical law, but the draws themselves carry noise
-        fv = FunctionalValue(fv.value, mean_stderr(w), "mc", notes="transformed-draw estimate")
-    return fv
+    return functional_from_draws(cfg.functional, w)
 
 
 @_timed
@@ -441,10 +436,7 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
 
     notes = (f"argmin=({x1_star:.6g}, {x2_star:.6g}); "
              f"E[V]=({e1:.3g}±{s1:.2g}, {e2:.3g}±{s2:.2g})")
-    return VerificationReport(
-        check=cfg.name, passed=bool(argmin_ok and ident_ok),
-        estimate=(x1_star, x2_star), target=(t1, t2), stderr=(se1, se2),
-        tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed, wall_ms=0.0, notes=notes)
+    return _report(cfg, argmin_ok and ident_ok, (x1_star, x2_star), (t1, t2), (se1, se2), notes)
 
 
 _CHECKS = {
@@ -468,11 +460,8 @@ def _run_guarded(cfg: CheckConfig) -> VerificationReport:
     try:
         return run_check(cfg)
     except Exception as exc:
-        return VerificationReport(
-            check=cfg.name, passed=False, estimate=None, target=None,
-            stderr=0.0, tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel, seed=cfg.seed,
-            wall_ms=0.0, notes=f"error: {exc}",
-            error={"type": type(exc).__name__, "message": str(exc)})
+        return _report(cfg, False, None, None, 0.0, f"error: {exc}",
+                       error={"type": type(exc).__name__, "message": str(exc)})
 
 
 def run_suite(configs, parallelism: int = 1):
@@ -495,169 +484,133 @@ def suite_passed(configs, reports) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Built-in suites
+# Suites: lines of key=value tokens, from a file or built in
 # ---------------------------------------------------------------------------
 
-def builtin_suite(name: str, seed: Seed = 42):
-    if name == "paper-core":
-        return _paper_core_suite(seed)
-    if name == "smoke":
-        return _smoke_suite(seed)
-    raise SpecParseError(f"unknown builtin suite {name!r}; available: paper-core, smoke")
+# Transformed squared error on a log-normal: argmin exp(a/2) for each a.
+_POWER_LINES = tuple(
+    f"name=cons/power-a={a:g} kind=consistency dist=lognormal(0,1) "
+    f"score=se@both:power({a:g}) functional=gmean:g=power({a:g}) "
+    f"bracket={math.exp(a / 2.0) / 3.0!r},{math.exp(a / 2.0) * 3.0!r} n=1000000"
+    for a in (-1.0, 0.2, 0.5, 1.0, 2.0))
 
-
-def _paper_core_suite(seed: Seed):
-    """The core certification battery over the catalog families."""
-    from .specs import parse_functional, parse_score, parse_ident
-
-    items = []
-
-    def add(name, kind, dist, bracket, n, *, score=None, ident=None,
-            functional="mean", target=None, bracket2=None, points=201,
-            tol_abs=1e-3, tol_rel=0.02, g=None, expect_pass=True):
-        items.append(CheckConfig(
-            name=name, kind=kind, dist=dist,
-            functional=parse_functional(functional) if isinstance(functional, str) else functional,
-            bracket=Bracket(*bracket), n=int(n), seed=derive_seed(seed, len(items)),
-            score=parse_score(score) if isinstance(score, str) else score,
-            ident=parse_ident(ident) if isinstance(ident, str) else ident,
-            bracket2=Bracket(*bracket2) if bracket2 else None, points=points,
-            tol_abs=tol_abs, tol_rel=tol_rel, target=target, g=g,
-            expect_pass=expect_pass))
-
-    logn01 = Lognormal(0.0, 1.0)
-    exp1 = Exponential(1.0)
-    unif01 = Uniform(0.0, 1.0)
-    norm01 = Normal(0.0, 1.0)
-
-    # Transformed squared error on a log-normal: argmin exp(a/2) for each a.
-    for a in (-1.0, 0.2, 0.5, 1.0, 2.0):
-        t = math.exp(a / 2.0)
-        add(f"cons/power-a={a:g}", "consistency", logn01, (t / 3.0, t * 3.0), 10**6,
-            score=f"se@both:power({a:g})", functional=f"gmean:g=power({a:g})")
-
-    add("cons/se-normal", "consistency", norm01, (-2.0, 2.0), 10**6,
-        score="se", functional="mean")
-    add("cons/apl-negate", "consistency", exp1, (0.3, 4.0), 4 * 10**6,
-        score="apl:tau=0.25@both:negate", functional="quantile:tau=0.75")
-    add("cons/se-both-log", "consistency", logn01, (0.3, 3.0), 10**6,
-        score="se@both:log", functional="gmean:g=log")
-    add("cons/expectile-half-both-log", "consistency", logn01, (0.3, 3.0), 10**6,
-        score="expectile:tau=0.5:phi=square@both:log", functional="gexpectile:tau=0.5:g=log")
-
-    add("rev/se-exp", "revelation", norm01, (-2.0, 2.0), 10**6,
-        score="se", functional="mean", g=catalog("exp"))
-    add("real/se-log", "realization", Lognormal(0.3, 1.0), (-1.0, 1.5), 10**6,
-        score="se", functional="mean", g=catalog("log"), tol_abs=0.01)
-
-    add("strict/se-normal", "strictness", norm01, (-2.0, 2.0), 10**6,
-        score="se", functional="mean")
-    add("strict/median-even-empirical", "strictness", Empirical((1.0, 1.0, 2.0, 2.0)),
-        (0.5, 2.5), 10**5, score="gpl:tau=0.5:g=identity", functional="quantile:tau=0.5",
-        expect_pass=False)
-    add("strict/expectile-uniform", "strictness", unif01, (0.05, 0.95), 10**6,
-        score="expectile:tau=0.75:phi=square", functional="expectile:tau=0.75")
-
+# The core certification battery over the catalog families.
+_PAPER_CORE = _POWER_LINES + (
+    "name=cons/se-normal kind=consistency dist=normal(0,1) score=se functional=mean "
+    "bracket=-2,2 n=1000000",
+    "name=cons/apl-negate kind=consistency dist=exponential(1) score=apl:tau=0.25@both:negate "
+    "functional=quantile:tau=0.75 bracket=0.3,4 n=4000000",
+    "name=cons/se-both-log kind=consistency dist=lognormal(0,1) score=se@both:log "
+    "functional=gmean:g=log bracket=0.3,3 n=1000000",
+    "name=cons/expectile-half-both-log kind=consistency dist=lognormal(0,1) "
+    "score=expectile:tau=0.5:phi=square@both:log functional=gexpectile:tau=0.5:g=log "
+    "bracket=0.3,3 n=1000000",
+    "name=rev/se-exp kind=revelation dist=normal(0,1) score=se functional=mean g=exp "
+    "bracket=-2,2 n=1000000",
+    "name=real/se-log kind=realization dist=lognormal(0.3,1) score=se functional=mean g=log "
+    "bracket=-1,1.5 n=1000000 tol_abs=0.01",
+    "name=strict/se-normal kind=strictness dist=normal(0,1) score=se functional=mean "
+    "bracket=-2,2 n=1000000",
+    "name=strict/median-even-empirical kind=strictness dist=empirical(1,1,2,2) "
+    "score=gpl:tau=0.5:g=identity functional=quantile:tau=0.5 bracket=0.5,2.5 n=100000 "
+    "expect=fail",
+    "name=strict/expectile-uniform kind=strictness dist=uniform(0,1) "
+    "score=expectile:tau=0.75:phi=square functional=expectile:tau=0.75 bracket=0.05,0.95 "
+    "n=1000000",
     # Ten identification pairings (zero at truth + oriented nonzero away).
-    add("ident/mean-normal", "identification", norm01, (-1.0, 1.0), 10**6,
-        ident="mean", functional="mean")
-    add("ident/mean-uniform", "identification", unif01, (0.05, 0.95), 10**6,
-        ident="mean", functional="mean")
-    add("ident/mean-exponential", "identification", exp1, (0.2, 3.0), 10**6,
-        ident="mean", functional="mean")
-    add("ident/quantile-0.5-exponential", "identification", exp1, (0.1, 2.5), 4 * 10**6,
-        ident="quantile:tau=0.5", functional="quantile:tau=0.5")
-    add("ident/quantile-0.9-exponential", "identification", exp1, (1.0, 4.0), 4 * 10**6,
-        ident="quantile:tau=0.9", functional="quantile:tau=0.9")
-    add("ident/quantile-0.75-uniform", "identification", unif01, (0.1, 0.999), 4 * 10**6,
-        ident="quantile:tau=0.75", functional="quantile:tau=0.75")
-    add("ident/expectile-0.75-uniform", "identification", unif01, (0.05, 0.95), 10**6,
-        ident="expectile:tau=0.75", functional="expectile:tau=0.75")
-    add("ident/mean-both-log-lognormal", "identification", logn01, (0.3, 3.0), 10**6,
-        ident="mean@both:log", functional="gmean:g=log")
-    add("ident/median-both-exp-normal", "identification", norm01, (-1.5, 1.5), 4 * 10**6,
-        ident="quantile:tau=0.5@both:exp", functional="quantile:tau=0.5")
-    add("ident/expectile-0.75-both-log-lognormal", "identification", logn01, (0.5, 3.5), 10**6,
-        ident="expectile:tau=0.75@both:log", functional="gexpectile:tau=0.75:g=log")
+    "name=ident/mean-normal kind=identification dist=normal(0,1) ident=mean functional=mean "
+    "bracket=-1,1 n=1000000",
+    "name=ident/mean-uniform kind=identification dist=uniform(0,1) ident=mean functional=mean "
+    "bracket=0.05,0.95 n=1000000",
+    "name=ident/mean-exponential kind=identification dist=exponential(1) ident=mean "
+    "functional=mean bracket=0.2,3 n=1000000",
+    "name=ident/quantile-0.5-exponential kind=identification dist=exponential(1) "
+    "ident=quantile:tau=0.5 functional=quantile:tau=0.5 bracket=0.1,2.5 n=4000000",
+    "name=ident/quantile-0.9-exponential kind=identification dist=exponential(1) "
+    "ident=quantile:tau=0.9 functional=quantile:tau=0.9 bracket=1,4 n=4000000",
+    "name=ident/quantile-0.75-uniform kind=identification dist=uniform(0,1) "
+    "ident=quantile:tau=0.75 functional=quantile:tau=0.75 bracket=0.1,0.999 n=4000000",
+    "name=ident/expectile-0.75-uniform kind=identification dist=uniform(0,1) "
+    "ident=expectile:tau=0.75 functional=expectile:tau=0.75 bracket=0.05,0.95 n=1000000",
+    "name=ident/mean-both-log-lognormal kind=identification dist=lognormal(0,1) "
+    "ident=mean@both:log functional=gmean:g=log bracket=0.3,3 n=1000000",
+    "name=ident/median-both-exp-normal kind=identification dist=normal(0,1) "
+    "ident=quantile:tau=0.5@both:exp functional=quantile:tau=0.5 bracket=-1.5,1.5 n=4000000",
+    "name=ident/expectile-0.75-both-log-lognormal kind=identification dist=lognormal(0,1) "
+    "ident=expectile:tau=0.75@both:log functional=gexpectile:tau=0.75:g=log "
+    "bracket=0.5,3.5 n=1000000",
+    "name=pair/mv-log-lognormal kind=pair dist=lognormal(0.5,2) score=mv@realization:log "
+    "functional=mvpair:g=log bracket=-0.5,1.5 bracket2=1,8 n=1000000 tol_rel=0.03",
+)
 
-    add("pair/mv-log-lognormal", "pair", Lognormal(0.5, 2.0), (-0.5, 1.5), 10**6,
-        score="mv@realization:log", functional="mvpair:g=log",
-        bracket2=(1.0, 8.0), tol_rel=0.03)
+# A fast sanity battery used by CLI tests.
+_SMOKE = (
+    "name=smoke/se-normal kind=consistency dist=normal(0,1) score=se functional=mean "
+    "bracket=-2,2 n=50000 points=101 tol_abs=0.02",
+    "name=smoke/ident-mean kind=identification dist=normal(0,1) ident=mean functional=mean "
+    "bracket=-1,1 n=50000 points=41 tol_abs=0.05",
+    "name=smoke/apl-uniform kind=consistency dist=uniform(0,1) score=apl:tau=0.9 "
+    "functional=quantile:tau=0.9 bracket=0.4,0.999 n=100000 points=101 tol_abs=0.02",
+)
 
-    return items
+_BUILTIN_SUITES = {"paper-core": _PAPER_CORE, "smoke": _SMOKE}
 
 
-def _smoke_suite(seed: Seed):
-    """A fast sanity battery used by CLI tests."""
-    from .specs import parse_functional, parse_score, parse_ident
-
-    norm01 = Normal(0.0, 1.0)
-    return [
-        CheckConfig(name="smoke/se-normal", kind="consistency", dist=norm01,
-                    functional=parse_functional("mean"), bracket=Bracket(-2.0, 2.0),
-                    n=5 * 10**4, seed=derive_seed(seed, 0),
-                    score=parse_score("se"), points=101, tol_abs=0.02),
-        CheckConfig(name="smoke/ident-mean", kind="identification", dist=norm01,
-                    functional=parse_functional("mean"), bracket=Bracket(-1.0, 1.0),
-                    n=5 * 10**4, seed=derive_seed(seed, 1),
-                    ident=parse_ident("mean"), points=41, tol_abs=0.05),
-        CheckConfig(name="smoke/apl-uniform", kind="consistency", dist=Uniform(0.0, 1.0),
-                    functional=parse_functional("quantile:tau=0.9"),
-                    bracket=Bracket(0.4, 0.999), n=10**5, seed=derive_seed(seed, 2),
-                    score=parse_score("apl:tau=0.9"), points=101, tol_abs=0.02),
-    ]
+def builtin_suite(name: str, seed: Seed = 42):
+    """The checks of builtin suite ``name``, seeded from ``seed``."""
+    if name not in _BUILTIN_SUITES:
+        raise SpecParseError(f"unknown builtin suite {name!r}; available: paper-core, smoke")
+    return _parse_suite(_BUILTIN_SUITES[name], seed, f"builtin:{name}")
 
 
 def load_suite_file(path: str, seed: Seed):
     """Parse a suite file: one check per line of key=value tokens.
 
-    Keys: kind, dist, functional, bracket=lo,hi, n, and optionally name,
-    score, ident, g, bracket2, points, tol_abs, tol_rel, target, seed,
-    expect=pass|fail. Lines starting with '#' are comments.
+    Keys: kind, dist, functional, bracket=lo,hi, and optionally n (default
+    1e6), name, score, ident, g, bracket2, points, tol_abs, tol_rel, target,
+    seed, expect=pass|fail. Lines starting with '#' are comments.
     """
-    from .specs import parse_dist, parse_functional, parse_ident, parse_score, parse_suite_line
-    from .specs import parse_bijection
-
-    configs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                kv = parse_suite_line(line)
-                kind = kv.pop("kind")
-                dist = parse_dist(kv.pop("dist"))
-                functional = parse_functional(kv.pop("functional"))
-                lo, hi = (float(v) for v in kv.pop("bracket").split(","))
-                n = float(kv.pop("n", "1000000"))
-                if not (math.isfinite(n) and n == int(n)):
-                    raise SpecParseError(f"n must be a finite integer, got {n!r}")
-                expect = kv.pop("expect", "pass")
-                if expect not in ("pass", "fail"):
-                    raise SpecParseError(f"expect must be pass or fail, got {expect!r}")
-                cfg = CheckConfig(
-                    name=kv.pop("name", f"line{lineno}"),
-                    kind=kind, dist=dist, functional=functional,
-                    bracket=Bracket(lo, hi),
-                    n=int(n),
-                    seed=int(kv.pop("seed")) if "seed" in kv else derive_seed(seed, len(configs)),
-                    score=parse_score(kv.pop("score")) if "score" in kv else None,
-                    ident=parse_ident(kv.pop("ident")) if "ident" in kv else None,
-                    bracket2=Bracket(*(float(v) for v in kv.pop("bracket2").split(",")))
-                    if "bracket2" in kv else None,
-                    points=int(kv.pop("points", "201")),
-                    tol_abs=float(kv.pop("tol_abs", "1e-3")),
-                    tol_rel=float(kv.pop("tol_rel", "0.02")),
-                    target=float(kv.pop("target")) if "target" in kv else None,
-                    g=parse_bijection(kv.pop("g")) if "g" in kv else None,
-                    expect_pass=expect == "pass",
-                )
-                if kv:
-                    raise SpecParseError(f"unknown keys {sorted(kv)}")
-                configs.append(cfg)
-            except KeyError as exc:
-                raise SpecParseError(f"{path}:{lineno}: missing required key {exc}") from exc
-            except (ElicitError, ValueError) as exc:
-                raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+        return _parse_suite(fh, seed, path)
+
+
+def _parse_suite(lines, seed: Seed, source: str):
+    """CheckConfigs from suite lines; a check without ``seed=`` gets child
+    seed i of ``seed``, i its position among the checks. A bad line raises
+    SpecParseError naming ``source:lineno``."""
+    configs = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            kv = parse_suite_line(line)
+            expect = kv.pop("expect", "pass")
+            if expect not in ("pass", "fail"):
+                raise SpecParseError(f"expect must be pass or fail, got {expect!r}")
+            cfg = CheckConfig(
+                name=kv.pop("name", f"line{lineno}"),
+                kind=kv.pop("kind"),
+                dist=parse_dist(kv.pop("dist")),
+                functional=parse_functional(kv.pop("functional")),
+                bracket=parse_bracket(kv.pop("bracket")),
+                n=float(kv.pop("n", "1000000")),
+                seed=int(kv.pop("seed")) if "seed" in kv else derive_seed(seed, len(configs)),
+                score=parse_score(kv.pop("score")) if "score" in kv else None,
+                ident=parse_ident(kv.pop("ident")) if "ident" in kv else None,
+                bracket2=parse_bracket(kv.pop("bracket2")) if "bracket2" in kv else None,
+                points=float(kv.pop("points", "201")),
+                tol_abs=float(kv.pop("tol_abs", "1e-3")),
+                tol_rel=float(kv.pop("tol_rel", "0.02")),
+                target=float(kv.pop("target")) if "target" in kv else None,
+                g=parse_bijection(kv.pop("g")) if "g" in kv else None,
+                expect_pass=expect == "pass",
+            )
+            if kv:
+                raise SpecParseError(f"unknown keys {sorted(kv)}")
+            configs.append(cfg)
+        except KeyError as exc:
+            raise SpecParseError(f"{source}:{lineno}: missing required key {exc}") from exc
+        except (ElicitError, ValueError) as exc:
+            raise SpecParseError(f"{source}:{lineno}: {exc}") from exc
     return configs

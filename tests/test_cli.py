@@ -210,6 +210,22 @@ class TestCurveCommand:
         assert abs(zs[int(np.argmin(means))] - 0.9) <= 0.05
 
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--bracket", "1"], "--bracket"),
+        (["--bracket", "a,b"], "--bracket"),
+        (["--bracket", "2,1"], "--bracket"),
+        (["--bracket=-1,1", "--n", "1"], "--n"),
+        (["--bracket=-1,1", "--points", "0"], "--points"),
+        (["--bracket=-1,1", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_argument_exit_2_names_flag(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--score", "se", "--dist", "normal(0,1)", *args,
+                     "--out", str(out)]) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_smoke_suite_passes_and_is_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -275,7 +291,7 @@ class TestVerifyCommand:
         assert reports[1]["pass"] and "error" not in reports[1]
 
     @pytest.mark.parametrize("bad", ["expect=passs", "n=inf", "n=20000.7", "tol_abs=nan",
-                                     "tol_rel=-0.1"])
+                                     "tol_rel=-0.1", "seed=-3", "points=41.5", "bracket=2,1"])
     def test_bad_suite_value_exit_2_names_line(self, tmp_path, capsys, bad):
         tokens = {"name": "c", "kind": "consistency", "dist": "normal(0,1)", "score": "se",
                   "functional": "mean", "bracket": "-2,2", "n": "20000", "points": "41"}
@@ -314,6 +330,14 @@ class TestSeedEnvVar:
         assert main(["verify", "--suite", "builtin:smoke", "--seed", "11",
                      "--out", str(f_flag)]) == 0
         assert f_env.read_bytes() == f_flag.read_bytes()
+
+    def test_bad_seed_is_a_usage_error_where_a_seed_is_read(self, monkeypatch, capsys):
+        assert main(["verify", "--suite", "builtin:smoke", "--seed", "-1"]) == 2
+        assert "argument --seed:" in capsys.readouterr().err
+        monkeypatch.setenv("ELICIT_SEED", "abc")
+        assert main(["verify", "--suite", "builtin:smoke"]) == 2
+        assert "argument --seed:" in capsys.readouterr().err
+        assert main(["catalog", "--family", "scores"]) == 0
 
 
 def test_usage_error_exit_code():

@@ -170,6 +170,30 @@ class TestFunctionalValue:
         assert fv.value == pytest.approx(math.exp(expected) - 2.0, abs=5 * fv.stderr + 1e-4)
 
 
+    def test_mc_expectile_matches_direct_balance(self):
+        """The sorted-sweep root and stderr equal those of the direct
+        n-long asymmetric-deviation balance."""
+        from elicit.functionals import _mc_expectile
+        from elicit.numerics import Bracket, mean_stderr, root1d
+
+        tau = 0.75
+        draws = Lognormal(0.0, 0.5).sample(10**5, np.random.default_rng(3))
+        w = catalog("box-cox", [0.5]).apply(draws)
+        root, se = _mc_expectile(w, tau)
+
+        def psi(z):
+            return (tau * np.mean(np.maximum(w - z, 0.0))
+                    - (1 - tau) * np.mean(np.maximum(z - w, 0.0)))
+
+        lo, hi = w.min(), w.max()
+        lo, hi = lo - 0.01 * (hi - lo), hi + 0.01 * (hi - lo)
+        direct = root1d(psi, Bracket(lo, hi), 1e-10 * max(1.0, abs(lo), abs(hi)))
+        assert root == pytest.approx(direct, abs=1e-9)
+        term = tau * np.maximum(w - root, 0.0) - (1 - tau) * np.maximum(root - w, 0.0)
+        f = np.mean(w <= root)
+        assert se == pytest.approx(mean_stderr(term) / (tau * (1 - f) + (1 - tau) * f), rel=1e-9)
+
+
 class TestExpectileBalance:
     def test_defining_identity_at_root(self):
         # the two sides of the asymmetric balance agree at the expectile

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from elicit import Lognormal, Normal, SpecParseError, Uniform
+from elicit import (Bracket, Empirical, Exponential, FunctionalSpec, IdentSpec, Lognormal,
+                    Normal, ScoreSpec, SpecParseError, TransformMode, Uniform, catalog)
 from elicit.specs import (format_dist, format_functional, format_ident,
-                          format_score, parse_bijection, parse_dist,
+                          format_score, parse_bijection, parse_bracket, parse_dist,
                           parse_functional, parse_ident, parse_score,
                           parse_suite_line)
+from elicit.transforms import format_number
 
 
 class TestScoreSpecs:
@@ -13,10 +16,13 @@ class TestScoreSpecs:
         "gpl:tau=0.9:g=log", "apl:tau=0.25@both:negate",
         "expectile:tau=0.75:phi=square@both:power(0.5)",
         "bregman:phi=square", "mv@realization:log", "mv",
+        "apl:tau=0.123456789", "se@both:power(0.333333333)",
+        "gpl:tau=0.9:g=box-cox(0.1234567)",
     ])
     def test_roundtrip(self, text):
         spec = parse_score(text)
         assert parse_score(format_score(spec)) == spec
+        assert format_score(spec) == text
 
     def test_fields(self):
         spec = parse_score("expectile:tau=0.75:phi=square@both:power(0.5)")
@@ -110,3 +116,89 @@ def test_suite_line_parsing():
         parse_suite_line("kind=a kind=b")
     with pytest.raises(SpecParseError):
         parse_suite_line("loose-token")
+
+
+# Round-trip properties: every spec the package can build prints to text
+# that parses back to an equal spec.
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-6, 1e6)
+nonzero = finite.filter(lambda x: x != 0.0)
+levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+BIJECTION_PARAMS = {
+    "identity": st.tuples(), "negate": st.tuples(), "log": st.tuples(), "exp": st.tuples(),
+    "affine-log": st.tuples(positive, finite), "shifted-log": st.tuples(finite),
+    "affine-exp": st.tuples(nonzero, finite), "power": st.tuples(nonzero),
+    "affine-power": st.tuples(nonzero, positive, finite),
+    "shifted-power": st.tuples(nonzero, finite), "box-cox": st.tuples(finite),
+}
+bijections = st.sampled_from(sorted(BIJECTION_PARAMS)).flatmap(
+    lambda name: BIJECTION_PARAMS[name].map(lambda params: catalog(name, params)))
+
+
+MODES = ("none", "realization", "prediction", "both")  # mv takes the first two only
+
+
+@st.composite
+def modes(draw, allowed=MODES):
+    mode = draw(st.sampled_from(allowed))
+    return TransformMode.none() if mode == "none" else TransformMode(mode, draw(bijections))
+
+
+@st.composite
+def scores(draw):
+    family = draw(st.sampled_from(("se", "ae", "apl", "gpl", "expectile", "bregman", "mv")))
+    tau = draw(levels) if family in ("apl", "gpl", "expectile") else None
+    g_inner = draw(bijections.filter(lambda g: g.increasing)) if family == "gpl" else None
+    mode = draw(modes(MODES[:2] if family == "mv" else MODES))
+    return ScoreSpec(family, tau=tau, g_inner=g_inner, transform=mode)
+
+
+@st.composite
+def idents(draw):
+    family = draw(st.sampled_from(("mean", "quantile", "expectile", "mv")))
+    tau = draw(levels) if family in ("quantile", "expectile") else None
+    mode = draw(modes(MODES[:2] if family == "mv" else MODES))
+    return IdentSpec(family, tau=tau, transform=mode)
+
+
+@st.composite
+def functionals(draw):
+    kind = draw(st.sampled_from(("mean", "quantile", "expectile", "gmean", "gexpectile",
+                                 "mvpair")))
+    tau = draw(levels) if kind in ("quantile", "expectile", "gexpectile") else None
+    needs_g = kind in ("gmean", "gexpectile") or (kind == "mvpair" and draw(st.booleans()))
+    return FunctionalSpec(kind, tau=tau, g=draw(bijections) if needs_g else None)
+
+
+distributions = st.one_of(
+    st.builds(Normal, finite, positive), st.builds(Lognormal, finite, positive),
+    st.builds(Exponential, positive),
+    st.tuples(finite, finite).filter(lambda p: p[0] < p[1]).map(lambda p: Uniform(*p)),
+    st.lists(finite, min_size=1, max_size=6).map(lambda v: Empirical(tuple(v))))
+
+
+@given(scores())
+def test_score_text_roundtrips(spec):
+    assert parse_score(format_score(spec)) == spec
+
+
+@given(idents())
+def test_ident_text_roundtrips(spec):
+    assert parse_ident(format_ident(spec)) == spec
+
+
+@given(functionals())
+def test_functional_text_roundtrips(spec):
+    assert parse_functional(format_functional(spec)) == spec
+
+
+@given(distributions)
+def test_dist_text_roundtrips(dist):
+    assert parse_dist(format_dist(dist)) == dist
+
+
+@given(st.tuples(finite, finite).filter(lambda p: p[0] < p[1]))
+def test_bracket_text_roundtrips(ends):
+    assert parse_bracket(",".join(map(format_number, ends))) == Bracket(*ends)

@@ -313,6 +313,36 @@ def test_check_config_rejects_bad_tolerances(tol):
         cfg(score="se", **tol)
 
 
+@pytest.mark.parametrize("bad", [{"n": 20000.7}, {"n": math.inf}, {"points": 41.5},
+                                 {"seed": -3}])
+def test_check_config_rejects_fractional_counts_and_negative_seeds(bad):
+    with pytest.raises(ParameterError):
+        cfg(score="se", **bad)
+
+
+def test_check_config_stores_integral_counts_as_int():
+    c = cfg(score="se", n=20000.0, points=41.0)
+    assert (c.n, c.points) == (20000, 41)
+    assert type(c.n) is int and type(c.points) is int
+
+
+def test_transformed_draw_quantile_target_has_quantile_stderr():
+    """Without a pushforward law the target comes from transformed draws,
+    and a quantile target carries the quantile's stderr, not the mean's."""
+    from elicit import TransformMode, sample_iid
+    from elicit.functionals import _quantile_stderr
+    from elicit.numerics import mean_stderr
+    from elicit.verify import _transformed_functional
+
+    g = catalog("box-cox", [0.5])
+    c = cfg(kind="realization", score="apl:tau=0.9", dist=Lognormal(0.0, 0.5),
+            functional="quantile:tau=0.9", bracket=(0.2, 1.5), g=g)
+    fv = _transformed_functional(c, TransformMode.realization_only(g))
+    w = g.apply(sample_iid(c.dist, c.n, derive_seed(c.seed, 7919)))
+    assert fv.stderr == _quantile_stderr(np.sort(w), 0.9)
+    assert fv.stderr != mean_stderr(w)
+
+
 def test_suite_file_error_carries_line(tmp_path):
     from elicit.errors import SpecParseError
     path = tmp_path / "suite.txt"
