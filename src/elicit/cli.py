@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -55,30 +56,65 @@ def _at_least(least: int):
     return _flag(parse)
 
 
+def _read_header(fh, path: str, columns) -> list:
+    """Positions of ``columns`` in the header row read from ``fh``."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path}: missing header row")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing column(s) {missing}; found {header}")
+    repeated = [c for c in columns if header.count(c) > 1]
+    if repeated:
+        raise DataError(f"{path}: repeated column(s) {repeated}; found {header}")
+    return [header.index(c) for c in columns]
+
+
+def _read_rows(fh, path: str, columns, positions) -> list:
+    """Parse the body row by row with ``float``: slow, but it takes every
+    form ``float`` takes and names the first bad row (blank lines not
+    counted) and column."""
+    data = [[] for _ in columns]
+    for rownum, row in enumerate(filter(None, csv.reader(fh)), start=2):
+        for c, i, values in zip(columns, positions, data):
+            cell = row[i] if i < len(row) else None
+            try:
+                values.append(float(cell))
+            except (TypeError, ValueError):
+                raise DataError(f"{path}: row {rownum}: cannot parse {c}={cell!r}") from None
+    return [np.asarray(v, dtype=float) for v in data]
+
+
 def _read_csv(path: str, columns):
-    """Read required columns from a CSV file with a header row."""
+    """Read required columns from a CSV file with a header row.
+
+    numpy's C reader parses the body. A body it rejects is parsed again by
+    ``_read_rows``, which also accepts the few forms only ``float`` takes
+    (such as ``1_000``), so every file gives the arrays ``float`` gives.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: missing header row")
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {missing}; found {reader.fieldnames}")
-        data = {c: [] for c in columns}
-        for rownum, row in enumerate(reader, start=2):
-            for c in columns:
-                cell = row.get(c)
-                try:
-                    data[c].append(float(cell))
-                except (TypeError, ValueError):
-                    raise DataError(f"{path}: row {rownum}: cannot parse {c}={cell!r}") from None
-    if not data[columns[0]]:
+        try:
+            positions = _read_header(fh, path, columns)
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(fh, delimiter=",", usecols=positions, quotechar='"',
+                                       comments=None, ndmin=2, dtype=float)
+                values = [np.ascontiguousarray(col) for col in table.T]
+            except ValueError:
+                fh.seek(0)
+                values = _read_rows(fh, path, columns, _read_header(fh, path, columns))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
+    arrays = dict(zip(columns, values))
+    if not len(values[0]):
         raise DataError(f"{path}: no data rows")
-    arrays = {c: np.asarray(v, dtype=float) for c, v in data.items()}
     for c, arr in arrays.items():
         bad = ~np.isfinite(arr)
         if bad.any():
@@ -281,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help="builtin:NAME or a suite file path")
     p.add_argument("--seed", type=_at_least(0), default=os.environ.get("ELICIT_SEED", "0"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock ms in the JSON (breaks byte-level determinism)")

@@ -568,10 +568,16 @@ def load_suite_file(path: str, seed: Seed):
 
     Keys: kind, dist, functional, bracket=lo,hi, and optionally n (default
     1e6), name, score, ident, g, bracket2, points, tol_abs, tol_rel, target,
-    seed, expect=pass|fail. Lines starting with '#' are comments.
+    seed, expect=pass|fail. Lines starting with '#' are comments. A file
+    that cannot be read, or is not UTF-8 text, raises SpecParseError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_suite(fh, seed, path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_suite(fh, seed, path)
+    except OSError as exc:
+        raise SpecParseError(f"cannot read suite file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_suite(lines, seed: Seed, source: str):

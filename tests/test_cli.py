@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from elicit import nse
-from elicit.cli import main
+from elicit.cli import _read_csv, main
 
 
 def write_csv(path, rows, header):
@@ -13,6 +14,12 @@ def write_csv(path, rows, header):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return str(path)
+
+
+def write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     return str(path)
 
 
@@ -97,11 +104,27 @@ class TestScoreCommand:
     def test_missing_column(self, tmp_path, capsys):
         path = write_csv(tmp_path / "bad.csv", [[1.0]], ["y"])
         assert main(["score", "--score", "se", "--data", path]) == 2
+        # a byte-order mark is part of the first name
+        path = write_text(tmp_path / "bom.csv", "\ufeffy,z\n1,2\n")
+        assert main(["score", "--score", "se", "--data", path]) == 2
+        assert f"{path}: missing column(s) ['y']; found ['\\ufeffy', 'z']" in capsys.readouterr().err
 
     def test_unparsable_cell_reports_row(self, tmp_path, capsys):
         path = write_csv(tmp_path / "bad.csv", [[1.0, 1.0], ["oops", 2.0]], ["y", "z"])
         assert main(["score", "--score", "se", "--data", path]) == 2
         assert "row 3" in capsys.readouterr().err
+        for body, message in [
+            ("1,2\n3\n", "row 3: cannot parse z=None"),  # short row
+            ("1,\n", "row 2: cannot parse z=''"),
+            ("#1,2\n", "row 2: cannot parse y='#1'"),  # no comment lines
+            ("1,0x10\n", "row 2: cannot parse z='0x10'"),
+            ("1,2\n\n  ,3\n", "row 3: cannot parse y='  '"),  # blank lines not counted
+            ('1,2\n1, "2"\n', "row 3: cannot parse z=' \"2\"'"),  # quotes open a cell only
+            ("1_000,1\n" + "1,2\n" * 3000 + "oops,1\n", "row 3003: cannot parse y='oops'"),
+        ]:
+            path = write_text(tmp_path / "bad.csv", "y,z\n" + body)
+            assert main(["score", "--score", "se", "--data", path]) == 2
+            assert f"{path}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_row_and_column(self, tmp_path, capsys, cell):
@@ -133,6 +156,61 @@ class TestScoreCommand:
         assert main(["score", "--score", "mv", "--data", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["average_score"] == pytest.approx(-2.0)
+
+
+class TestCsvInput:
+    """What ``score``/``fit`` accept as CSV: every file read gives the
+    arrays ``float`` gives cell by cell."""
+
+    @pytest.mark.parametrize("text, y, z", [
+        ('"y","z"\n"1","2"\n', [1.0], [2.0]),  # quoted header and cells
+        ("y,z\r\n1,2\r\n3,4\r\n", [1.0, 3.0], [2.0, 4.0]),
+        ("y,z,w\n1,2,3\n", [1.0], [2.0]),
+        ("y,z\n1,2,3,4\n5,6\n", [1.0, 5.0], [2.0, 6.0]),  # ragged extra cells
+        ("y,z\n\n1,2\n\n3,4\n\n\n", [1.0, 3.0], [2.0, 4.0]),
+        ("z,y\n2,1\n", [1.0], [2.0]),
+        ('name,y,z\nabc,1,2\n"a,\nb",3,4\n', [1.0, 3.0], [2.0, 4.0]),
+        ("w,y,z,w\na,1,2,b\n", [1.0], [2.0]),  # a repeated column that is not read
+        ("y,z\n+1,.5\n4e0,-0.\n", [1.0, 4.0], [0.5, -0.0]),
+        ("y,z\n 1 ,\t2\n", [1.0], [2.0]),
+        ("y,z\n1_000,2\n", [1000.0], [2.0]),  # a form only float takes
+    ])
+    def test_accepted_forms(self, tmp_path, text, y, z):
+        data = _read_csv(write_text(tmp_path / "ok.csv", text), ["y", "z"])
+        for got, want in ((data["y"], y), (data["z"], z)):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing header row"),
+        ("y,z\n", "no data rows"),
+        ("y,z\n\n\r\n", "no data rows"),
+        ("y,z,y\n1,2,10\n", "repeated column(s) ['y']; found ['y', 'z', 'y']"),
+        ("y\n1" + " " * 140000 + "\n#\n", "field larger than field limit"),
+    ])
+    def test_rejected_files(self, tmp_path, capsys, text, message):
+        path = write_text(tmp_path / "bad.csv", text)
+        assert main(["fit", "--model", "constant", "--score", "se", "--data", path]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 5000])
+    def test_not_utf8_is_a_data_error(self, tmp_path, capsys, rows):
+        # with 5000 rows the bad byte lies past the first block read
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,z\n" + b"1,2\n" * rows + b"3,\xff4\n")
+        assert main(["score", "--score", "se", "--data", str(path)]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=30))
+    @example([(-0.0, 5e-324), (1.7976931348623157e308, -1.7976931348623157e308),
+              (2.2250738585072014e-308, -2.225073858507201e-308)])
+    def test_repr_roundtrip_is_bit_identical(self, tmp_path_factory, pairs):
+        y, z = (np.array(col) for col in zip(*pairs))
+        text = "y,z\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs)
+        data = _read_csv(write_text(tmp_path_factory.mktemp("rt") / "f.csv", text), ["y", "z"])
+        assert data["y"].tobytes() == y.tobytes() and data["z"].tobytes() == z.tobytes()
 
 
 class TestFitCommand:
@@ -311,6 +389,20 @@ class TestVerifyCommand:
 
     def test_unknown_builtin_exit_2(self):
         assert main(["verify", "--suite", "builtin:wat"]) == 2
+
+    def test_unreadable_suite_file_exit_2_names_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent.suite"
+        assert main(["verify", "--suite", str(missing)]) == 2
+        assert f"cannot read suite file {missing}:" in capsys.readouterr().err
+        latin1 = tmp_path / "latin1.suite"
+        latin1.write_bytes(b"# caf\xe9\n")
+        assert main(["verify", "--suite", str(latin1)]) == 2
+        assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        assert main(["verify", "--suite", "builtin:smoke", "--jobs", jobs]) == 2
+        assert "argument --jobs:" in capsys.readouterr().err
 
     def test_timings_flag_breaks_byte_identity_only(self, tmp_path):
         f1 = tmp_path / "a.json"

@@ -7,6 +7,7 @@ from elicit import (DomainError, Empirical, Exponential, FunctionalSpec, Interva
                     Lognormal, Normal, ParameterError, Uniform, analytic_functional,
                     capping, catalog, expectile_exact, functional_value, g_quantile,
                     mc_expectation, pushforward_law, scalar_value)
+from elicit.functionals import functional_from_draws
 
 
 class TestCapping:
@@ -138,9 +139,10 @@ class TestFunctionalValue:
     def test_mc_expectile_matches_exact(self):
         d = Exponential(1.0)
         exact = expectile_exact(d, 0.8)
-        # force the Monte Carlo path through an empirical distribution
+        # the Monte Carlo root on draws (an Empirical law is solved exactly)
         draws = d.sample(2 * 10**5, np.random.default_rng(7))
-        fv = functional_value(FunctionalSpec("expectile", tau=0.8), Empirical(tuple(draws)))
+        fv = functional_from_draws(FunctionalSpec("expectile", tau=0.8), draws)
+        assert fv.method == "mc" and fv.stderr > 0.0
         assert fv.value == pytest.approx(exact, abs=0.01)
 
     def test_quantile_interval_for_empirical(self):
