@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import specs
-from .errors import DataError, ElicitError, EvaluationError, ParameterError, SpecParseError
+from .errors import DataError, ElicitError, EvaluationError, SpecParseError
 from .estimation import fit
 from .evaluation import climatology_predictions, score_climatology, skill_score
 from .distributions import sample_iid
@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+
+class UsageError(ElicitError):
+    """Flags that the subcommand does not take together (exit 2)."""
 
 
 def _flag(parse):
@@ -211,6 +215,10 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_score(args) -> int:
     spec = specs.parse_score(args.score)
+    if args.skill and spec.family == "mv":
+        raise UsageError("--skill takes a scalar-prediction --score, not the mean-variance mv")
+    if args.skill == "g-climatology" and spec.transform.mode == "none":
+        raise UsageError("--skill g-climatology requires a transformed --score, e.g. se@both:log")
     if spec.family == "mv":
         data = _read_csv(args.data, ["y", "z", "x2"])
         z = np.column_stack([data["z"], data["x2"]])
@@ -221,13 +229,9 @@ def _cmd_score(args) -> int:
     payload = {"score": specs.format_score(spec), "n": int(len(y)),
                "average_score": average_score(spec, z, y)}
     if args.skill:
-        if spec.family == "mv":
-            raise ParameterError("skill scores are defined for scalar-prediction families")
         if args.skill == "climatology":
             ref = climatology_predictions(identity(), y)
         else:  # g-climatology, in the score's transform mode
-            if spec.transform.mode == "none":
-                raise ParameterError("g-climatology requires a transformed score (e.g. se@both:log)")
             ref = np.full_like(y, score_climatology(spec.transform, y))
         payload["skill"] = skill_score(spec, z, ref, "zero-optimum", y)
         payload["reference"] = args.skill
@@ -238,6 +242,9 @@ def _cmd_score(args) -> int:
 
 def _cmd_fit(args) -> int:
     spec = specs.parse_score(args.score)
+    if (spec.family == "mv") != (args.model == "mvpair"):
+        raise UsageError(f"--model {args.model} does not take --score {args.score}: "
+                         "the mean-variance score mv fits --model mvpair, and only it")
     model = {"constant": "constant", "linear": "linear", "mvpair": "constant_pair"}[args.model]
     if model == "linear":
         data = _read_csv(args.data, ["y", "x"])
@@ -272,6 +279,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_curve(args) -> int:
     spec = specs.parse_score(args.score)
+    if spec.family == "mv":
+        raise UsageError("curve sweeps scalar predictions; --score mv takes (x1, x2) pairs")
     dist = specs.parse_dist(args.dist)
     draws = sample_iid(dist, args.n, args.seed)
     prepared = prepare_realizations(spec, draws)
@@ -344,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SpecParseError, DataError) as exc:
+    except (SpecParseError, DataError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ElicitError as exc:

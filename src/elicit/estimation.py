@@ -1,9 +1,12 @@
 """M-estimation: fit models by minimizing the realized average score.
 
 Three model classes: a constant (the prediction is a single parameter), a
-line theta0 + theta1 x, and a constant (mean, variance) pair. Constant fits
-use the bracketed one-dimensional minimizer, which tolerates the kinks of
-pinball-type objectives; the other two use a derivative-free simplex search
+line theta0 + theta1 x, and a constant (mean, variance) pair. The constant
+models score one prediction against all data with the sweep of
+:func:`~elicit.scoring.expected_score`; the line scores paired rows with
+:func:`~elicit.scoring.average_score`. Constant fits use the bracketed
+one-dimensional minimizer, which tolerates the kinks of pinball-type
+objectives; the other two use a derivative-free simplex search
 with a least-squares / moment start and one restart on non-convergence. The
 pair fit optimizes over log-variance so positivity is structural.
 """
@@ -18,7 +21,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import DomainError, ParameterError
 from .numerics import Bracket, minimize1d
-from .scoring import ScoreSpec, average_score, prepare_realizations, score_values
+from .scoring import ScoreSpec, average_score, expected_score, prepare_realizations
 
 MODEL_KINDS = ("constant", "linear", "constant_pair")
 
@@ -72,17 +75,6 @@ def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
     return Bracket(lo_p, hi_p)
 
 
-def _annotated_objective(score: ScoreSpec, y: np.ndarray):
-    prepared = prepare_realizations(score, y)
-    evals = [0]
-
-    def obj(z: float) -> float:
-        evals[0] += 1
-        return float(np.mean(score_values(score, z, prepared)))
-
-    return obj, evals
-
-
 def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9) -> FitResult:
     """Minimize (1/n) sum S(m(x_i, theta), y_i) over theta.
 
@@ -104,6 +96,9 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
             raise ParameterError(f"x and y lengths differ: {x.shape} vs {y.shape}")
     elif x is not None:
         raise ParameterError(f"{model.kind} model takes no predictor values")
+    if (score.family == "mv") != (model.kind == "constant_pair"):
+        raise ParameterError(f"the {model.kind} model does not take the {score.family} score: "
+                             "the mean-variance score fits the constant_pair model, and only it")
 
     if model.kind == "constant":
         return _fit_constant(score, y, tol)
@@ -113,23 +108,37 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
 
 
 def _fit_constant(score: ScoreSpec, y: np.ndarray, tol: float) -> FitResult:
-    if score.family == "mv":
-        raise ParameterError("use the constant_pair model for mean-variance scores")
     try:
         bracket = _prediction_bracket(score, y)
     except DomainError as exc:
         raise DomainError(exc.value, exc.domain, "fit data") from exc
-    obj, evals = _annotated_objective(score, y)
+    prepared = prepare_realizations(score, y)
+    evals = [0]
+
+    def obj(z: float) -> float:
+        evals[0] += 1
+        return expected_score(score, z, prepared)
+
     theta = minimize1d(obj, bracket, tol)
     return FitResult(theta=(float(theta),), objective=obj(theta),
                      iterations=evals[0], converged=True)
 
 
-def _simplex(obj, x0: np.ndarray, tol: float):
-    res = _scipy_minimize(obj, x0, method="Nelder-Mead",
-                          options={"xatol": tol, "fatol": 1e-14,
-                                   "maxiter": 2000, "maxfev": 4000})
-    return res
+def _simplex(obj, x0: np.ndarray, tol: float, restart_step, theta=tuple) -> FitResult:
+    """Nelder-Mead from ``x0``, restarted once from its end plus ``restart_step``
+    if it does not converge; ``theta`` maps the better end to the parameters."""
+    def run(start):
+        return _scipy_minimize(obj, start, method="Nelder-Mead",
+                               options={"xatol": tol, "fatol": 1e-14,
+                                        "maxiter": 2000, "maxfev": 4000})
+
+    res = run(x0)
+    if not res.success:
+        res2 = run(res.x + restart_step)
+        if res2.fun <= res.fun:
+            res = res2
+    return FitResult(theta=tuple(float(t) for t in theta(res.x)), objective=float(res.fun),
+                     iterations=int(res.nfev), converged=bool(res.success))
 
 
 def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float) -> FitResult:
@@ -151,18 +160,10 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float
         except DomainError:
             return math.inf
 
-    res = _simplex(obj, x0, tol)
-    if not res.success:
-        res2 = _simplex(obj, res.x, tol)
-        if res2.fun <= res.fun:
-            res = res2
-    return FitResult(theta=tuple(float(t) for t in res.x), objective=float(res.fun),
-                     iterations=int(res.nfev), converged=bool(res.success))
+    return _simplex(obj, x0, tol, 0.0)
 
 
 def _fit_constant_pair(score: ScoreSpec, y: np.ndarray, init, tol: float) -> FitResult:
-    if score.family != "mv":
-        raise ParameterError("constant_pair model requires the mean-variance score")
     prepared = prepare_realizations(score, y)
     w = np.asarray(prepared.y, dtype=float)
     if init == "auto":
@@ -175,14 +176,6 @@ def _fit_constant_pair(score: ScoreSpec, y: np.ndarray, init, tol: float) -> Fit
         x0 = np.array([float(m0), math.log(float(v0))])
 
     def obj(theta):
-        pair = (theta[0], math.exp(theta[1]))
-        return float(np.mean(score_values(score, pair, prepared)))
+        return expected_score(score, (theta[0], math.exp(theta[1])), prepared)
 
-    res = _simplex(obj, x0, tol)
-    if not res.success:
-        res2 = _simplex(obj, res.x + np.array([0.0, 0.1]), tol)
-        if res2.fun <= res.fun:
-            res = res2
-    theta = (float(res.x[0]), float(math.exp(res.x[1])))
-    return FitResult(theta=theta, objective=float(res.fun),
-                     iterations=int(res.nfev), converged=bool(res.success))
+    return _simplex(obj, x0, tol, np.array([0.0, 0.1]), lambda x: (x[0], math.exp(x[1])))

@@ -1,11 +1,8 @@
 """Strict identification functions and the score/identification link.
 
-Families (V has expectation zero exactly at the target functional):
-
-* ``mean``      V(z, y) = z - y
-* ``quantile``  V(z, y) = 1{z >= y} - tau
-* ``expectile`` V(z, y) = 2 |1{z >= y} - tau| (z - y)
-* ``mv``        V(x1, x2, y) = (x1 - y, x2 + x1^2 - y^2)
+Families (V has expectation zero exactly at the target functional): ``mean``,
+``quantile`` and ``expectile``, each an entry of a table like scoring's, and
+``mv``, V(x1, x2, y) = (x1 - y, x2 + x1^2 - y^2), for the (mean, variance) pair.
 
 Transform modes mirror the scoring module: realization gives V(z, g(y)),
 prediction gives V(g^-1(z), y), both gives V(g(z), g(y)).
@@ -28,7 +25,7 @@ from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
 from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, evaluate_score,
                       sorted_stats)
-from .sweep import Piecewise, SortedStats, flat, split_stats
+from .sweep import per_row, piece, split_stats
 from .transforms import Bijection
 
 IDENT_FAMILIES = ("mean", "quantile", "expectile", "mv")
@@ -62,18 +59,24 @@ def prepare_ident_realizations(spec: IdentSpec, y) -> PreparedRealizations:
     return PreparedRealizations(spec.transform, y)
 
 
+def _coefficients(spec: IdentSpec, u, centre):
+    """V(u, w) as scoring's table entry ``(a, lo, hi)``, on the basis {1}
+    (quantile) or {1, t}, t = w - centre[0] (mean, expectile)."""
+    if spec.family == "quantile":  # 1{u >= w} - tau
+        return (1.0,), 1.0 - spec.tau, -spec.tau
+    lin = (u - centre[0], -1.0)
+    if spec.family == "mean":  # u - w
+        return lin, 1.0, 1.0
+    return lin, 2.0 * (1.0 - spec.tau), 2.0 * spec.tau  # 2 |1{u >= w} - tau| (u - w)
+
+
 def ident_values(spec: IdentSpec, z, prepared: PreparedRealizations):
     y = prepared.y
     if spec.family == "mv":
         x1, x2 = float(z[0]), float(z[1])
         return (x1 - np.asarray(y), x2 + x1 * x1 - np.square(y))
-    z_eff = spec.transform.prediction(z)
-    if spec.family == "mean":
-        return np.subtract(z_eff, y)
-    ind = np.greater_equal(z_eff, y).astype(float)
-    if spec.family == "quantile":
-        return ind - spec.tau
-    return 2.0 * np.abs(ind - spec.tau) * np.subtract(z_eff, y)
+    u = spec.transform.prediction(z)
+    return per_row(u, y, _coefficients(spec, u, (y,)), spec.family != "mean")
 
 
 def evaluate_identification(spec: IdentSpec, z, y):
@@ -87,25 +90,14 @@ def evaluate_identification(spec: IdentSpec, z, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _piece(spec: IdentSpec, z, st: SortedStats) -> Piecewise:
-    """Coefficients of V(z, w) on the family's basis: quantile {1},
-    mean/expectile {1, t} with t = w - mean(w)."""
-    u = float(spec.transform.prediction(z))
-    if spec.family == "quantile":
-        return Piecewise(st.cut(u), np.array([1.0 - spec.tau]), np.array([-spec.tau]))
-    lin = np.array([u - st.centre[0], -1.0])
-    if spec.family == "mean":
-        return flat(lin)
-    return Piecewise(st.cut(u), 2.0 * (1.0 - spec.tau) * lin, 2.0 * spec.tau * lin)
-
-
 def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
     """Empirical mean and stderr of V(z, Y) at each z over common draws."""
     if spec.family == "mv":
         raise ParameterError("identification sweeps take scalar predictions")
-    st = sorted_stats(prepared, "one" if spec.family == "quantile" else "lin",
-                      spec.family != "mean")
-    return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
+    breaks = spec.family != "mean"
+    st = sorted_stats(prepared, "one" if spec.family == "quantile" else "lin", breaks)
+    return split_stats([st.stats(piece(st, u, _coefficients(spec, u, st.centre), breaks))
+                        for u in map(spec.transform.prediction, np.asarray(zs, float))])
 
 
 @dataclass(frozen=True)

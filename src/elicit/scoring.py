@@ -1,15 +1,12 @@
 """Scoring-function families and transformed-variable modes.
 
-Families (z is the prediction, y the realization, ties use 1{z >= y} = 1 at
-z = y):
-
-* ``se``        (z - y)^2
-* ``ae``        |z - y|
-* ``apl``       (1{z >= y} - tau)(z - y)                 asymmetric piecewise linear
-* ``gpl``       (1{z >= y} - tau)(g_in(z) - g_in(y))     generalized piecewise linear
-* ``expectile`` |1{z >= y} - tau| (phi(y) - phi(z) + phi'(z)(z - y))
-* ``bregman``   (1/2)(phi(y) - phi(z) + phi'(z)(z - y))  the tau = 1/2 expectile case
-* ``mv``        x2^-2 (x1^2 - 2 x2 - 2 x1 y + y^2)       for the (mean, variance) pair
+Families: ``se`` (squared error), ``ae`` (absolute error), ``apl``
+(asymmetric piecewise linear), ``gpl`` (generalized piecewise linear, with
+an inner transformation g_in), ``expectile`` (the expectile Bregman score),
+``bregman`` (its tau = 1/2 case) and ``mv`` (for the (mean, variance)
+pair). Each is one entry of the family table, :func:`_coefficients`, which
+the sweeps and the per-row evaluation both read; ties use 1{z >= y} = 1 at
+z = y.
 
 A :class:`TransformMode` rewrites the arguments before the family formula is
 applied: ``realization`` scores S(z, g(y)), ``prediction`` scores
@@ -25,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
-from .sweep import Piecewise, SortedStats, flat, split_stats
+from .sweep import Piecewise, SortedStats, per_row, piece, split_stats
 from .transforms import Bijection
 
 FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
@@ -200,6 +197,15 @@ def prepare_realizations(spec: ScoreSpec, y) -> PreparedRealizations:
     return PreparedRealizations(spec.transform, y, column)
 
 
+def _centre(basis, p: PreparedRealizations, of=lambda v: float(np.mean(v))) -> tuple:
+    """Centring constants of ``basis``: ``of`` of its columns, by default their means."""
+    if isinstance(basis, Bijection):
+        return (of(p.column),)
+    if basis == "one":
+        return ()
+    return (of(p.y), of(p.column)) if isinstance(basis, ConvexGenerator) else (of(p.y),)
+
+
 def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     """The prepared draws' sorted statistics on a centred basis, built on
     first use and kept on ``p`` until a sweep asks for another basis.
@@ -213,20 +219,17 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     key = (basis, ordered)
     if p.sweep is not None and p.sweep.key == key:
         return p.sweep
+    centre = _centre(basis, p)
     if isinstance(basis, Bijection):
-        cg = float(np.mean(p.column))
-        columns, centre = (lambda w: (basis.apply(w) - cg,)), (cg,)
+        columns = lambda w: (basis.apply(w) - centre[0],)
     elif basis == "one":
-        columns, centre = (lambda w: ()), ()
+        columns = lambda w: ()
+    elif basis == "lin":
+        columns = lambda w: (w - centre[0],)
+    elif basis == "quad":
+        columns = lambda w: (w - centre[0], np.square(w - centre[0]))
     else:
-        c = float(np.mean(p.y))
-        if basis == "lin":
-            columns, centre = (lambda w: (w - c,)), (c,)
-        elif basis == "quad":
-            columns, centre = (lambda w: (w - c, np.square(w - c))), (c,)
-        else:
-            cp = float(np.mean(p.column))
-            columns, centre = (lambda w: (w - c, np.asarray(basis.phi(w), float) - cp)), (c, cp)
+        columns = lambda w: (w - centre[0], np.asarray(basis.phi(w), float) - centre[1])
     p.sweep = SortedStats(p.y, columns, key, centre, ordered)
     return p.sweep
 
@@ -234,6 +237,8 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
 def _mv_pair(z):
     """The (x1, x2) coordinates of one pair or of an (n, 2) array of pairs."""
     z = np.asarray(z, dtype=float)
+    if z.ndim == 0 or z.shape[-1] != 2:
+        raise ParameterError(f"mean-variance predictions are (x1, x2) pairs, got shape {z.shape}")
     x1, x2 = z[..., 0], z[..., 1]
     if np.any(x2 <= 0):
         raise DomainError(float(x2[x2 <= 0].flat[0]),
@@ -241,34 +246,43 @@ def _mv_pair(z):
     return x1, x2
 
 
-def _core_score(spec: ScoreSpec, z_eff, p: PreparedRealizations):
+# Families without a breakpoint: their weight is always ``lo``.
+_FLAT = ("se", "bregman", "mv")
+
+
+def _coefficients(spec: ScoreSpec, u, centre):
+    """The family table: S(u, w) = weight * (a . b(w)) as ``(a, lo, hi)``,
+    b the basis of :func:`_basis` centred at ``centre`` (t = w - c), u the
+    effective prediction (the (x1, x2) pair for mv), the weight ``lo`` where
+    1{u >= w} and ``hi`` elsewhere. A new family is one entry here (and a basis)."""
     fam = spec.family
-    y = p.y
-    if fam == "se":
-        d = np.subtract(z_eff, y)
-        return d * d
-    if fam == "ae":
-        return np.abs(np.subtract(z_eff, y))
-    if fam == "apl":
-        ind = np.greater_equal(z_eff, y).astype(float)
-        return (ind - spec.tau) * np.subtract(z_eff, y)
-    if fam == "gpl":
-        ind = np.greater_equal(z_eff, y).astype(float)
-        return (ind - spec.tau) * np.subtract(spec.g_inner.apply(z_eff), p.column)
-    if fam in ("expectile", "bregman"):
-        gap = p.column - spec.phi.phi(z_eff) + spec.phi.dphi(z_eff) * np.subtract(z_eff, y)
-        if fam == "bregman":
-            return 0.5 * gap
-        ind = np.greater_equal(z_eff, y).astype(float)
-        return np.abs(ind - spec.tau) * gap
-    # mv: z_eff is the (x1, x2) pair, untransformed by design.
-    x1, x2 = _mv_pair(z_eff)
-    return (x1 * x1 - 2.0 * x2 - 2.0 * x1 * np.asarray(y) + np.square(y)) / (x2 * x2)
+    if fam == "mv":  # x2^-2 ((x1 - w)^2 - 2 x2)
+        x1, x2 = _mv_pair(u)
+        v, q = x1 - centre[0], x2 * x2
+        return ((v * v - 2.0 * x2) / q, -2.0 * v / q, 1.0 / q), 1.0, 1.0
+    if fam == "se":  # (u - w)^2
+        v = u - centre[0]
+        return (v * v, -2.0 * v, 1.0), 1.0, 1.0
+    if fam in ("expectile", "bregman"):  # Bregman gap phi(w) - phi(u) + phi'(u)(u - w)
+        c, cp = centre
+        slope = spec.phi.dphi(u)
+        gap = (cp - spec.phi.phi(u) + slope * (u - c), -slope, 1.0)
+        return (gap, 0.5, 0.5) if fam == "bregman" else (gap, 1.0 - spec.tau, spec.tau)
+    # (1{u >= w} - tau)(h(u) - h(w)), h = g_in for gpl, the identity otherwise
+    h = spec.g_inner.apply(u) if fam == "gpl" else u
+    lin = (h - centre[0], -1.0)
+    return (lin, 1.0, -1.0) if fam == "ae" else (lin, 1.0 - spec.tau, -spec.tau)
+
+
+def _rows(spec: ScoreSpec, u, p: PreparedRealizations):
+    """S(u_i, w_i) per row: the table entry centred at each row's own w."""
+    entry = _coefficients(spec, u, _centre(_basis(spec), p, of=lambda v: v))
+    return per_row(u, p.y, entry, spec.family not in _FLAT)
 
 
 def score_values(spec: ScoreSpec, z, prepared: PreparedRealizations):
     """Scores of one prediction against pre-transformed realizations."""
-    return _core_score(spec, spec.transform.prediction(z), prepared)
+    return _rows(spec, spec.transform.prediction(z), prepared)
 
 
 def evaluate_score(spec: ScoreSpec, z, y) -> float:
@@ -297,7 +311,7 @@ def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
         raise ParameterError("average_score requires at least one observation")
     try:
         p = prepare_realizations(spec, y_arr)
-        return float(np.mean(_core_score(spec, spec.transform.prediction(z_arr), p)))
+        return float(np.mean(_rows(spec, spec.transform.prediction(z_arr), p)))
     except (DomainError, EvaluationError):
         # Re-scan pointwise so the error names the offending row.
         for i, (zi, yi) in enumerate(zip(z_arr, y_arr)):
@@ -308,40 +322,19 @@ def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
         raise
 
 
-def _piece(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
-    """Coefficients of S(z, w) on the family's basis; the breakpoint is the
-    effective prediction u, with 1{u >= w} = 1 at ties."""
-    fam = spec.family
-    if fam == "mv":
-        x1, x2 = _mv_pair(z)
-        v = x1 - st.centre[0]
-        return flat(np.array([v * v - 2.0 * x2, -2.0 * v, 1.0]) / (x2 * x2))
-    u = float(spec.transform.prediction(z))
-    if fam == "se":
-        v = u - st.centre[0]
-        return flat([v * v, -2.0 * v, 1.0])
-    if fam in ("expectile", "bregman"):
-        c, cp = st.centre
-        slope = float(spec.phi.dphi(u))
-        gap = np.array([cp - float(spec.phi.phi(u)) + slope * (u - c), -slope, 1.0])
-        if fam == "bregman":
-            return flat(0.5 * gap)
-        return Piecewise(st.cut(u), (1.0 - spec.tau) * gap, spec.tau * gap)
-    h = float(spec.g_inner.apply(u)) if fam == "gpl" else u
-    lin = np.array([h - st.centre[0], -1.0])
-    if fam == "ae":
-        return Piecewise(st.cut(u), lin, -lin)
-    return Piecewise(st.cut(u), (1.0 - spec.tau) * lin, -spec.tau * lin)
-
-
 def _stats(spec: ScoreSpec, p: PreparedRealizations) -> SortedStats:
-    return sorted_stats(p, _basis(spec), spec.family not in ("se", "bregman", "mv"))
+    return sorted_stats(p, _basis(spec), spec.family not in _FLAT)
+
+
+def _swept(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
+    u = spec.transform.prediction(z)
+    return piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
 
 
 def expected_score(spec: ScoreSpec, z, prepared: PreparedRealizations) -> float:
     """Empirical expected score of one prediction over the prepared draws."""
     st = _stats(spec, prepared)
-    return st.mean(_piece(spec, z, st))
+    return st.mean(_swept(spec, z, st))
 
 
 def expected_score_curve(spec: ScoreSpec, zs, prepared: PreparedRealizations) -> np.ndarray:
@@ -355,7 +348,7 @@ def expected_score_stats(spec: ScoreSpec, zs, prepared: PreparedRealizations):
     Returns (means, stderrs) arrays, one entry per z.
     """
     st = _stats(spec, prepared)
-    return split_stats([st.stats(_piece(spec, z, st)) for z in np.asarray(zs, float)])
+    return split_stats([st.stats(_swept(spec, z, st)) for z in np.asarray(zs, float)])
 
 
 def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations):
@@ -366,8 +359,8 @@ def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations)
     far below the marginal noise level. At z == z_ref both are exactly 0.
     """
     st = _stats(spec, prepared)
-    ref = _piece(spec, z_ref, st)
-    return split_stats([st.diff_stats(ref, _piece(spec, z, st))
+    ref = _swept(spec, z_ref, st)
+    return split_stats([st.diff_stats(ref, _swept(spec, z, st))
                         for z in np.asarray(zs, float)])
 
 

@@ -1,17 +1,17 @@
-"""Sorted sufficient statistics for sweeping predictions over common draws.
+"""The family table's two evaluators, and sorted sufficient statistics for
+sweeping predictions over common draws.
 
-Every score and identification family here is, as a function of the
-effective realization w, a linear combination of a small basis b(w) with
-coefficients that change only where the indicator 1{u >= w} flips, u being
-the effective prediction. With the draws sorted once, the mean of such a
-piecewise function is a dot product of its coefficients with sums of b over
-at most three runs of sorted positions, and the sum of its squares a
-quadratic form in sums of b b^T. :class:`SortedStats` keeps those sums per
-block of :data:`BLOCK` sorted draws, so each evaluation costs O(n/BLOCK +
-BLOCK) instead of O(n) and no n-long column is kept.
-
-The basis is centred (w - mean(w), phi(w) - mean(phi(w)), ...) so the
-difference variances below do not cancel large raw moments.
+Each family is, in the effective realization w, weight * (a . b(w)): the
+coefficients a on a small basis b(w), the weight ``lo`` where 1{u >= w} and
+``hi`` elsewhere, u being the effective prediction. Only this module applies
+1{u >= w}: :func:`piece` cuts the sorted draws at u, with b centred at the
+draws' means; :func:`per_row` centres b at each row's own w, where the value
+is weight * a[0]. With the draws sorted once, a mean is a dot product of the
+coefficients with sums of b over at most three runs of sorted positions, and
+a sum of squares a quadratic form in sums of b b^T. :class:`SortedStats`
+keeps those sums per block of :data:`BLOCK` sorted draws, so each evaluation
+costs O(n/BLOCK + BLOCK) instead of O(n) and no n-long column is kept. The
+basis is centred so that difference variances do not cancel large moments.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class Piecewise(NamedTuple):
     cut: int
     lo: np.ndarray
     hi: np.ndarray
-
-
-def flat(a) -> Piecewise:
-    """The same coefficients on every draw: no breakpoint."""
-    a = np.asarray(a, dtype=float)
-    return Piecewise(0, a, a)
 
 
 class SortedStats:
@@ -140,6 +134,24 @@ class SortedStats:
         middle = f.lo - g.hi if f.cut > g.cut else f.hi - g.lo
         return self._moments(((0, lo, f.lo - g.lo), (lo, hi, middle),
                               (hi, self.n, f.hi - g.hi)), second=True)
+
+
+def piece(st: SortedStats, u, entry, breaks: bool) -> Piecewise:
+    """The table entry ``(a, lo, hi)`` of u, for b centred at ``st.centre``, on
+    the sorted draws; without ``breaks`` (no breakpoint) every draw takes lo."""
+    a, lo, hi = entry
+    a = np.asarray(a, dtype=float)
+    return Piecewise(st.cut(u), lo * a, hi * a) if breaks else Piecewise(0, lo * a, lo * a)
+
+
+def per_row(u, w, entry, breaks: bool):
+    """The table entry ``(a, lo, hi)`` evaluated row by row, its basis
+    centred at each row's own w: the value is ``weight * a[0]``."""
+    a, lo, hi = entry
+    if not breaks:
+        return lo * a[0]
+    # take() by the mask's bytes: faster than np.where or indexing, same bits.
+    return np.array([hi, lo]).take(np.greater_equal(u, w).view(np.uint8)) * a[0]
 
 
 def split_stats(pairs):

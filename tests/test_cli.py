@@ -99,7 +99,15 @@ class TestScoreCommand:
     def test_g_climatology_requires_transform(self, zy_file, capsys):
         path = zy_file([1.0], [1.0])
         assert main(["score", "--score", "se", "--data", path,
-                     "--skill", "g-climatology"]) == 3
+                     "--skill", "g-climatology"]) == 2
+        assert "--skill g-climatology requires a transformed --score" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("skill", ["climatology", "g-climatology"])
+    def test_skill_of_mean_variance_score_is_a_usage_error(self, tmp_path, capsys, skill):
+        path = write_csv(tmp_path / "mv.csv", [[0.0, 0.0, 1.0]], ["y", "z", "x2"])
+        assert main(["score", "--score", "mv@realization:log", "--data", path,
+                     "--skill", skill]) == 2
+        assert "--skill takes a scalar-prediction --score" in capsys.readouterr().err
 
     def test_missing_column(self, tmp_path, capsys):
         path = write_csv(tmp_path / "bad.csv", [[1.0]], ["y"])
@@ -255,6 +263,15 @@ class TestFitCommand:
         assert payload["theta"][0] == pytest.approx(float(y.mean()), abs=0.01)
         assert payload["theta"][1] == pytest.approx(float(y.var()), rel=0.01)
 
+    @pytest.mark.parametrize("model, score", [
+        ("constant", "mv"), ("linear", "mv"), ("mvpair", "se"), ("mvpair", "apl:tau=0.5")])
+    def test_model_and_score_mismatch_is_a_usage_error(self, tmp_path, capsys, model, score):
+        path = write_csv(tmp_path / "xy.csv", [[1.0, 0.0], [2.0, 1.0]], ["y", "x"])
+        assert main(["fit", "--model", model, "--score", score, "--data", path]) == 2
+        err = capsys.readouterr().err
+        assert f"--model {model} does not take --score {score}" in err
+        assert "--model mvpair" in err
+
 
 class TestCurveCommand:
     def test_minimum_near_truth_and_roundtrip(self, tmp_path, capsys):
@@ -301,6 +318,13 @@ class TestCurveCommand:
         assert main(["curve", "--score", "se", "--dist", "normal(0,1)", *args,
                      "--out", str(out)]) == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mean_variance_score_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--score", "mv", "--dist", "normal(0,1)", "--bracket", "0,1",
+                     "--out", str(out)]) == 2
+        assert "--score mv" in capsys.readouterr().err
         assert not out.exists()
 
 

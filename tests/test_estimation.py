@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elicit import (DomainError, Empirical, Exponential, Lognormal, Normal,
-                    ParameterError, ScoreSpec, TransformMode, Uniform, catalog,
+                    ParameterError, ScoreSpec, TransformMode, Uniform, average_score, catalog,
                     expectile_exact, fit, functional_value, sample_iid, scalar_value)
 from elicit.functionals import FunctionalSpec
 
@@ -24,6 +24,11 @@ class TestConstantFits:
         res = fit("constant", ScoreSpec("apl", tau=0.9), y=y)
         iv = Empirical(tuple(float(v) for v in y)).quantile(0.9)
         assert iv.lo - 1e-8 <= res.theta[0] <= iv.hi + 1e-8
+        # even n: the objective is flat on the sample-median interval
+        y = np.random.default_rng(12).lognormal(0.0, 1.0, 1000)
+        res = fit("constant", ScoreSpec("apl", tau=0.5), y=y)
+        ys = np.sort(y)
+        assert ys[499] <= res.theta[0] <= ys[500]
 
     def test_joint_log_transform_gives_geometric_mean(self):
         spec = ScoreSpec("se", transform=TransformMode.both(catalog("log")))
@@ -46,6 +51,16 @@ class TestConstantFits:
     def test_objective_reported_at_theta(self):
         res = fit("constant", ScoreSpec("se"), y=[0.0, 2.0])
         assert res.objective == pytest.approx(1.0, abs=1e-12)
+        # the swept objective is the paired average score at the constant
+        y = np.random.default_rng(13).lognormal(0.0, 1.0, 5001)
+        log = catalog("log")
+        for spec in (ScoreSpec("apl", tau=0.5), ScoreSpec("ae"),
+                     ScoreSpec("se", transform=TransformMode.both(log)),
+                     ScoreSpec("expectile", tau=0.8, transform=TransformMode.realization_only(log)),
+                     ScoreSpec("gpl", tau=0.3, g_inner=log)):
+            res = fit("constant", spec, y=y)
+            paired = average_score(spec, np.full_like(y, res.theta[0]), y)
+            assert res.objective == pytest.approx(paired, rel=1e-12), spec
 
     def test_empty_data_rejected(self):
         with pytest.raises(ParameterError):
@@ -89,6 +104,16 @@ class TestPairFits:
         assert res.theta[0] == pytest.approx(float(np.mean(y)), abs=1e-6)
         assert res.theta[1] == pytest.approx(float(np.var(y, ddof=0)), rel=1e-3)
 
+    def test_recovers_sample_moments_of_transformed_data(self):
+        y = np.random.default_rng(14).lognormal(0.5, 0.8, 3000)
+        spec = ScoreSpec("mv", transform=TransformMode.realization_only(catalog("log")))
+        res = fit("constant_pair", spec, y=y)
+        logy = np.log(y)
+        assert res.theta[0] == pytest.approx(float(np.mean(logy)), rel=1e-6)
+        assert res.theta[1] == pytest.approx(float(np.var(logy)), rel=1e-6)
+        assert res.objective == pytest.approx(
+            average_score(spec, np.tile(res.theta, (y.size, 1)), y), rel=1e-12)
+
     def test_variance_stays_positive(self):
         res = fit("constant_pair", ScoreSpec("mv"), y=[1.0, 1.0 + 1e-4, 1.0 - 1e-4])
         assert res.theta[1] > 0
@@ -98,6 +123,8 @@ class TestPairFits:
             fit("constant_pair", ScoreSpec("se"), y=[1.0, 2.0])
         with pytest.raises(ParameterError):
             fit("constant", ScoreSpec("mv"), y=[1.0, 2.0])
+        with pytest.raises(ParameterError):
+            fit("linear", ScoreSpec("mv"), x=[0.0, 1.0], y=[1.0, 2.0])
 
 
 class TestConsistencyAtScale:

@@ -132,6 +132,15 @@ class TestAverageScore:
         oracle = np.mean([evaluate_score(spec, zi, yi) for zi, yi in zip(z, y)])
         assert average_score(spec, z, y) == pytest.approx(oracle, rel=1e-12)
 
+    def test_mv_prediction_must_be_a_pair(self):
+        spec = ScoreSpec("mv")
+        prepared = prepare_realizations(spec, [1.0, 2.0])
+        for z in ([0.5], [0.5, 1.0, 2.0], [[0.5, 1.0, 2.0]]):
+            with pytest.raises(ParameterError, match="pairs"):
+                expected_score_curve(spec, z, prepared)
+        with pytest.raises(ParameterError, match="pairs"):
+            evaluate_score(spec, 0.5, 1.0)
+
     def test_mv_names_first_bad_row(self):
         spec = ScoreSpec("mv", transform=TransformMode.realization_only(catalog("log")))
         with pytest.raises(DomainError, match="index 1, mean-variance"):

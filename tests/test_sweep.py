@@ -1,10 +1,14 @@
-"""The sorted sufficient-statistic sweep kernel against the direct formulas.
+"""Both evaluators of the family table against the reference formulas of
+``oracle.py``, which are written independently of the table.
 
-``score_values`` / ``ident_values`` evaluate every draw directly and are
-the oracle. Means must agree to 1e-9 relative to the mean |S| (the kernel
-sums centred block sums in another order, so bit equality is out of
-reach). Standard errors are compared as variances, to 1e-9 relative to the
-mean of S^2: a one-pass variance loses that much, never more.
+Per row (``score_values``, ``ident_values``, ``average_score``) the table
+must give the oracle's values bit for bit; only the mv score, whose table
+entry expands the square differently, may differ, by 1e-12 relative to
+the mean |S|. The sorted sweep kernel must agree with the oracle's means
+to 1e-9 relative to the mean |S| (it sums centred block sums in another
+order, so bit equality is out of reach). Standard errors are compared as
+variances, to 1e-9 relative to the mean of S^2: a one-pass variance loses
+that much, never more.
 """
 
 import math
@@ -13,21 +17,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elicit.identification import (expected_ident_curve, ident_values,
-                                   prepare_ident_realizations)
-from elicit.scoring import (expected_score, expected_score_curve, expected_score_stats,
-                            prepare_realizations, score_diff_stats, score_values)
+import oracle
+from elicit.identification import (evaluate_identification, expected_ident_curve,
+                                   ident_values, prepare_ident_realizations)
+from elicit.scoring import (average_score, evaluate_score, expected_score,
+                            expected_score_curve, expected_score_stats, prepare_realizations,
+                            score_diff_stats, score_values)
 from elicit.specs import parse_ident, parse_score
 from elicit.sweep import BLOCK
 
 REL = 1e-9
 
 MODES = ("", "@realization:log", "@prediction:exp", "@both:log", "@both:negate")
+# Every family but mv in every mode; at tau = 1/2 the expectile weights are
+# equal, but the family still has its breakpoint.
 SCORE_SPECS = [f"{fam}{mode}" for fam in (
     "se", "ae", "apl:tau=0.3", "gpl:tau=0.6:g=exp", "expectile:tau=0.75:phi=square",
-    "bregman:phi=square") for mode in MODES] + ["gpl:tau=0.2:g=log", "apl:tau=0.25@both:negate"]
-IDENT_SPECS = [f"{fam}{mode}" for fam in ("mean", "quantile:tau=0.3", "expectile:tau=0.8")
-               for mode in MODES]
+    "expectile:tau=0.5:phi=square", "bregman:phi=square") for mode in MODES] + [
+    "gpl:tau=0.2:g=log", "apl:tau=0.25@both:negate"]
+IDENT_SPECS = [f"{fam}{mode}" for fam in (
+    "mean", "quantile:tau=0.3", "expectile:tau=0.8", "expectile:tau=0.5") for mode in MODES]
 
 # Sizes below one block, at it, around it, and not a multiple of it.
 SIZES = st.one_of(st.sampled_from([2, 3, 17, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
@@ -53,6 +62,70 @@ def draws_and_predictions(draw):
     return y, np.array(zs)
 
 
+def _paired(y, seed):
+    """Predictions for paired rows: about a third equal to their draw."""
+    rng = np.random.default_rng(seed)
+    z = y * np.exp(rng.normal(0.0, 0.3, y.size))
+    return np.where(rng.random(y.size) < 0.3, y, z)
+
+
+def _assert_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("text", SCORE_SPECS)
+@given(data=draws_and_predictions(), seed=st.integers(0, 2**32 - 1))
+def test_score_rows_equal_the_oracle_bit_for_bit(text, data, seed):
+    spec = parse_score(text)
+    y, zs = data
+    prepared = prepare_realizations(spec, y)
+    for z in zs:
+        _assert_identical(score_values(spec, z, prepared), oracle.score(spec, z, y))
+        _assert_identical(evaluate_score(spec, z, y[0]), float(oracle.score(spec, z, y[0])))
+    z = _paired(y, seed)
+    want = oracle.score(spec, z, y)
+    _assert_identical(evaluate_score(spec, z, y), want)
+    assert average_score(spec, z, y) == float(np.mean(want))
+
+
+@pytest.mark.parametrize("text", IDENT_SPECS)
+@given(data=draws_and_predictions(), seed=st.integers(0, 2**32 - 1))
+def test_ident_rows_equal_the_oracle_bit_for_bit(text, data, seed):
+    spec = parse_ident(text)
+    y, zs = data
+    prepared = prepare_ident_realizations(spec, y)
+    for z in zs:
+        _assert_identical(ident_values(spec, z, prepared), oracle.ident(spec, z, y))
+        assert evaluate_identification(spec, z, y[0]) == float(oracle.ident(spec, z, y[0]))
+    z = _paired(y, seed)
+    _assert_identical(evaluate_identification(spec, z, y), oracle.ident(spec, z, y))
+
+
+@pytest.mark.parametrize("mode", ["", "@realization:log"])
+@given(data=draws_and_predictions(), seed=st.integers(0, 2**32 - 1))
+def test_mean_variance_rows_match_the_oracle(mode, data, seed):
+    y, _ = data
+    rng = np.random.default_rng(seed)
+    pairs = np.column_stack([rng.normal(0.0, 2.0, y.size), rng.uniform(0.05, 5.0, y.size)])
+    spec = parse_score("mv" + mode)
+    prepared = prepare_realizations(spec, y)
+    want = oracle.score(spec, pairs, y)
+    got = evaluate_score(spec, pairs, y)
+    assert np.all(np.abs(got - want) <= 1e-12 * float(np.mean(np.abs(want))))
+    avg = average_score(spec, pairs, y)
+    assert abs(avg - float(np.mean(want))) <= 1e-12 * float(np.mean(np.abs(want)))
+    for pair in pairs[:3]:
+        want = oracle.score(spec, pair, y)
+        got = score_values(spec, pair, prepared)
+        assert np.all(np.abs(got - want) <= 1e-12 * float(np.mean(np.abs(want))))
+    ident = parse_ident("mv" + mode)
+    got = ident_values(ident, pairs[0], prepare_ident_realizations(ident, y))
+    for a, b in zip(got, oracle.ident(ident, pairs[0], y)):
+        _assert_identical(a, b)
+
+
 def _direct_stats(values):
     v = np.asarray(values, dtype=float)
     return float(np.mean(v)), float(np.var(v, ddof=1))
@@ -73,7 +146,7 @@ def test_score_sweeps_match_direct(text, data):
     y, zs = data
     prepared = prepare_realizations(spec, y)
     n = y.size
-    direct = [np.asarray(score_values(spec, z, prepared), dtype=float) for z in zs]
+    direct = [np.asarray(oracle.score(spec, z, y), dtype=float) for z in zs]
 
     curve = expected_score_curve(spec, zs, prepared)
     means, ses = expected_score_stats(spec, zs, prepared)
@@ -102,7 +175,7 @@ def test_ident_sweep_matches_direct(text, data):
     prepared = prepare_ident_realizations(spec, y)
     means, ses = expected_ident_curve(spec, zs, prepared)
     for k, z in enumerate(zs):
-        _assert_stats(means[k], ses[k], ident_values(spec, z, prepared), y.size)
+        _assert_stats(means[k], ses[k], oracle.ident(spec, z, y), y.size)
 
 
 @pytest.mark.parametrize("text", ["mv", "mv@realization:log"])
@@ -115,7 +188,7 @@ def test_mean_variance_sweep_matches_direct(text, data, pairs):
     prepared = prepare_realizations(spec, y)
     curve = expected_score_curve(spec, pairs, prepared)
     for k, pair in enumerate(pairs):
-        s = np.asarray(score_values(spec, pair, prepared), dtype=float)
+        s = np.asarray(oracle.score(spec, pair, y), dtype=float)
         assert abs(curve[k] - np.mean(s)) <= REL * float(np.mean(np.abs(s)))
 
 
@@ -138,7 +211,7 @@ def test_several_build_chunks_match_direct():
     zs = np.array([0.4, 1.0, float(y[123]), 2.5])
     means, ses = expected_score_stats(spec, zs, prepared)
     for k, z in enumerate(zs):
-        _assert_stats(means[k], ses[k], score_values(spec, z, prepared), y.size)
+        _assert_stats(means[k], ses[k], oracle.score(spec, z, y), y.size)
 
 
 def test_sweep_keeps_draw_order_and_domain_errors():
