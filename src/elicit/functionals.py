@@ -244,7 +244,7 @@ def sample_mv_pair(w) -> FunctionalValue:
     w = np.asarray(w, dtype=float)
     m = float(np.mean(w))
     v = float(np.var(w, ddof=1))
-    m4 = float(np.mean((w - m) ** 4))
+    m4 = float(np.mean(np.square(np.square(w - m))))
     se_v = math.sqrt(max(m4 - v * v, 0.0) / w.size)
     return FunctionalValue((m, v), (mean_stderr(w), se_v), "mc")
 

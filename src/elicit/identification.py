@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
 from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, evaluate_score,
                       sorted_stats)
-from .sweep import per_row, piece, split_stats
+from .sweep import per_row, piece
 from .transforms import Bijection
 
 IDENT_FAMILIES = ("mean", "quantile", "expectile", "mv")
@@ -63,8 +63,8 @@ def _coefficients(spec: IdentSpec, u, centre):
     """V(u, w) as scoring's table entry ``(a, lo, hi)``, on the basis {1}
     (quantile) or {1, t}, t = w - centre[0] (mean, expectile)."""
     if spec.family == "quantile":  # 1{u >= w} - tau
-        return (1.0,), 1.0 - spec.tau, -spec.tau
-    lin = (u - centre[0], -1.0)
+        return (1.0, lambda: ()), 1.0 - spec.tau, -spec.tau
+    lin = (u - centre[0], lambda: (-1.0,))
     if spec.family == "mean":  # u - w
         return lin, 1.0, 1.0
     return lin, 2.0 * (1.0 - spec.tau), 2.0 * spec.tau  # 2 |1{u >= w} - tau| (u - w)
@@ -96,8 +96,8 @@ def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
         raise ParameterError("identification sweeps take scalar predictions")
     breaks = spec.family != "mean"
     st = sorted_stats(prepared, "one" if spec.family == "quantile" else "lin", breaks)
-    return split_stats([st.stats(piece(st, u, _coefficients(spec, u, st.centre), breaks))
-                        for u in map(spec.transform.prediction, np.asarray(zs, float))])
+    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+    return st.stats(piece(st, u, _coefficients(spec, u, st.centre), breaks))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
-from .sweep import Piecewise, SortedStats, per_row, piece, split_stats
+from .sweep import Piecewise, SortedStats, per_row, piece
 from .transforms import Bijection
 
 FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
@@ -251,26 +251,27 @@ _FLAT = ("se", "bregman", "mv")
 
 
 def _coefficients(spec: ScoreSpec, u, centre):
-    """The family table: S(u, w) = weight * (a . b(w)) as ``(a, lo, hi)``,
-    b the basis of :func:`_basis` centred at ``centre`` (t = w - c), u the
-    effective prediction (the (x1, x2) pair for mv), the weight ``lo`` where
-    1{u >= w} and ``hi`` elsewhere. A new family is one entry here (and a basis)."""
+    """The family table: S(u, w) = weight * (a . b(w)) as ``((a[0], rest), lo,
+    hi)``, ``rest()`` giving a[1:], b the basis of :func:`_basis` centred at
+    ``centre`` (t = w - c), u the effective predictions (the (x1, x2) pairs
+    for mv), the weight ``lo`` where 1{u >= w} and ``hi`` elsewhere. A new
+    family is one entry here (and a basis)."""
     fam = spec.family
     if fam == "mv":  # x2^-2 ((x1 - w)^2 - 2 x2)
         x1, x2 = _mv_pair(u)
         v, q = x1 - centre[0], x2 * x2
-        return ((v * v - 2.0 * x2) / q, -2.0 * v / q, 1.0 / q), 1.0, 1.0
+        return ((v * v - 2.0 * x2) / q, lambda: (-2.0 * v / q, 1.0 / q)), 1.0, 1.0
     if fam == "se":  # (u - w)^2
         v = u - centre[0]
-        return (v * v, -2.0 * v, 1.0), 1.0, 1.0
+        return (v * v, lambda: (-2.0 * v, 1.0)), 1.0, 1.0
     if fam in ("expectile", "bregman"):  # Bregman gap phi(w) - phi(u) + phi'(u)(u - w)
         c, cp = centre
         slope = spec.phi.dphi(u)
-        gap = (cp - spec.phi.phi(u) + slope * (u - c), -slope, 1.0)
+        gap = (cp - spec.phi.phi(u) + slope * (u - c), lambda: (-slope, 1.0))
         return (gap, 0.5, 0.5) if fam == "bregman" else (gap, 1.0 - spec.tau, spec.tau)
     # (1{u >= w} - tau)(h(u) - h(w)), h = g_in for gpl, the identity otherwise
     h = spec.g_inner.apply(u) if fam == "gpl" else u
-    lin = (h - centre[0], -1.0)
+    lin = (h - centre[0], lambda: (-1.0,))
     return (lin, 1.0, -1.0) if fam == "ae" else (lin, 1.0 - spec.tau, -spec.tau)
 
 
@@ -322,24 +323,23 @@ def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
         raise
 
 
-def _stats(spec: ScoreSpec, p: PreparedRealizations) -> SortedStats:
-    return sorted_stats(p, _basis(spec), spec.family not in _FLAT)
-
-
-def _swept(spec: ScoreSpec, z, st: SortedStats) -> Piecewise:
-    u = spec.transform.prediction(z)
-    return piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
+def _swept(spec: ScoreSpec, zs, p: PreparedRealizations):
+    """The prepared draws' sorted statistics, and the table of the predictions zs on them."""
+    st = sorted_stats(p, _basis(spec), spec.family not in _FLAT)
+    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+    return st, piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
 
 
 def expected_score(spec: ScoreSpec, z, prepared: PreparedRealizations) -> float:
-    """Empirical expected score of one prediction over the prepared draws."""
-    st = _stats(spec, prepared)
-    return st.mean(_swept(spec, z, st))
+    """Empirical expected score of one prediction: a one-point curve."""
+    st, f = _swept(spec, [z], prepared)
+    return float(st.mean(f)[0])
 
 
 def expected_score_curve(spec: ScoreSpec, zs, prepared: PreparedRealizations) -> np.ndarray:
     """Empirical expected score at each z, over a common draw set."""
-    return np.array([expected_score(spec, z, prepared) for z in np.asarray(zs, float)])
+    st, f = _swept(spec, zs, prepared)
+    return st.mean(f)
 
 
 def expected_score_stats(spec: ScoreSpec, zs, prepared: PreparedRealizations):
@@ -347,8 +347,8 @@ def expected_score_stats(spec: ScoreSpec, zs, prepared: PreparedRealizations):
 
     Returns (means, stderrs) arrays, one entry per z.
     """
-    st = _stats(spec, prepared)
-    return split_stats([st.stats(_swept(spec, z, st)) for z in np.asarray(zs, float)])
+    st, f = _swept(spec, zs, prepared)
+    return st.stats(f)
 
 
 def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations):
@@ -356,12 +356,11 @@ def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations)
 
     Returns (mean_diff, stderr_diff) arrays, one entry per z. The pairing
     (common random numbers) makes small expected-score differences resolvable
-    far below the marginal noise level. At z == z_ref both are exactly 0.
+    far below the marginal noise level. z_ref is row 0 of the same table, so
+    at z == z_ref both are exactly 0.
     """
-    st = _stats(spec, prepared)
-    ref = _swept(spec, z_ref, st)
-    return split_stats([st.diff_stats(ref, _swept(spec, z, st))
-                        for z in np.asarray(zs, float)])
+    st, f = _swept(spec, np.concatenate(([z_ref], np.asarray(zs, dtype=float))), prepared)
+    return st.diff_stats(Piecewise(*(c[:1] for c in f)), Piecewise(*(c[1:] for c in f)))
 
 
 def homogeneity_probe(spec: ScoreSpec, order_candidates: Sequence[float],

@@ -4,46 +4,44 @@ sweeping predictions over common draws.
 Each family is, in the effective realization w, weight * (a . b(w)): the
 coefficients a on a small basis b(w), the weight ``lo`` where 1{u >= w} and
 ``hi`` elsewhere, u being the effective prediction. Only this module applies
-1{u >= w}: :func:`piece` cuts the sorted draws at u, with b centred at the
-draws' means; :func:`per_row` centres b at each row's own w, where the value
-is weight * a[0]. With the draws sorted once, a mean is a dot product of the
-coefficients with sums of b over at most three runs of sorted positions, and
-a sum of squares a quadratic form in sums of b b^T. :class:`SortedStats`
-keeps those sums per block of :data:`BLOCK` sorted draws, so each evaluation
-costs O(n/BLOCK + BLOCK) instead of O(n) and no n-long column is kept. The
-basis is centred so that difference variances do not cancel large moments.
-"""
+1{u >= w}: :func:`piece` cuts the sorted draws at P predictions with one
+``searchsorted``, b centred at the draws' means; :func:`per_row` centres b at
+each row's own w, where the value is weight * a[0]. :class:`SortedStats`
+cumulates sums of b and b b^T over blocks of :data:`BLOCK` sorted draws, so
+P means (and sums of squares) are dot products (quadratic forms) of a (P, m)
+coefficient table with a whole-block prefix plus one partial block at each
+cut: O(P log n + P * BLOCK) per sweep after an O(n) build, with no n-long
+column kept. b is centred so that difference variances do not cancel."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-BLOCK = 2048
-_CHUNK = 32 * BLOCK  # draws per basis evaluation while the block sums are built
+BLOCK = 128  # measured: each cut gathers a partial block, and more blocks cost the build
+_CHUNK = 512 * BLOCK  # draws per basis evaluation while the block sums are built
 
 
 class Piecewise(NamedTuple):
-    """Coefficients ``lo`` on sorted positions < ``cut``, ``hi`` on the rest.
+    """P functions of the draws: row p takes coefficients ``lo[p]`` on sorted
+    positions below ``cut[p]`` and ``hi[p]`` on the rest. Families without a
+    breakpoint use ``cut = 0``, so only ``hi`` is read."""
 
-    Families without a breakpoint use ``cut = 0``, so only ``hi`` is read.
-    """
-
-    cut: int
+    cut: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
 
 class SortedStats:
-    """Per-block sums of a basis, and of its pairwise products, over the draws.
+    """Cumulative per-block sums of a basis, and of its pairwise products,
+    over the draws.
 
-    ``basis(w)`` returns the non-constant basis columns evaluated on a slice
-    of draws; a constant column of ones is always prepended. With
+    ``basis(w)`` returns the non-constant basis columns evaluated on an
+    array of draws; a constant column of ones is always prepended. With
     ``ordered=False`` the draws are neither sorted nor copied: families
-    without a breakpoint only ever sum the whole range. ``key`` identifies the basis
-    and ``centre`` holds its centring constants, for the caller's
+    without a breakpoint only ever sum the whole range. ``key`` identifies
+    the basis and ``centre`` holds its centring constants, for the caller's
     coefficient functions.
     """
 
@@ -55,106 +53,104 @@ class SortedStats:
         self.key = key
         self.centre = centre
         nb = -(-self.n // BLOCK)
-        m = len(self._columns(self.w[:1]))
-        self.s1 = np.empty((m, nb))
-        self.s2 = np.empty((m, m, nb))
-        for start in range(0, self.n, _CHUNK):
-            b = self._columns(self.w[start:start + _CHUNK])
-            offsets = np.arange(0, b.shape[1], BLOCK)
-            j = start // BLOCK
-            self.s1[:, j:j + offsets.size] = np.add.reduceat(b, offsets, axis=1)
-            self.s2[:, :, j:j + offsets.size] = np.add.reduceat(
-                b[:, None, :] * b[None, :, :], offsets, axis=2)
+        m = 1 + len(basis(self.w[:1]))
+        # c1[j], c2[j]: sums of b and b b^T over the first j blocks. Tiles hold
+        # the non-constant columns; the constant one sums to the draw counts.
+        self.c1 = np.zeros((nb + 1, m))
+        self.c2 = np.zeros((nb + 1, m, m))
+        for start in range(0, self.n if m > 1 else 0, _CHUNK):
+            w = self.w[start:start + _CHUNK]
+            k = -(-w.size // BLOCK)
+            x = np.zeros((m - 1, k * BLOCK))  # a ragged last block: zeros add nothing
+            x[:, :w.size] = self.basis(w)
+            tiles = x.reshape(m - 1, k, BLOCK)
+            j = start // BLOCK + 1
+            self.c1[j:j + k, 1:] = tiles.sum(axis=2).T
+            self.c2[j:j + k, 1:, 1:] = np.einsum("ikb,jkb->kij", tiles, tiles)
+        np.cumsum(self.c1, axis=0, out=self.c1)
+        np.cumsum(self.c2, axis=0, out=self.c2)
+        self.c1[:, 0] = np.minimum(np.arange(nb + 1) * BLOCK, self.n)
+        self.c2[:, 0, :] = self.c2[:, :, 0] = self.c1
 
-    def _columns(self, w: np.ndarray) -> np.ndarray:
-        return np.vstack([np.ones_like(w), *self.basis(w)])
+    def cut(self, u):
+        """Number of draws w <= u, at each u: the positions where 1{u >= w} = 1."""
+        return np.searchsorted(self.w, u, side="right")
 
-    def cut(self, u: float) -> int:
-        """Number of draws w <= u: the positions where 1{u >= w} = 1."""
-        return int(np.searchsorted(self.w, u, side="right"))
-
-    def _direct(self, lo: int, hi: int, second: bool):
-        b = self._columns(self.w[lo:hi])
-        return b.sum(axis=1), (b[:, None, :] * b[None, :, :]).sum(axis=2) if second else None
-
-    def _sums(self, lo: int, hi: int, second: bool):
-        """Sums of b (and of b b^T) over sorted positions [lo, hi)."""
-        first = -(-lo // BLOCK)
-        last = -(-hi // BLOCK) if hi == self.n else hi // BLOCK
-        if first >= last:  # no whole block inside
-            return self._direct(lo, hi, second)
-        s1 = self.s1[:, first:last].sum(axis=1)
-        s2 = self.s2[:, :, first:last].sum(axis=2) if second else None
-        for a, b in ((lo, first * BLOCK), (last * BLOCK, hi)):
-            if b > a:
-                d1, d2 = self._direct(a, b, second)
-                s1 = s1 + d1
-                if second:
-                    s2 = s2 + d2
+    def _prefix(self, k: np.ndarray, second: bool):
+        """Sums of b, and of b b^T if ``second``, over sorted positions
+        [0, k) for each k: a whole-block prefix plus one gathered tile."""
+        j, r = k // BLOCK, k % BLOCK
+        s1 = self.c1[j]
+        s2 = self.c2[j] if second else None
+        width = int(r.max(initial=0))
+        if width:
+            pos = np.minimum(j[:, None] * BLOCK + np.arange(width), self.n - 1)
+            b = np.stack([np.ones(pos.shape), *self.basis(self.w[pos])])
+            b *= np.arange(width) < r[:, None]  # keep the draws below each k
+            s1 = s1 + b.sum(axis=2).T
+            if second:
+                s2 = s2 + np.einsum("ipk,jpk->pij", b, b)
         return s1, s2
 
-    def _moments(self, pieces, second: bool):
-        """Mean and standard error of the function that is a . b(w) on each
-        (lo, hi, a) run of sorted positions."""
-        total = quad = 0.0
-        for lo, hi, a in pieces:
-            if hi > lo and np.any(a):
-                s1, s2 = self._sums(lo, hi, second)
-                total += float(a @ s1)
-                if second:
-                    quad += float(a @ s2 @ a)
+    def _evaluate(self, keys, at, coefs, second: bool):
+        """Means and standard errors of P functions, row p of which is
+        coefs[r][p] . b(w) on run r of sorted positions. Run r < R - 1 ends
+        at ``keys[at[r]]`` (``...`` takes all keys), the last at n, in order."""
+        p1, p2 = self._prefix(keys, second)
+        ends = [(p1[i], p2[i] if second else None) for i in at] + [(self.c1[-1], self.c2[-1])]
+        total = quad = below1 = below2 = 0.0
+        for a, (end1, end2) in zip(coefs, ends):
+            total = total + np.einsum("pi,pi->p", a, end1 - below1)
+            if second:
+                quad = quad + np.einsum("pi,pij,pj->p", a, end2 - below2, a)
+            below1, below2 = end1, end2
         n = self.n
-        mean = total / n
         if not second:
-            return mean, None
+            return total / n, None
         if n < 2:
-            return mean, math.nan
-        var = max((quad - total * total / n) / (n - 1), 0.0)
-        return mean, math.sqrt(var / n)
+            return total / n, np.full_like(total, np.nan)
+        var = np.maximum((quad - total * total / n) / (n - 1), 0.0)
+        return total / n, np.sqrt(var / n)
 
-    def _runs(self, f: Piecewise):
-        return ((0, f.cut, f.lo), (f.cut, self.n, f.hi))
-
-    def mean(self, f: Piecewise) -> float:
-        """Mean of f over the draws."""
-        return self._moments(self._runs(f), second=False)[0]
+    def mean(self, f: Piecewise) -> np.ndarray:
+        """Mean of each of the functions f over the draws."""
+        return self._evaluate(f.cut, [...], [f.lo, f.hi], second=False)[0]
 
     def stats(self, f: Piecewise):
-        """(mean, standard error of the mean) of f over the draws."""
-        return self._moments(self._runs(f), second=True)
+        """(means, standard errors of the means) of the functions f."""
+        return self._evaluate(f.cut, [...], [f.lo, f.hi], second=True)
 
     def diff_stats(self, f: Piecewise, g: Piecewise):
-        """(mean, standard error) of the paired difference f - g.
-
-        At most three runs: below both cuts, between them, above both. When
-        f and g coincide every coefficient is exactly zero, so the result
-        is exactly (0.0, 0.0).
-        """
-        lo, hi = sorted((f.cut, g.cut))
-        middle = f.lo - g.hi if f.cut > g.cut else f.hi - g.lo
-        return self._moments(((0, lo, f.lo - g.lo), (lo, hi, middle),
-                              (hi, self.n, f.hi - g.hi)), second=True)
+        """(means, standard errors) of the paired differences f - g, f one
+        function. Three runs: below both cuts, between them, above both; the
+        coefficients are differenced before any sum is read, so where f and g
+        coincide the result is exactly (0.0, 0.0)."""
+        keys = np.concatenate((f.cut, g.cut))  # f's cut is keys[0]
+        rows = np.arange(1, len(keys))
+        f_first = f.cut <= g.cut
+        middle = np.where(f_first[:, None], f.hi - g.lo, f.lo - g.hi)
+        return self._evaluate(keys, [np.where(f_first, 0, rows), np.where(f_first, rows, 0)],
+                             [f.lo - g.lo, middle, f.hi - g.hi], second=True)
 
 
 def piece(st: SortedStats, u, entry, breaks: bool) -> Piecewise:
-    """The table entry ``(a, lo, hi)`` of u, for b centred at ``st.centre``, on
-    the sorted draws; without ``breaks`` (no breakpoint) every draw takes lo."""
-    a, lo, hi = entry
-    a = np.asarray(a, dtype=float)
-    return Piecewise(st.cut(u), lo * a, hi * a) if breaks else Piecewise(0, lo * a, lo * a)
+    """The table entries ``(a, lo, hi)`` of the P effective predictions u
+    (rows of ``u``), for b centred at ``st.centre``, on the sorted draws;
+    without ``breaks`` (no breakpoint) every draw takes lo."""
+    (a0, rest), lo, hi = entry
+    columns = (a0, *rest())
+    a = np.empty((len(u), len(columns)))
+    for i, c in enumerate(columns):  # scalars broadcast down their column
+        a[:, i] = c
+    cut = st.cut(u) if breaks else np.zeros(len(u), dtype=np.intp)
+    return Piecewise(cut, lo * a, (hi if breaks else lo) * a)
 
 
 def per_row(u, w, entry, breaks: bool):
     """The table entry ``(a, lo, hi)`` evaluated row by row, its basis
     centred at each row's own w: the value is ``weight * a[0]``."""
-    a, lo, hi = entry
+    (a0, _), lo, hi = entry
     if not breaks:
-        return lo * a[0]
+        return a0 if lo == 1.0 else lo * a0
     # take() by the mask's bytes: faster than np.where or indexing, same bits.
-    return np.array([hi, lo]).take(np.greater_equal(u, w).view(np.uint8)) * a[0]
-
-
-def split_stats(pairs):
-    """(means, stderrs) arrays from a list of (mean, stderr) pairs."""
-    out = np.array(pairs, dtype=float).reshape(-1, 2)
-    return out[:, 0].copy(), out[:, 1].copy()
+    return np.array([hi, lo]).take(np.greater_equal(u, w).view(np.uint8)) * a0

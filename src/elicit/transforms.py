@@ -3,8 +3,8 @@
 A :class:`Bijection` bundles a strictly monotone map with its inverse,
 derivative, domain/codomain intervals, and orientation. The catalog covers
 identity, negation, logarithmic, exponential, power, and Box-Cox families;
-domains are open at singular endpoints so evaluation there raises a
-DomainError instead of returning infinities.
+domains are open at singular endpoints, and evaluation there or an overflow
+raises a DomainError instead of returning infinities.
 
 Monotonicity (and for Box-Cox the codomain) is recorded per parameter value,
 since one family can contain both increasing and decreasing members.
@@ -57,10 +57,14 @@ class Bijection:
         arr = np.asarray(t, dtype=float)
         if not where.contains_all(arr):
             raise DomainError(where.first_outside(arr), where, f"{what} of {self.label}")
-        out = fn(arr)
+        with np.errstate(over="ignore"):
+            out = np.asarray(fn(arr), dtype=float)
+        bad = ~np.isfinite(out)  # the input is finite: the map overflowed
+        if bad.any():
+            raise DomainError(float(arr[bad].flat[0]), None, f"{what} of {self.label} overflows")
         if np.isscalar(t) or arr.ndim == 0:
             return float(out)
-        return np.asarray(out, dtype=float)
+        return out
 
     def apply(self, t):
         return self._eval(self.forward, t, self.domain, "forward")

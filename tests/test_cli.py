@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestScoreCommand:
         assert main(["score", "--score", "se", "--data", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite" in captured.err
+
+    def test_transform_overflow_names_the_row(self, tmp_path, capsys):
+        # exp(exp(6.7)) overflows in the inner transformation of row index 1
+        path = write_text(tmp_path / "f.csv", "y,z\n1.0,2.0\n2.0,6.7\n3.0,1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["score", "--score", "gpl:tau=0.2:g=exp@prediction:log",
+                         "--data", path]) == 3
+        err = capsys.readouterr().err
+        assert "index 1," in err and "forward of exp" in err
 
     def test_domain_violation_exit_code(self, zy_file, capsys):
         path = zy_file([1.0, 1.0], [1.0, -4.0])

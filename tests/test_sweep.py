@@ -8,7 +8,8 @@ the mean |S|. The sorted sweep kernel must agree with the oracle's means
 to 1e-9 relative to the mean |S| (it sums centred block sums in another
 order, so bit equality is out of reach). Standard errors are compared as
 variances, to 1e-9 relative to the mean of S^2: a one-pass variance loses
-that much, never more.
+that much, never more. A batch of predictions must give each one what a
+one-prediction call gives it, to 1e-12 on the same scales.
 """
 
 import math
@@ -24,7 +25,7 @@ from elicit.scoring import (average_score, evaluate_score, expected_score,
                             expected_score_curve, expected_score_stats, prepare_realizations,
                             score_diff_stats, score_values)
 from elicit.specs import parse_ident, parse_score
-from elicit.sweep import BLOCK
+from elicit.sweep import _CHUNK, BLOCK
 
 REL = 1e-9
 
@@ -233,3 +234,108 @@ def test_single_draw_has_undefined_stderr():
     spec = parse_score("se")
     means, ses = expected_score_stats(spec, [0.5], prepare_realizations(spec, [1.0]))
     assert means[0] == 0.25 and math.isnan(ses[0])
+
+
+def _close(got, want, scale, rel=1e-12):
+    assert abs(got - want) <= rel * max(scale, 1e-300), (got, want, scale)
+
+
+@pytest.mark.parametrize("text", SCORE_SPECS)
+@given(data=draws_and_predictions(), ref=st.integers(0, 10))
+def test_batched_sweeps_equal_one_prediction_at_a_time(text, data, ref):
+    """A P-point sweep gives each point what a one-point sweep gives it, and
+    a paired difference is exactly (0.0, 0.0) where z == z_ref, wherever
+    z_ref sits in the batch."""
+    spec = parse_score(text)
+    y, zs = data
+    prepared = prepare_realizations(spec, y)
+    n = y.size
+    z_ref = zs[ref % zs.size]
+    curve = expected_score_curve(spec, zs, prepared)
+    means, ses = expected_score_stats(spec, zs, prepared)
+    dmean, dse = score_diff_stats(spec, z_ref, zs, prepared)
+    s_ref = np.asarray(oracle.score(spec, z_ref, y), dtype=float)
+    for k, z in enumerate(zs):
+        s = np.asarray(oracle.score(spec, z, y), dtype=float)
+        scale, square = float(np.mean(np.abs(s))), float(np.mean(s * s))
+        _close(curve[k], expected_score(spec, z, prepared), scale)
+        (m1,), (se1,) = expected_score_stats(spec, [z], prepared)
+        _close(means[k], m1, scale)
+        _close(ses[k] ** 2 * n, se1 ** 2 * n, square)
+        (d1,), (de1,) = score_diff_stats(spec, z_ref, [z], prepared)
+        _close(dmean[k], d1, scale + float(np.mean(np.abs(s_ref))))
+        _close(dse[k] ** 2 * n, de1 ** 2 * n, square + float(np.mean(s_ref * s_ref)))
+        if z == z_ref:
+            assert dmean[k] == 0.0 and dse[k] == 0.0
+            assert d1 == 0.0 and de1 == 0.0
+
+
+@pytest.mark.parametrize("text", IDENT_SPECS)
+@given(data=draws_and_predictions())
+def test_batched_ident_sweep_equals_one_prediction_at_a_time(text, data):
+    spec = parse_ident(text)
+    y, zs = data
+    prepared = prepare_ident_realizations(spec, y)
+    means, ses = expected_ident_curve(spec, zs, prepared)
+    for k, z in enumerate(zs):
+        v = np.asarray(oracle.ident(spec, z, y), dtype=float)
+        (m1,), (se1,) = expected_ident_curve(spec, [z], prepared)
+        _close(means[k], m1, float(np.mean(np.abs(v))))
+        _close(ses[k] ** 2 * y.size, se1 ** 2 * y.size, float(np.mean(v * v)))
+
+
+# Draws across build chunks; predictions that cut at a block boundary, at a
+# chunk boundary, below every draw (cut 0) and above every draw (cut n).
+CHUNK_SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 17]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("text", ["se", "apl:tau=0.3", "gpl:tau=0.6:g=exp@realization:log",
+                                  "expectile:tau=0.75:phi=square", "bregman:phi=square"])
+def test_chunked_builds_and_block_boundary_cuts_match_direct(n, text):
+    spec = parse_score(text)
+    y = np.random.default_rng(n).lognormal(0.0, 0.7, n)
+    prepared = prepare_realizations(spec, y)
+    w = np.sort(prepared.y)
+    cuts = [k for k in (BLOCK, 7 * BLOCK, _CHUNK, n - n % BLOCK, n // 2) if k <= n]
+    zs = np.array([w[k - 1] for k in cuts] + [w[0] - 1.0, w[-1] + 1.0])
+    means, ses = expected_score_stats(spec, zs, prepared)
+    if prepared.sweep.key[1]:  # sorted draws: the family's breakpoint cuts where intended
+        assert list(prepared.sweep.cut(zs)) == cuts + [0, n]
+    curve = expected_score_curve(spec, zs, prepared)
+    direct = [oracle.score(spec, z, y) for z in zs]
+    for k, s in enumerate(direct):
+        _assert_stats(means[k], ses[k], s, n)
+        assert abs(curve[k] - np.mean(s)) <= REL * float(np.mean(np.abs(s)))
+    dmean, dse = score_diff_stats(spec, zs[0], zs, prepared)
+    for k, s in enumerate(direct):
+        d = direct[0] - s
+        assert abs(dmean[k] - np.mean(d)) <= REL * float(np.mean(np.abs(direct[0]) + np.abs(s)))
+        assert abs(dse[k] ** 2 * n - np.var(d, ddof=1)) <= \
+            REL * float(np.mean(direct[0] ** 2 + s ** 2))
+    assert dmean[0] == 0.0 and dse[0] == 0.0
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_chunked_ident_sweeps_match_direct(n):
+    y = np.random.default_rng(n).lognormal(0.0, 0.7, n)
+    w = np.sort(y)
+    zs = np.array([w[BLOCK - 1], w[n - n % BLOCK - 1], w[0] / 2.0, w[-1] + 1.0, w[n // 2]])
+    for text in ("mean", "quantile:tau=0.3", "expectile:tau=0.8"):
+        spec = parse_ident(text)
+        means, ses = expected_ident_curve(spec, zs, prepare_ident_realizations(spec, y))
+        for k, z in enumerate(zs):
+            _assert_stats(means[k], ses[k], oracle.ident(spec, z, y), n)
+
+
+@pytest.mark.parametrize("text", ["se", "apl:tau=0.3", "expectile:tau=0.75:phi=square",
+                                  "gpl:tau=0.6:g=exp", "mv"])
+def test_sorted_stats_keeps_no_n_long_column_but_the_draws(text):
+    spec = parse_score(text)
+    n = 2 * _CHUNK + 17
+    y = np.random.default_rng(3).lognormal(0.0, 0.7, n)
+    prepared = prepare_realizations(spec, y)
+    expected_score_curve(spec, [(1.0, 0.5)] if text == "mv" else [1.0, 2.0], prepared)
+    arrays = {k: v for k, v in vars(prepared.sweep).items() if isinstance(v, np.ndarray)}
+    assert arrays.pop("w").size == n
+    assert arrays and all(a.size < n for a in arrays.values())

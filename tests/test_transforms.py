@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ class TestDomainErrors:
         with pytest.raises(DomainError) as exc_info:
             catalog("log").apply(np.array([1.0, -3.0, 2.0]))
         assert exc_info.value.value == -3.0
+
+    def test_overflow_reports_offender_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="forward of exp") as exc_info:
+                catalog("exp").apply(np.array([1.0, 800.0, 900.0]))
+            assert exc_info.value.value == 800.0
+            with pytest.raises(DomainError, match="inverse of log"):
+                catalog("log").invert(710.0)
+            with pytest.raises(DomainError, match="derivative of power"):
+                catalog("power", [3.0]).deriv(1e200)
 
 
 class TestParameterConstraints:
