@@ -4,12 +4,13 @@ Three model classes: a constant (the prediction is a single parameter), a
 line theta0 + theta1 x, and a constant (mean, variance) pair. The constant
 models score one prediction against all data with the sweep of
 :func:`~elicit.scoring.expected_score`; the line scores paired rows with
-:func:`~elicit.scoring.average_score`. Constant fits use the bracketed
+:func:`~elicit.scoring.average_score`. The constant fit uses the bracketed
 one-dimensional minimizer, which tolerates the kinks of pinball-type
-objectives; the other two use a derivative-free simplex search
-with a least-squares / moment start and one restart on non-convergence. The
-pair fit optimizes over log-variance so positivity is structural.
-"""
+objectives. The pair fit takes the exact vertex of the mean-variance
+expected score (:func:`~elicit.scoring.mv_vertex`), which data of zero
+spread do not have. The line uses a derivative-free simplex search from a
+least-squares start, restarted once from its end on non-convergence; its x
+values must not all be equal."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import DomainError, ParameterError
 from .numerics import Bracket, minimize1d
-from .scoring import ScoreSpec, average_score, expected_score, prepare_realizations
+from .scoring import (MV_VERTEX_POINTS, ScoreSpec, average_score, expected_score,
+                      mv_vertex, prepare_realizations)
 
 MODEL_KINDS = ("constant", "linear", "constant_pair")
 
@@ -78,10 +80,10 @@ def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
 def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9) -> FitResult:
     """Minimize (1/n) sum S(m(x_i, theta), y_i) over theta.
 
-    ``x`` must be given for the linear model and omitted otherwise. ``init``
-    is a starting parameter vector or "auto" (least squares for the line,
-    sample moments for the pair; the constant fit is bracketed and needs no
-    start). Non-convergence of the simplex search is flagged on the result,
+    ``x`` must be given for the linear model and omitted otherwise.
+    ``init`` is the line's starting (theta0, theta1), or "auto" for least
+    squares; the other models need no start and take only "auto".
+    Non-convergence of the line's simplex search is flagged on the result,
     not raised.
     """
     model = _as_model(model)
@@ -96,6 +98,9 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
             raise ParameterError(f"x and y lengths differ: {x.shape} vs {y.shape}")
     elif x is not None:
         raise ParameterError(f"{model.kind} model takes no predictor values")
+    auto = isinstance(init, str) and init == "auto"
+    if not (auto or model.kind == "linear"):
+        raise ParameterError(f"init applies to the linear model only, not {model.kind}")
     if (score.family == "mv") != (model.kind == "constant_pair"):
         raise ParameterError(f"the {model.kind} model does not take the {score.family} score: "
                              "the mean-variance score fits the constant_pair model, and only it")
@@ -103,8 +108,11 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
     if model.kind == "constant":
         return _fit_constant(score, y, tol)
     if model.kind == "linear":
-        return _fit_linear(score, x, y, init, tol)
-    return _fit_constant_pair(score, y, init, tol)
+        return _fit_linear(score, x, y, None if auto else init, tol)
+    prepared = prepare_realizations(score, y)  # constant_pair: the exact vertex
+    theta = mv_vertex(score, prepared)
+    return FitResult(theta=theta, objective=expected_score(score, theta, prepared),
+                     iterations=MV_VERTEX_POINTS + 1, converged=True)
 
 
 def _fit_constant(score: ScoreSpec, y: np.ndarray, tol: float) -> FitResult:
@@ -124,25 +132,10 @@ def _fit_constant(score: ScoreSpec, y: np.ndarray, tol: float) -> FitResult:
                      iterations=evals[0], converged=True)
 
 
-def _simplex(obj, x0: np.ndarray, tol: float, restart_step, theta=tuple) -> FitResult:
-    """Nelder-Mead from ``x0``, restarted once from its end plus ``restart_step``
-    if it does not converge; ``theta`` maps the better end to the parameters."""
-    def run(start):
-        return _scipy_minimize(obj, start, method="Nelder-Mead",
-                               options={"xatol": tol, "fatol": 1e-14,
-                                        "maxiter": 2000, "maxfev": 4000})
-
-    res = run(x0)
-    if not res.success:
-        res2 = run(res.x + restart_step)
-        if res2.fun <= res.fun:
-            res = res2
-    return FitResult(theta=tuple(float(t) for t in theta(res.x)), objective=float(res.fun),
-                     iterations=int(res.nfev), converged=bool(res.success))
-
-
 def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float) -> FitResult:
-    if init == "auto":
+    if np.all(x == x[0]):
+        raise ParameterError(f"the linear model needs two distinct x values, not only {x[0]:g}")
+    if init is None:
         try:
             target = _in_prediction_units(score, y)
         except DomainError:
@@ -160,22 +153,16 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float
         except DomainError:
             return math.inf
 
-    return _simplex(obj, x0, tol, 0.0)
+    def run(start):
+        return _scipy_minimize(obj, start, method="Nelder-Mead",
+                               options={"xatol": tol, "fatol": 1e-14,
+                                        "maxiter": 2000, "maxfev": 4000})
 
+    res = run(x0)
+    if not res.success:  # restart once from the end: a fresh simplex
+        res2 = run(res.x)
+        if res2.fun <= res.fun:
+            res = res2
+    return FitResult(theta=tuple(float(t) for t in res.x), objective=float(res.fun),
+                     iterations=int(res.nfev), converged=bool(res.success))
 
-def _fit_constant_pair(score: ScoreSpec, y: np.ndarray, init, tol: float) -> FitResult:
-    prepared = prepare_realizations(score, y)
-    w = np.asarray(prepared.y, dtype=float)
-    if init == "auto":
-        v0 = max(float(np.var(w, ddof=1)) if w.size > 1 else 1.0, 1e-12)
-        x0 = np.array([float(np.mean(w)), math.log(v0)])
-    else:
-        m0, v0 = init
-        if not v0 > 0:
-            raise ParameterError("variance component of init must be positive")
-        x0 = np.array([float(m0), math.log(float(v0))])
-
-    def obj(theta):
-        return expected_score(score, (theta[0], math.exp(theta[1])), prepared)
-
-    return _simplex(obj, x0, tol, np.array([0.0, 0.1]), lambda x: (x[0], math.exp(x[1])))

@@ -27,6 +27,7 @@ from .transforms import Bijection
 
 FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
 MODES = ("none", "realization", "prediction", "both")
+MV_VERTEX_POINTS = 8  # swept points :func:`mv_vertex` evaluates: two rounds of four
 
 
 @dataclass(frozen=True)
@@ -361,6 +362,30 @@ def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations)
     """
     st, f = _swept(spec, np.concatenate(([z_ref], np.asarray(zs, dtype=float))), prepared)
     return st.diff_stats(Piecewise(*(c[:1] for c in f)), Piecewise(*(c[1:] for c in f)))
+
+
+def mv_vertex(spec: ScoreSpec, prepared: PreparedRealizations) -> tuple[float, float]:
+    """The minimiser (x1, x2) of the mv score's empirical expected score
+    M = x2^-2 (E(x1 - W)^2 - 2 x2), from M's values on the sweep: a parabola
+    in x1 at x2 = s (vertex x1* from a, a +- sqrt(s)), while x2^2 M = A - 2B x2
+    (B from (a, 2s), A at x1* from the parabola), least at x2 = A / B. Two
+    rounds: from the draws' midrange and squared half range, then from that
+    vertex, where nothing cancels. Zero spread has no minimiser: M -> -inf."""
+    lo, hi = float(np.min(prepared.y)), float(np.max(prepared.y))
+    if not lo < hi:
+        raise ParameterError(f"mean-variance score: no minimum on data of zero spread (all {lo:g})")
+    x1, x2 = 0.5 * (lo + hi), (0.5 * (hi - lo)) ** 2
+    for _ in range(MV_VERTEX_POINTS // 4):
+        h = x2 ** 0.5
+        f_lo, f_mid, f_hi, f_wide = expected_score_curve(
+            spec, [(x1 - h, x2), (x1, x2), (x1 + h, x2), (x1, 2.0 * x2)], prepared).tolist()
+        curv, b = f_hi - 2.0 * f_mid + f_lo, 0.5 * x2 * (f_mid - 4.0 * f_wide)
+        least = f_mid - (f_hi - f_lo) ** 2 / (8.0 * curv) if curv > 0.0 else -np.inf
+        a = x2 * (x2 * least + 2.0 * b)
+        if not (b > 0.0 and a > 0.0):
+            raise EvaluationError(f"mean-variance score: no vertex near ({x1:.6g}, {x2:.6g})")
+        x1, x2 = x1 - h * (f_hi - f_lo) / (2.0 * curv), a / b
+    return x1, x2
 
 
 def homogeneity_probe(spec: ScoreSpec, order_candidates: Sequence[float],

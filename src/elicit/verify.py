@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .distributions import DistributionSpec, sample_iid
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
@@ -46,7 +45,7 @@ from .identification import IdentSpec, expected_ident_curve, ident_values, prepa
 from .intervals import Interval
 from .numerics import Bracket, Seed, check_seed, derive_seed, mean_stderr, minimize1d
 from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
-                      prepare_realizations, score_diff_stats)
+                      mv_vertex, prepare_realizations, score_diff_stats)
 from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional, parse_ident,
                     parse_score, parse_suite_line)
 from .transforms import Bijection
@@ -95,15 +94,32 @@ class CheckConfig:
         for name, tol in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
             if not 0.0 <= tol < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {tol}")
-        if self.kind in ("consistency", "strictness", "pair", "revelation", "realization"):
-            if self.score is None:
-                raise ParameterError(f"{self.kind} check requires a score spec")
-        if self.kind == "identification" and self.ident is None:
-            raise ParameterError("identification check requires an ident spec")
-        if self.kind in ("revelation", "realization") and self.g is None:
-            raise ParameterError(f"{self.kind} check requires a transformation g")
-        if self.kind == "pair" and self.bracket2 is None:
-            raise ParameterError("pair check requires a variance bracket (bracket2)")
+        if self.kind == "identification":
+            if self.ident is None:
+                raise ParameterError("identification check requires an ident spec")
+            if self.ident.family == "mv":
+                raise ParameterError("identification check sweeps scalar predictions; "
+                                     "the mean-variance pair is checked by kind=pair")
+        elif self.score is None:
+            raise ParameterError(f"{self.kind} check requires a score spec")
+        elif self.kind == "pair":
+            if self.score.family != "mv":
+                raise ParameterError("pair check requires the mean-variance score")
+            if self.bracket2 is None:
+                raise ParameterError("pair check requires a variance bracket (bracket2)")
+            if self.bracket2.lo <= 0:
+                raise ParameterError("variance bracket must be positive")
+        elif self.score.family == "mv":
+            raise ParameterError(f"{self.kind} check sweeps scalar predictions; mean-variance "
+                                 "predictions are (x1, x2) pairs, checked by kind=pair")
+        if self.kind in ("revelation", "realization"):
+            if self.g is None:
+                raise ParameterError(f"{self.kind} check requires a transformation g")
+            if self.score.transform.mode != "none":
+                raise ParameterError(f"{self.kind} check starts from an untransformed score")
+        if self.kind == "revelation" and (not isinstance(self.g, Bijection)
+                                          or self.g.inverse is None):
+            raise ParameterError("revelation check requires an invertible Bijection")
 
 
 @dataclass(frozen=True)
@@ -332,11 +348,6 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
 @_timed
 def check_revelation(cfg: CheckConfig) -> VerificationReport:
     """Prediction reparameterization: argmin moves to g(base argmin)."""
-    if cfg.score.transform.mode != "none":
-        raise ParameterError("revelation check starts from an untransformed score")
-    if not isinstance(cfg.g, Bijection) or cfg.g.inverse is None:
-        raise ParameterError("revelation check requires an invertible Bijection")
-
     base, se_base = _consistency_body(cfg, cfg.score, _resolve_target(cfg), cfg.bracket)
     if not base.passed:
         return replace(base, notes="base consistency failed: " + base.notes)
@@ -363,8 +374,6 @@ def check_revelation(cfg: CheckConfig) -> VerificationReport:
 def check_realization_transform(cfg: CheckConfig) -> VerificationReport:
     """Scoring transformed realizations relocates the argmin to the
     functional of the transformed variable. The map need not be bijective."""
-    if cfg.score.transform.mode != "none":
-        raise ParameterError("realization check starts from an untransformed score")
     score = cfg.score.with_transform(TransformMode.realization_only(cfg.g))
 
     if cfg.target is not None:
@@ -388,31 +397,18 @@ def _transformed_functional(cfg: CheckConfig, transform: TransformMode) -> Funct
 def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
     """Mean-variance pair: score argmin and identification zero at
     (E[g(Y)], Var[g(Y)])."""
-    if cfg.score.family != "mv":
-        raise ParameterError("pair check requires the mean-variance score")
-    if cfg.bracket2.lo <= 0:
-        raise ParameterError("variance bracket must be positive")
-
     target = _resolve_target(cfg)
     t1, t2 = (float(v) for v in target.value)
     se_t1, se_t2 = (float(s) for s in (target.stderr if isinstance(target.stderr, (tuple, list))
                                        else (target.stderr, target.stderr)))
 
     prepared = prepare_realizations(cfg.score, sample_iid(cfg.dist, cfg.n, cfg.seed))
-
-    # Coarse grid, then simplex polish over (x1, log x2).
-    side = max(9, int(math.isqrt(cfg.points)))
-    x1s = np.linspace(cfg.bracket.lo, cfg.bracket.hi, side)
-    x2s = np.linspace(cfg.bracket2.lo, cfg.bracket2.hi, side)
-    grid = np.array([(x1, x2) for x1 in x1s for x2 in x2s])
-    best = grid[int(np.argmin(expected_score_curve(cfg.score, grid, prepared)))]
-
-    def obj(theta):
-        return expected_score(cfg.score, (theta[0], math.exp(theta[1])), prepared)
-
-    res = _scipy_minimize(obj, np.array([best[0], math.log(best[1])]), method="Nelder-Mead",
-                          options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    x1_star, x2_star = float(res.x[0]), float(math.exp(res.x[1]))
+    x1_star, x2_star = mv_vertex(cfg.score, prepared)
+    if not (cfg.bracket.lo <= x1_star <= cfg.bracket.hi
+            and cfg.bracket2.lo <= x2_star <= cfg.bracket2.hi):
+        raise BracketingError(f"mean-variance vertex ({x1_star:.6g}, {x2_star:.6g}) outside "
+                              f"bracket [{cfg.bracket.lo:.6g}, {cfg.bracket.hi:.6g}] x bracket2 "
+                              f"[{cfg.bracket2.lo:.6g}, {cfg.bracket2.hi:.6g}]")
 
     # The empirical pair argmin is the sample (mean, variance) of the
     # transformed draws; combine its sampling error with the target's.
@@ -455,7 +451,7 @@ def run_check(cfg: CheckConfig) -> VerificationReport:
 
 def _run_guarded(cfg: CheckConfig) -> VerificationReport:
     """Run one check; any exception becomes an error report, so one check
-    that goes wrong (a package error, or a numpy/scipy/user-callable failure)
+    that goes wrong (a package error, or a failure in a library or a user callable)
     never takes the suite down."""
     try:
         return run_check(cfg)

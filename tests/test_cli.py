@@ -274,6 +274,24 @@ class TestFitCommand:
         assert payload["theta"][0] == pytest.approx(float(y.mean()), abs=0.01)
         assert payload["theta"][1] == pytest.approx(float(y.var()), rel=0.01)
 
+    @pytest.mark.parametrize("rows", [[[5.0]], [[2.0], [2.0], [2.0]]])
+    def test_mvpair_on_zero_spread_exits_3(self, tmp_path, capsys, rows):
+        path = write_csv(tmp_path / "y.csv", rows, ["y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--model", "mvpair", "--score", "mv", "--data", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero spread" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_linear_on_constant_x_exits_3(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "xy.csv", [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]], ["y", "x"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--model", "linear", "--score", "se", "--data", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "two distinct x values" in captured.err
+
     @pytest.mark.parametrize("model, score", [
         ("constant", "mv"), ("linear", "mv"), ("mvpair", "se"), ("mvpair", "apl:tau=0.5")])
     def test_model_and_score_mismatch_is_a_usage_error(self, tmp_path, capsys, model, score):
@@ -403,13 +421,20 @@ class TestVerifyCommand:
         assert reports[0]["estimate"] is None and reports[0]["target"] is None
         assert reports[1]["pass"] and "error" not in reports[1]
 
-    @pytest.mark.parametrize("bad", ["expect=passs", "n=inf", "n=20000.7", "tol_abs=nan",
-                                     "tol_rel=-0.1", "seed=-3", "points=41.5", "bracket=2,1"])
+    @pytest.mark.parametrize("bad", [
+        "expect=passs", "n=inf", "n=20000.7", "tol_abs=nan", "tol_rel=-0.1", "seed=-3",
+        "points=41.5", "bracket=2,1",
+        # kind preconditions
+        "kind=pair bracket2=1,2", "score=mv kind=pair bracket2=0,2", "score=mv",
+        "score=mv kind=strictness", "kind=identification ident=mv",
+        "kind=revelation g=exp score=se@both:log",
+        "kind=realization g=log score=se@realization:exp", "score=mv kind=realization g=log"])
     def test_bad_suite_value_exit_2_names_line(self, tmp_path, capsys, bad):
         tokens = {"name": "c", "kind": "consistency", "dist": "normal(0,1)", "score": "se",
                   "functional": "mean", "bracket": "-2,2", "n": "20000", "points": "41"}
-        key, value = bad.split("=")
-        tokens[key] = value
+        tokens.update(token.split("=") for token in bad.split())
+        if tokens["kind"] == "identification":
+            del tokens["score"]
         suite = tmp_path / "suite.txt"
         suite.write_text("# header\n" + " ".join(f"{k}={v}" for k, v in tokens.items()) + "\n")
         out = tmp_path / "r.json"

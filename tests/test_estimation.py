@@ -95,14 +95,59 @@ class TestLinearFits:
         with pytest.raises(ParameterError):
             fit("linear", ScoreSpec("se"), y=[1.0, 2.0])
 
+    def test_constant_x_rejected_before_least_squares(self):
+        # Every line through (1, 2) is optimal: no unique fit exists.
+        with pytest.raises(ParameterError, match="two distinct x values"):
+            fit("linear", ScoreSpec("se"), x=[1.0, 1.0, 1.0], y=[1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError, match="two distinct x values"):
+            fit("linear", ScoreSpec("se"), x=[1.0, 1.0], y=[1.0, 2.0], init=(0.0, 1.0))
+
+    def test_array_init_is_a_start(self):
+        x = np.linspace(0.0, 5.0, 40)
+        res = fit("linear", ScoreSpec("se"), x=x, y=2.0 * x, init=np.array([0.5, 1.0]))
+        assert res.theta == pytest.approx((0.0, 2.0), abs=1e-7)
+
 
 class TestPairFits:
+    @staticmethod
+    def assert_sample_moments(theta, w):
+        """theta is w's (mean, var(ddof=0)) to 1e-12 of w's scale."""
+        mean, var = float(np.mean(w)), float(np.var(w, ddof=0))
+        assert abs(theta[0] - mean) <= 1e-12 * max(abs(mean), math.sqrt(var))
+        assert abs(theta[1] - var) <= 1e-12 * var
+
     def test_recovers_sample_moments(self):
         rng = np.random.default_rng(6)
         y = rng.normal(2.0, 3.0, 2000)
         res = fit("constant_pair", ScoreSpec("mv"), y=y)
-        assert res.theta[0] == pytest.approx(float(np.mean(y)), abs=1e-6)
-        assert res.theta[1] == pytest.approx(float(np.var(y, ddof=0)), rel=1e-3)
+        self.assert_sample_moments(res.theta, y)
+        assert res.converged and res.iterations == 9
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.normal(1e3, 1e-2, 5000),  # far from zero, small spread
+        lambda rng: rng.normal(-5.0, 1e3, 5000),
+        lambda rng: rng.lognormal(0.0, 1.0, 5000),
+        lambda rng: np.array([1.0, 2.0, 4.0]),
+        lambda rng: np.append(np.zeros(5000), 1e6),  # one far outlier
+    ])
+    @pytest.mark.parametrize("mode", ["none", "realization:log"])
+    def test_vertex_is_the_sample_moments(self, draw, mode):
+        y = draw(np.random.default_rng(61))
+        if mode != "none":
+            y = np.abs(y) + 1e-3
+        spec = ScoreSpec("mv") if mode == "none" else \
+            ScoreSpec("mv", transform=TransformMode.realization_only(catalog("log")))
+        res = fit("constant_pair", spec, y=y)
+        self.assert_sample_moments(res.theta, spec.transform.realization(y))
+
+    @pytest.mark.parametrize("y", [[5.0], [2.0, 2.0, 2.0], [-0.5] * 1000])
+    def test_zero_spread_has_no_minimum(self, y):
+        with pytest.raises(ParameterError, match="zero spread"):
+            fit("constant_pair", ScoreSpec("mv"), y=y)
+
+    def test_takes_no_init(self):
+        with pytest.raises(ParameterError, match="linear model only"):
+            fit("constant_pair", ScoreSpec("mv"), y=[1.0, 2.0], init=(1.5, 0.25))
 
     def test_recovers_sample_moments_of_transformed_data(self):
         y = np.random.default_rng(14).lognormal(0.5, 0.8, 3000)

@@ -7,7 +7,8 @@ from elicit import (Bracket, CheckConfig, Empirical, Exponential, Lognormal,
                     Normal, ParameterError, Uniform, builtin_suite, catalog,
                     check_consistency, check_identification, check_pair_consistency,
                     check_realization_transform, check_revelation, check_strictness,
-                    derive_seed, mc_expectation, run_check, run_suite, suite_passed)
+                    derive_seed, mc_expectation, run_check, run_suite, sample_iid,
+                    suite_passed)
 from elicit.specs import parse_functional, parse_ident, parse_score
 from elicit.verify import load_suite_file
 
@@ -185,11 +186,24 @@ class TestPairConsistency:
         assert rpt.estimate[1] == pytest.approx(1.0 / 12.0, rel=0.05)
 
     def test_log_transform_on_lognormal(self):
-        rpt = check_pair_consistency(cfg(
-            kind="pair", score="mv@realization:log", dist=Lognormal(0.5, 2.0),
-            functional="mvpair:g=log", bracket=(-0.5, 1.5), bracket2=(1.0, 8.0),
-            tol_rel=0.05))
+        c = cfg(kind="pair", score="mv@realization:log", dist=Lognormal(0.5, 2.0),
+                functional="mvpair:g=log", bracket=(-0.5, 1.5), bracket2=(1.0, 8.0),
+                tol_rel=0.05)
+        rpt = check_pair_consistency(c)
         assert rpt.passed
+        # The argmin is the vertex: the prepared draws' mean and var(ddof=0).
+        w = np.log(sample_iid(c.dist, c.n, c.seed))
+        mean, var = float(np.mean(w)), float(np.var(w, ddof=0))
+        assert abs(rpt.estimate[0] - mean) <= 1e-12 * max(abs(mean), math.sqrt(var))
+        assert abs(rpt.estimate[1] - var) <= 1e-12 * var
+
+    @pytest.mark.parametrize("bracket, bracket2", [((2.5, 3.5), (4.0, 16.0)),
+                                                    ((0.5, 3.5), (10.0, 16.0))])
+    def test_box_excluding_vertex_is_a_bracketing_error(self, bracket, bracket2):
+        c = cfg(kind="pair", score="mv", dist=Normal(2.0, 3.0), functional="mvpair",
+                bracket=bracket, bracket2=bracket2)
+        (rpt,) = run_suite([c])
+        assert rpt.error["type"] == "BracketingError" and "bracket" in rpt.notes
 
 
 class TestRunSuite:
@@ -261,12 +275,24 @@ class TestConfigValidation:
             cfg(score="se", n=100)
 
     def test_kind_requirements(self):
-        with pytest.raises(ParameterError):
-            cfg(kind="identification")  # no ident
-        with pytest.raises(ParameterError):
-            cfg(kind="pair", score="mv")  # no bracket2
-        with pytest.raises(ParameterError):
-            cfg(kind="revelation", score="se")  # no g
+        # Each kind's preconditions fail when the config is built, not when it runs.
+        for kw, message in [
+            (dict(kind="identification"), "ident spec"),
+            (dict(kind="pair", score="mv"), "bracket2"),
+            (dict(kind="revelation", score="se"), "transformation g"),
+            (dict(kind="pair", score="se", bracket2=(1.0, 2.0)), "mean-variance score"),
+            (dict(kind="pair", score="mv", bracket2=(0.0, 2.0)), "must be positive"),
+            (dict(kind="consistency", score="mv"), "pairs"),
+            (dict(kind="strictness", score="mv"), "pairs"),
+            (dict(kind="realization", score="mv", g=catalog("log")), "pairs"),
+            (dict(kind="identification", ident="mv"), "kind=pair"),
+            (dict(kind="revelation", score="se@both:log", g=catalog("exp")), "untransformed"),
+            (dict(kind="realization", score="se@realization:log", g=catalog("exp")),
+             "untransformed"),
+            (dict(kind="revelation", score="se", g=np.exp), "invertible Bijection"),
+        ]:
+            with pytest.raises(ParameterError, match=message):
+                cfg(**kw)
 
 
 class TestBuiltinSuites:
