@@ -26,7 +26,10 @@ from .errors import DataError, ElicitError, EvaluationError, SpecParseError
 from .estimation import fit
 from .evaluation import climatology_predictions, score_climatology, skill_score
 from .distributions import sample_iid
-from .scoring import average_score, expected_score_stats, prepare_realizations
+from .functionals import KINDS
+from .identification import IDENT_FAMILIES
+from .scoring import (FAMILIES, average_score, expected_score_stats, family_options,
+                      prepare_realizations)
 from .transforms import CATALOG_ROWS, catalog, identity
 from .verify import as_expected, builtin_suite, load_suite_file, run_suite, suite_passed
 
@@ -139,6 +142,18 @@ def _emit(payload, out_path):
         print(text)
 
 
+def _encoding(family: str, table: dict, modes: bool) -> str:
+    """The text form of ``family`` of ``table``: each option set to its initial
+    in capitals, in brackets when optional, then the transform mode."""
+    out = family
+    for option, required in family_options(table, family).items():
+        part = f":{option}={option[0].upper()}"
+        out += part if required else f"[{part}]"
+    if modes:  # mean-variance predictions are pairs: only realizations transform
+        out += "[@realization:g]" if family == "mv" else "[@mode:g]"
+    return out
+
+
 def _cmd_catalog(args) -> int:
     family = args.family
     sections = {}
@@ -156,39 +171,11 @@ def _cmd_catalog(args) -> int:
             for name, params, constraint, functional in CATALOG_ROWS
             for bij in (catalog(name, params),)
         ]
-    if family in (None, "scores"):
-        sections["scores"] = [
-            {"name": fam, "encoding": enc} for fam, enc in (
-                ("se", "se[@mode:g]"),
-                ("ae", "ae[@mode:g]"),
-                ("apl", "apl:tau=T[@mode:g]"),
-                ("gpl", "gpl:tau=T:g=G[@mode:g]"),
-                ("expectile", "expectile:tau=T:phi=P[@mode:g]"),
-                ("bregman", "bregman:phi=P[@mode:g]"),
-                ("mv", "mv[@realization:g]"),
-            )
-        ]
-    if family in (None, "idents"):
-        sections["idents"] = [
-            {"name": fam, "encoding": enc} for fam, enc in (
-                ("mean", "mean[@mode:g]"),
-                ("quantile", "quantile:tau=T[@mode:g]"),
-                ("expectile", "expectile:tau=T[@mode:g]"),
-                ("mv", "mv[@realization:g]"),
-            )
-        ]
-    if family in (None, "functionals"):
-        sections["functionals"] = [
-            {"name": fam, "encoding": enc} for fam, enc in (
-                ("mean", "mean"),
-                ("quantile", "quantile:tau=T"),
-                ("expectile", "expectile:tau=T"),
-                ("gmean", "gmean:g=G"),
-                ("gexpectile", "gexpectile:tau=T:g=G"),
-                ("mvpair", "mvpair[:g=G]"),
-            )
-        ]
-
+    for section, table, modes in (("scores", FAMILIES, True), ("idents", IDENT_FAMILIES, True),
+                                  ("functionals", KINDS, False)):
+        if family in (None, section):
+            sections[section] = [{"name": fam, "encoding": _encoding(fam, table, modes)}
+                                 for fam in table]
     if args.format == "json":
         payload = sections[family] if family else sections
         _emit(payload, args.out)

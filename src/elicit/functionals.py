@@ -28,9 +28,12 @@ from .errors import DomainError, EvaluationError, ParameterError
 from .identification import IdentSpec, expected_ident_curve, prepare_ident_realizations
 from .intervals import Interval
 from .numerics import Bracket, Seed, mean_stderr, root1d
+from .scoring import check_options
 from .transforms import Bijection
 
-KINDS = ("mean", "quantile", "expectile", "gmean", "gexpectile", "mvpair")
+# The options each kind takes, written as in scoring.FAMILIES; g is the transformation.
+KINDS = {"mean": "", "quantile": "tau", "expectile": "tau", "gmean": "g",
+         "gexpectile": "tau g", "mvpair": "g?"}
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,7 @@ class FunctionalSpec:
     g: Bijection | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown functional kind {self.kind!r}")
-        if self.kind in ("quantile", "expectile", "gexpectile"):
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ParameterError(f"{self.kind} requires tau in (0, 1), got {self.tau}")
-        if self.kind in ("gmean", "gexpectile") and self.g is None:
-            raise ParameterError(f"{self.kind} requires a transformation g")
+        check_options("functional kind", KINDS, self.kind, tau=self.tau, g=self.g)
         if self.g is not None and self.g.inverse is None:
             raise ParameterError(f"{self.kind} requires an invertible transformation")
 

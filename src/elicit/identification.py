@@ -23,12 +23,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
-from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, evaluate_score,
-                      sorted_stats)
+from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, check_options,
+                      evaluate_score, sorted_stats)
 from .sweep import per_row, piece
 from .transforms import Bijection
 
-IDENT_FAMILIES = ("mean", "quantile", "expectile", "mv")
+# The options each family takes, written as in scoring.FAMILIES.
+IDENT_FAMILIES = {"mean": "", "quantile": "tau", "expectile": "tau", "mv": ""}
 
 # Prediction values closer to y than this (relative) sit in the subgradient
 # ambiguity zone of indicator/absolute families and are rejected by
@@ -45,11 +46,7 @@ class IdentSpec:
     transform: TransformMode = field(default_factory=TransformMode.none)
 
     def __post_init__(self):
-        if self.family not in IDENT_FAMILIES:
-            raise ParameterError(f"unknown identification family {self.family!r}")
-        if self.family in ("quantile", "expectile"):
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ParameterError(f"{self.family} requires tau in (0, 1), got {self.tau}")
+        check_options("identification family", IDENT_FAMILIES, self.family, tau=self.tau)
         if self.family == "mv" and self.transform.mode in ("prediction", "both"):
             raise ParameterError(
                 "mean-variance identification admits only 'none' or 'realization' transforms")

@@ -25,9 +25,34 @@ from .errors import DomainError, EvaluationError, ParameterError
 from .sweep import Piecewise, SortedStats, per_row, piece
 from .transforms import Bijection
 
-FAMILIES = ("se", "ae", "gpl", "apl", "expectile", "bregman", "mv")
+# The options each family takes, "?" marking an optional one: tau a level in
+# (0, 1), g the inner transformation g_in, phi the convex generator.
+FAMILIES = {"se": "", "ae": "", "apl": "tau", "gpl": "tau g", "expectile": "tau phi?",
+            "bregman": "phi?", "mv": ""}
 MODES = ("none", "realization", "prediction", "both")
 MV_VERTEX_POINTS = 8  # swept points :func:`mv_vertex` evaluates: two rounds of four
+
+
+def family_options(table: dict, family: str) -> dict:
+    """The options ``family`` takes in ``table``, each mapped to whether it is required."""
+    return {opt.rstrip("?"): not opt.endswith("?") for opt in table[family].split()}
+
+
+def check_options(what: str, table: dict, family: str, **values) -> None:
+    """Reject a ``family`` that ``table`` lacks, a required option that is
+    None in ``values``, an option that is set but the family does not take,
+    and tau outside (0, 1). ``values`` holds every option of the spec."""
+    if family not in table:
+        raise ParameterError(f"unknown {what} {family!r}")
+    takes = family_options(table, family)
+    for name, value in values.items():
+        if value is not None and name not in takes:
+            raise ParameterError(f"{family} takes no {name}")
+        if value is None and takes.get(name) and name != "tau":
+            raise ParameterError(f"{family} requires {name}")
+    tau = values.get("tau")
+    if tau is None and takes.get("tau") or tau is not None and not 0.0 < tau < 1.0:
+        raise ParameterError(f"{family} requires tau in (0, 1), got {tau}")
 
 
 @dataclass(frozen=True)
@@ -144,16 +169,10 @@ class ScoreSpec:
     transform: TransformMode = field(default_factory=TransformMode.none)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown score family {self.family!r}")
-        if self.family in ("gpl", "apl", "expectile"):
-            if self.tau is None or not 0.0 < self.tau < 1.0:
-                raise ParameterError(f"{self.family} requires tau in (0, 1), got {self.tau}")
-        if self.family == "gpl":
-            if self.g_inner is None:
-                raise ParameterError("gpl requires an inner transformation g_inner")
-            if not self.g_inner.increasing:
-                raise ParameterError("gpl requires a nondecreasing g_inner")
+        check_options("score family", FAMILIES, self.family,
+                      tau=self.tau, phi=self.phi, g=self.g_inner)
+        if self.family == "gpl" and not self.g_inner.increasing:
+            raise ParameterError("gpl requires a nondecreasing g_inner")
         if self.family in ("expectile", "bregman") and self.phi is None:
             object.__setattr__(self, "phi", SQUARE)
         if self.family == "mv" and self.transform.mode in ("prediction", "both"):
@@ -169,8 +188,8 @@ class PreparedRealizations:
     identification functions share this object.
 
     ``y`` holds the effective realizations w in draw order; ``column`` the
-    family's extra basis column, phi(w) for expectile/bregman and g_in(w) for
-    gpl, else None; ``sweep`` the sorted statistics of :func:`sorted_stats`.
+    family's extra basis column, phi(w) for a phi other than the square and
+    g_in(w) for gpl, else None; ``sweep`` the sorted statistics of :func:`sorted_stats`.
     """
 
     __slots__ = ("y", "column", "sweep")
@@ -182,12 +201,12 @@ class PreparedRealizations:
 
 
 def _basis(spec: ScoreSpec):
-    """The family's basis for :func:`sorted_stats`."""
+    """The family's basis for :func:`sorted_stats`; a square phi takes se's."""
     if spec.family == "gpl":
         return spec.g_inner
-    if spec.family in ("expectile", "bregman"):
+    if spec.phi is not None and spec.phi is not SQUARE:
         return spec.phi
-    return "quad" if spec.family in ("se", "mv") else "lin"
+    return "quad" if spec.family in ("se", "mv", "expectile", "bregman") else "lin"
 
 
 def prepare_realizations(spec: ScoreSpec, y) -> PreparedRealizations:
@@ -262,14 +281,17 @@ def _coefficients(spec: ScoreSpec, u, centre):
         x1, x2 = _mv_pair(u)
         v, q = x1 - centre[0], x2 * x2
         return ((v * v - 2.0 * x2) / q, lambda: (-2.0 * v / q, 1.0 / q)), 1.0, 1.0
-    if fam == "se":  # (u - w)^2
-        v = u - centre[0]
-        return (v * v, lambda: (-2.0 * v, 1.0)), 1.0, 1.0
-    if fam in ("expectile", "bregman"):  # Bregman gap phi(w) - phi(u) + phi'(u)(u - w)
-        c, cp = centre
-        slope = spec.phi.dphi(u)
-        gap = (cp - spec.phi.phi(u) + slope * (u - c), lambda: (-slope, 1.0))
-        return (gap, 0.5, 0.5) if fam == "bregman" else (gap, 1.0 - spec.tau, spec.tau)
+    if fam in ("se", "expectile", "bregman"):
+        if spec.phi is None or spec.phi is SQUARE:  # (u - w)^2, also the gap of phi = t^2
+            v = u - centre[0]
+            gap = (v * v, lambda: (-2.0 * v, 1.0))
+        else:  # Bregman gap phi(w) - phi(u) + phi'(u)(u - w)
+            c, cp = centre
+            slope = spec.phi.dphi(u)
+            gap = (cp - spec.phi.phi(u) + slope * (u - c), lambda: (-slope, 1.0))
+        if fam == "expectile":
+            return gap, 1.0 - spec.tau, spec.tau
+        return (gap, 1.0, 1.0) if fam == "se" else (gap, 0.5, 0.5)
     # (1{u >= w} - tau)(h(u) - h(w)), h = g_in for gpl, the identity otherwise
     h = spec.g_inner.apply(u) if fam == "gpl" else u
     lin = (h - centre[0], lambda: (-1.0,))

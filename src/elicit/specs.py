@@ -13,10 +13,10 @@ import dataclasses
 import shlex
 
 from .errors import ParameterError, SpecParseError
-from .functionals import FunctionalSpec
-from .identification import IdentSpec
+from .functionals import KINDS, FunctionalSpec
+from .identification import IDENT_FAMILIES, IdentSpec
 from .numerics import Bracket
-from .scoring import ScoreSpec, TransformMode, convex_generator
+from .scoring import FAMILIES, ScoreSpec, TransformMode, convex_generator, family_options
 from .transforms import Bijection, catalog, format_number
 from . import distributions as dist_mod
 
@@ -63,17 +63,10 @@ def _split_mode(text: str):
     if ":" not in mode_part:
         raise SpecParseError(f"transform mode needs 'mode:transform', got {mode_part!r}")
     mode_name, g_text = mode_part.split(":", 1)
-    g = parse_bijection(g_text)
     try:
-        if mode_name == "both":
-            return head, TransformMode.both(g)
-        if mode_name == "prediction":
-            return head, TransformMode.prediction_only(g)
-        if mode_name == "realization":
-            return head, TransformMode.realization_only(g)
-    except Exception as exc:
+        return head, TransformMode(mode_name, parse_bijection(g_text))
+    except ParameterError as exc:
         raise SpecParseError(f"bad transform mode {mode_part!r}: {exc}") from exc
-    raise SpecParseError(f"unknown transform mode {mode_name!r}")
 
 
 def _split_params(head: str):
@@ -82,91 +75,70 @@ def _split_params(head: str):
     for part in parts[1:]:
         if "=" not in part:
             raise SpecParseError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key, value = (t.strip() for t in part.split("=", 1))
+        if key in kv:
+            raise SpecParseError(f"repeated option {key!r}")
+        kv[key] = value
     return family.strip(), kv
 
 
-def _pop_tau(kv, text):
-    if "tau" not in kv:
-        return None
+# How each family option is read from its text and written back.
+_OPTIONS = {"tau": (float, format_number),
+            "phi": (convex_generator, lambda phi: phi.name),
+            "g": (parse_bijection, format_bijection)}
+
+
+def _parse(text: str, what: str, table: dict, build, modes: bool = True):
+    """``build(family, mode, **options)`` from ``text``, each option converted
+    here; an option that no family of ``table`` takes is unknown."""
+    head, mode = _split_mode(text.strip())
+    if not modes and mode.mode != "none":
+        raise SpecParseError(f"{what}s take no transform mode: {text!r}")
+    family, kv = _split_params(head)
+    unknown = sorted(set(kv) - {opt for fam in table for opt in family_options(table, fam)})
+    if unknown:
+        raise SpecParseError(f"unknown {what} options {unknown} in {text!r}")
     try:
-        return float(kv.pop("tau"))
-    except ValueError as exc:
-        raise SpecParseError(f"bad tau in {text!r}") from exc
+        return build(family, mode, **{k: _OPTIONS[k][0](v) for k, v in kv.items()})
+    except ValueError as exc:  # ParameterError, SpecParseError, float()'s
+        raise SpecParseError(f"bad {what} spec {text!r}: {exc}") from exc
+
+
+def _format(family: str, table: dict, values: dict, mode=None) -> str:
+    """``family``, each option of its ``table`` entry set in ``values``, and ``mode``."""
+    out = ":".join([family] + [f"{k}={_OPTIONS[k][1](values[k])}"
+                               for k in family_options(table, family) if values[k] is not None])
+    if mode is not None and mode.mode != "none":
+        out += f"@{mode.mode}:{format_bijection(mode.g)}"
+    return out
 
 
 def parse_score(text: str) -> ScoreSpec:
-    head, mode = _split_mode(text.strip())
-    family, kv = _split_params(head)
-    tau = _pop_tau(kv, text)
-    phi = convex_generator(kv.pop("phi")) if "phi" in kv else None
-    g_inner = parse_bijection(kv.pop("g")) if "g" in kv else None
-    if kv:
-        raise SpecParseError(f"unknown score options {sorted(kv)} in {text!r}")
-    try:
-        return ScoreSpec(family, tau=tau, phi=phi, g_inner=g_inner, transform=mode)
-    except Exception as exc:
-        raise SpecParseError(f"bad score spec {text!r}: {exc}") from exc
+    return _parse(text, "score", FAMILIES, lambda family, mode, g=None, **kw: ScoreSpec(
+        family, g_inner=g, transform=mode, **kw))
 
 
 def format_score(spec: ScoreSpec) -> str:
-    parts = [spec.family]
-    if spec.tau is not None:
-        parts.append(f"tau={format_number(spec.tau)}")
-    if spec.family in ("expectile", "bregman") and spec.phi is not None:
-        parts.append(f"phi={spec.phi.name}")
-    if spec.g_inner is not None:
-        parts.append(f"g={format_bijection(spec.g_inner)}")
-    out = ":".join(parts)
-    if spec.transform.mode != "none":
-        out += f"@{spec.transform.mode}:{format_bijection(spec.transform.g)}"
-    return out
+    return _format(spec.family, FAMILIES, dict(tau=spec.tau, phi=spec.phi, g=spec.g_inner),
+                   spec.transform)
 
 
 def parse_ident(text: str) -> IdentSpec:
-    head, mode = _split_mode(text.strip())
-    family, kv = _split_params(head)
-    tau = _pop_tau(kv, text)
-    if kv:
-        raise SpecParseError(f"unknown identification options {sorted(kv)} in {text!r}")
-    try:
-        return IdentSpec(family, tau=tau, transform=mode)
-    except Exception as exc:
-        raise SpecParseError(f"bad identification spec {text!r}: {exc}") from exc
+    return _parse(text, "identification", IDENT_FAMILIES,
+                  lambda family, mode, **kw: IdentSpec(family, transform=mode, **kw))
 
 
 def format_ident(spec: IdentSpec) -> str:
-    out = spec.family
-    if spec.tau is not None:
-        out += f":tau={format_number(spec.tau)}"
-    if spec.transform.mode != "none":
-        out += f"@{spec.transform.mode}:{format_bijection(spec.transform.g)}"
-    return out
+    return _format(spec.family, IDENT_FAMILIES, dict(tau=spec.tau), spec.transform)
 
 
 def parse_functional(text: str) -> FunctionalSpec:
-    head, mode = _split_mode(text.strip())
-    if mode.mode != "none":
-        raise SpecParseError(f"functionals take no transform mode: {text!r}")
-    kind, kv = _split_params(head)
-    tau = _pop_tau(kv, text)
-    g = parse_bijection(kv.pop("g")) if "g" in kv else None
-    if kv:
-        raise SpecParseError(f"unknown functional options {sorted(kv)} in {text!r}")
-    try:
-        return FunctionalSpec(kind, tau=tau, g=g)
-    except Exception as exc:
-        raise SpecParseError(f"bad functional spec {text!r}: {exc}") from exc
+    return _parse(text, "functional", KINDS, lambda kind, mode, **kw: FunctionalSpec(kind, **kw),
+                  modes=False)
 
 
 def format_functional(spec: FunctionalSpec) -> str:
-    parts = [spec.kind]
-    if spec.tau is not None:
-        parts.append(f"tau={format_number(spec.tau)}")
-    if spec.g is not None:
-        parts.append(f"g={format_bijection(spec.g)}")
-    return ":".join(parts)
+    return _format(spec.kind, KINDS, dict(tau=spec.tau, g=spec.g))
 
 
 _DISTS = {"normal": dist_mod.Normal, "lognormal": dist_mod.Lognormal,

@@ -50,8 +50,9 @@ from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional
                     parse_score, parse_suite_line)
 from .transforms import Bijection
 
-CHECK_KINDS = ("consistency", "strictness", "identification", "pair",
-               "revelation", "realization")
+# Each kind, and the optional CheckConfig fields it reads; another is an error.
+CHECK_KINDS = {"consistency": "score", "strictness": "score", "identification": "ident",
+               "pair": "score bracket2", "revelation": "score g", "realization": "score g"}
 
 MIN_N = 10**4
 
@@ -120,6 +121,9 @@ class CheckConfig:
         if self.kind == "revelation" and (not isinstance(self.g, Bijection)
                                           or self.g.inverse is None):
             raise ParameterError("revelation check requires an invertible Bijection")
+        for name in ("score", "ident", "bracket2", "g"):
+            if getattr(self, name) is not None and name not in CHECK_KINDS[self.kind].split():
+                raise ParameterError(f"{self.kind} check takes no {name}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ Scores:
 * ``gpl``       (1{z >= y} - tau)(g_in(z) - g_in(y))
 * ``expectile`` |1{z >= y} - tau| (phi(y) - phi(z) + phi'(z)(z - y))
 * ``bregman``   (1/2)(phi(y) - phi(z) + phi'(z)(z - y))
+
+where the Bregman gap of the square phi(t) = t^2 is (z - y)^2.
 * ``mv``        x2^-2 (x1^2 - 2 x2 - 2 x1 y + y^2), z = (x1, x2)
 
 Identification functions:
@@ -47,7 +49,11 @@ def score(spec, z, y):
         return (ind - spec.tau) * np.subtract(z, y)
     if fam == "gpl":
         return (ind - spec.tau) * np.subtract(spec.g_inner.apply(z), spec.g_inner.apply(y))
-    gap = spec.phi.phi(y) - spec.phi.phi(z) + spec.phi.dphi(z) * np.subtract(z, y)
+    if spec.phi.name == "square":  # y^2 - z^2 + 2z(z - y) = (z - y)^2
+        d = np.subtract(z, y)
+        gap = d * d
+    else:
+        gap = spec.phi.phi(y) - spec.phi.phi(z) + spec.phi.dphi(z) * np.subtract(z, y)
     return 0.5 * gap if fam == "bregman" else np.abs(ind - spec.tau) * gap
 
 

@@ -170,6 +170,16 @@ class TestScoreCommand:
         path = zy_file([1.0], [1.0])
         assert main(["score", "--score", "nope", "--data", path]) == 2
 
+    @pytest.mark.parametrize("score, message", [
+        ("expectile:tau=0.3:g=log", "expectile takes no g"), ("se:tau=0.3", "se takes no tau"),
+        ("expectile:tau=0.5:phi=wat", "unknown convex generator 'wat'"),
+        ("gpl:tau=0.5", "gpl requires g"), ("bregman:tau=0.5", "bregman takes no tau")])
+    def test_option_the_family_does_not_take_exits_2(self, zy_file, capsys, score, message):
+        path = zy_file([1.0, 2.0], [2.0, 2.0])
+        assert main(["score", "--score", score, "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     def test_mv_needs_x2_column(self, tmp_path, capsys):
         path = write_csv(tmp_path / "mv.csv", [[0.0, 0.0, 1.0]], ["y", "z", "x2"])
         assert main(["score", "--score", "mv", "--data", path]) == 0
@@ -428,12 +438,19 @@ class TestVerifyCommand:
         "kind=pair bracket2=1,2", "score=mv kind=pair bracket2=0,2", "score=mv",
         "score=mv kind=strictness", "kind=identification ident=mv",
         "kind=revelation g=exp score=se@both:log",
-        "kind=realization g=log score=se@realization:exp", "score=mv kind=realization g=log"])
+        "kind=realization g=log score=se@realization:exp", "score=mv kind=realization g=log",
+        # keys the kind does not take
+        "g=exp", "kind=strictness g=exp", "bracket2=1,2", "kind=realization g=log bracket2=1,2",
+        "ident=mean", "kind=identification ident=mean score=ae",
+        "kind=identification ident=mean bracket2=1,2",
+        # options the family or kind does not take
+        "functional=mean:g=log", "functional=quantile:tau=0.5:phi=square", "score=se:tau=0.3",
+        "score=expectile:tau=0.3:g=log", "kind=identification ident=mean:tau=0.5"])
     def test_bad_suite_value_exit_2_names_line(self, tmp_path, capsys, bad):
         tokens = {"name": "c", "kind": "consistency", "dist": "normal(0,1)", "score": "se",
                   "functional": "mean", "bracket": "-2,2", "n": "20000", "points": "41"}
-        tokens.update(token.split("=") for token in bad.split())
-        if tokens["kind"] == "identification":
+        tokens.update(token.split("=", 1) for token in bad.split())
+        if tokens["kind"] == "identification" and "score=" not in bad:
             del tokens["score"]
         suite = tmp_path / "suite.txt"
         suite.write_text("# header\n" + " ".join(f"{k}={v}" for k, v in tokens.items()) + "\n")

@@ -242,6 +242,10 @@ def test_spec_validation():
         FunctionalSpec("gmean")
     with pytest.raises(ParameterError):
         FunctionalSpec("risk")
+    with pytest.raises(ParameterError, match="mean takes no g"):
+        FunctionalSpec("mean", g=catalog("log"))
+    with pytest.raises(ParameterError, match="gexpectile requires g"):
+        FunctionalSpec("gexpectile", tau=0.3)
 
 
 def test_scalar_value_rules():

@@ -37,6 +37,8 @@ class TestEvaluate:
     def test_tau_validation(self):
         with pytest.raises(ParameterError):
             IdentSpec("quantile", tau=1.5)
+        with pytest.raises(ParameterError, match="mean takes no tau"):
+            IdentSpec("mean", tau=0.3)
 
 
 class TestInvariances:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elicit import (Bijection, ConvexGenerator, DomainError, EvaluationError, Interval,
+from elicit import (SQUARE, Bijection, ConvexGenerator, DomainError, EvaluationError, Interval,
                     ParameterError, ScoreSpec, TransformMode, average_score,
                     catalog, convex_generator, evaluate_score, homogeneity_probe,
                     register_convex_generator)
@@ -88,6 +88,14 @@ class TestSpecValidation:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             ScoreSpec("crps")
+
+    def test_options_the_family_does_not_take(self):
+        with pytest.raises(ParameterError, match="se takes no tau"):
+            ScoreSpec("se", tau=0.3)
+        with pytest.raises(ParameterError, match="apl takes no phi"):
+            ScoreSpec("apl", tau=0.3, phi=SQUARE)
+        with pytest.raises(ParameterError, match="expectile takes no g"):
+            ScoreSpec("expectile", tau=0.3, g_inner=catalog("log"))
 
     def test_prediction_mode_needs_bijection(self):
         with pytest.raises(ParameterError):

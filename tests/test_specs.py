@@ -1,8 +1,16 @@
+import itertools
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from elicit import (Bracket, Empirical, Exponential, FunctionalSpec, IdentSpec, Lognormal,
                     Normal, ScoreSpec, SpecParseError, TransformMode, Uniform, catalog)
+from elicit.cli import main
+from elicit.functionals import KINDS
+from elicit.identification import IDENT_FAMILIES
+from elicit.scoring import FAMILIES
 from elicit.specs import (format_dist, format_functional, format_ident,
                           format_score, parse_bijection, parse_bracket, parse_dist,
                           parse_functional, parse_ident, parse_score,
@@ -35,7 +43,7 @@ class TestScoreSpecs:
 
     @pytest.mark.parametrize("bad", [
         "nope", "se@sideways:log", "se@both", "gpl:tau=0.5",
-        "apl:tau=2", "apl:tau=x", "se:bogus=1", "gpl:tau=0.5:g=wat",
+        "apl:tau=2", "apl:tau=x", "se:bogus=1", "gpl:tau=0.5:g=wat", "apl:tau=0.3:tau=0.9",
     ])
     def test_rejects(self, bad):
         with pytest.raises(SpecParseError):
@@ -202,3 +210,67 @@ def test_dist_text_roundtrips(dist):
 @given(st.tuples(finite, finite).filter(lambda p: p[0] < p[1]))
 def test_bracket_text_roundtrips(ends):
     assert parse_bracket(",".join(map(format_number, ends))) == Bracket(*ends)
+
+
+# The options of each family, written out from the paper's definitions
+# independently of the package's tables: (required, optional).
+TAKES = {
+    "score": {"se": ("", ""), "ae": ("", ""), "apl": ("tau", ""), "gpl": ("tau g", ""),
+              "expectile": ("tau", "phi"), "bregman": ("", "phi"), "mv": ("", "")},
+    "identification": {"mean": ("", ""), "quantile": ("tau", ""), "expectile": ("tau", ""),
+                       "mv": ("", "")},
+    "functional": {"mean": ("", ""), "quantile": ("tau", ""), "expectile": ("tau", ""),
+                   "gmean": ("g", ""), "gexpectile": ("tau g", ""), "mvpair": ("", "g")},
+}
+TEXT = {"score": (parse_score, format_score), "identification": (parse_ident, format_ident),
+        "functional": (parse_functional, format_functional)}
+VALUES = {"g": st.sampled_from(["log", "exp", "power(0.5)", "box-cox(0.25)"]),
+          "phi": st.just("square"), "tau": levels.map(format_number)}
+
+
+def test_tables_list_the_families():
+    assert [list(t) for t in (FAMILIES, IDENT_FAMILIES, KINDS)] == \
+        [list(TAKES[k]) for k in ("score", "identification", "functional")]
+
+
+@pytest.mark.parametrize("kind, family", [(k, f) for k in TAKES for f in TAKES[k]])
+@given(options=st.permutations(["tau", "g", "phi"]).flatmap(  # a subset, in any order
+           lambda names: st.integers(0, 3).map(lambda k: names[:k])), data=st.data())
+def test_a_spec_parses_iff_its_family_takes_its_options(kind, family, options, data):
+    """Any subset of {tau, g, phi}, in any order, parses exactly when it holds
+    every option the family requires and no other it does not take; the text
+    printed back parses to the same spec."""
+    parse, fmt = TEXT[kind]
+    required, optional = (set(s.split()) for s in TAKES[kind][family])
+    text = ":".join([family] + [f"{o}={data.draw(VALUES[o])}" for o in options])
+    if required <= set(options) <= required | optional:
+        spec = parse(text)
+        assert parse(fmt(spec)) == spec
+    else:
+        with pytest.raises(SpecParseError):
+            parse(text)
+
+
+def _expansions(encoding: str):
+    """Each text the encoding stands for: every optional [part] kept and
+    dropped, T -> 0.5, G -> log, P -> square and a mode placeholder -> both."""
+    parts = re.split(r"(\[[^]]*\])", encoding)
+    optional = [i for i, p in enumerate(parts) if p.startswith("[")]
+    for keep in itertools.product((True, False), repeat=len(optional)):
+        kept = dict(zip(optional, keep))
+        text = "".join(p.strip("[]") for i, p in enumerate(parts) if kept.get(i, True))
+        text = re.sub(r"=T\b", "=0.5", re.sub(r"=G\b", "=log", re.sub(r"=P\b", "=square", text)))
+        yield re.sub(r"@(\w+):g$", r"@\1:log", text).replace("@mode:", "@both:")
+
+
+def test_every_catalog_encoding_parses(capsys):
+    assert main(["catalog", "--format", "json"]) == 0
+    catalog_json = json.loads(capsys.readouterr().out)
+    parsers = {"scores": parse_score, "idents": parse_ident, "functionals": parse_functional}
+    for section, parse in parsers.items():
+        for row in catalog_json[section]:
+            texts = list(_expansions(row["encoding"]))
+            assert len(texts) == 2 ** row["encoding"].count("[")
+            for text in texts:
+                assert text.split(":")[0].split("@")[0] == row["name"]
+                parse(text)

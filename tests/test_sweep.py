@@ -104,6 +104,27 @@ def test_ident_rows_equal_the_oracle_bit_for_bit(text, data, seed):
     _assert_identical(evaluate_identification(spec, z, y), oracle.ident(spec, z, y))
 
 
+@pytest.mark.parametrize("text", ["bregman", "expectile:tau=0.3"])
+@pytest.mark.parametrize("m", [1e4, 1e6, 1e8])
+def test_square_phi_scores_are_exact_at_any_location(text, m):
+    """The square phi's Bregman gap is (z - y)^2 at every location: its terms
+    phi(y) and phi(z) are of size m^2, and their difference would cancel."""
+    spec = parse_score(text)
+    tau = 0.5 if spec.tau is None else spec.tau
+    y = np.random.default_rng(5).normal(m, 1.0, 20000)
+    zs = m + np.linspace(-1.0, 1.0, 41)
+    exact = np.where(zs[:, None] >= y, 1.0 - tau, tau) * np.square(zs[:, None] - y)
+    prepared = prepare_realizations(spec, y)
+    want = exact.mean(axis=1)
+    assert np.all(np.abs(expected_score_curve(spec, zs, prepared) - want) <= REL * want)
+    for z, rows in zip(zs[::10], exact[::10]):
+        assert np.all(np.abs(score_values(spec, z, prepared) - rows) <= 1e-12 * rows)
+    z = y + np.random.default_rng(6).normal(0.0, 0.1, y.size)
+    rows = np.where(z >= y, 1.0 - tau, tau) * np.square(z - y)
+    assert np.all(np.abs(evaluate_score(spec, z, y) - rows) <= 1e-12 * rows)
+    assert abs(average_score(spec, z, y) - rows.mean()) <= 1e-12 * rows.mean()
+
+
 @pytest.mark.parametrize("mode", ["", "@realization:log"])
 @given(data=draws_and_predictions(), seed=st.integers(0, 2**32 - 1))
 def test_mean_variance_rows_match_the_oracle(mode, data, seed):

@@ -290,6 +290,18 @@ class TestConfigValidation:
             (dict(kind="realization", score="se@realization:log", g=catalog("exp")),
              "untransformed"),
             (dict(kind="revelation", score="se", g=np.exp), "invertible Bijection"),
+            # a key the kind does not take
+            (dict(kind="consistency", score="se", g=catalog("exp")), "consistency check takes no g"),
+            (dict(kind="pair", score="mv", bracket2=(1.0, 2.0), g=catalog("log")),
+             "pair check takes no g"),
+            (dict(kind="strictness", score="se", bracket2=(1.0, 2.0)),
+             "strictness check takes no bracket2"),
+            (dict(kind="revelation", score="se", g=catalog("exp"), ident="mean"),
+             "revelation check takes no ident"),
+            (dict(kind="identification", ident="mean", score="ae"),
+             "identification check takes no score"),
+            (dict(kind="identification", ident="mean", bracket2=(1.0, 2.0)),
+             "identification check takes no bracket2"),
         ]:
             with pytest.raises(ParameterError, match=message):
                 cfg(**kw)
