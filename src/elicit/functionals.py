@@ -34,6 +34,8 @@ from .transforms import Bijection
 # The options each kind takes, written as in scoring.FAMILIES; g is the transformation.
 KINDS = {"mean": "", "quantile": "tau", "expectile": "tau", "gmean": "g",
          "gexpectile": "tau g", "mvpair": "g?"}
+# A g-kind is its base kind on g(Y), mapped back by g^-1 (mvpair is not).
+_BASE_KIND = {"gmean": "mean", "gexpectile": "expectile", "mvpair": "mvpair"}
 
 
 @dataclass(frozen=True)
@@ -122,19 +124,17 @@ def pushforward_law(dist: DistributionSpec, g: Bijection) -> DistributionSpec | 
     name = g.name
     if name == "identity":
         return dist
-    if name == "negate":
-        if isinstance(dist, Normal):
-            return Normal(-dist.mu, dist.sigma)
-        if isinstance(dist, Uniform):
-            return Uniform(-dist.hi, -dist.lo)
-        if isinstance(dist, Empirical):
-            return Empirical(tuple(-v for v in dist.values))
-        return None
     if isinstance(dist, Empirical):
         try:
             return Empirical(tuple(float(g.apply(v)) for v in dist.values))
         except DomainError:
             return None
+    if name == "negate":
+        if isinstance(dist, Normal):
+            return Normal(-dist.mu, dist.sigma)
+        if isinstance(dist, Uniform):
+            return Uniform(-dist.hi, -dist.lo)
+        return None
     if name == "log" and isinstance(dist, Lognormal):
         return Normal(dist.mu, dist.sigma)
     if name == "exp" and isinstance(dist, Normal):
@@ -150,18 +150,14 @@ def pushforward_law(dist: DistributionSpec, g: Bijection) -> DistributionSpec | 
     return None
 
 
-def _analytic_gmean(dist: DistributionSpec, g: Bijection) -> float | None:
-    if g.name in ("identity", "negate"):
-        return dist.mean()  # affine g: g^-1(E[g(Y)]) = E[Y]
-    law = pushforward_law(dist, g)
-    if law is not None:
-        return float(g.invert(law.mean()))
-    if isinstance(dist, Lognormal) and g.name == "box-cox":
-        (a,) = g.params
-        if a == 0.0:
-            return math.exp(dist.mu)
-        return float(g.invert((dist.raw_moment(a) - 1.0) / a))
-    return None
+def _base_value(dist: DistributionSpec, kind: str, tau: float | None):
+    if kind == "mean":
+        return dist.mean()
+    if kind == "quantile":
+        return dist.quantile(tau)
+    if kind == "expectile":
+        return expectile_exact(dist, tau)
+    return (dist.mean(), dist.variance())  # mvpair
 
 
 def analytic_functional(dist: DistributionSpec, spec: FunctionalSpec):
@@ -169,32 +165,26 @@ def analytic_functional(dist: DistributionSpec, spec: FunctionalSpec):
 
     Quantiles of Empirical laws come back as the full optimal interval.
     Expectiles are solved deterministically from analytic partial moments.
+    A g-kind is its base kind on the law of g(Y), mapped back by g^-1
+    (mvpair is not mapped back).
     """
-    if spec.kind == "mean":
-        return dist.mean()
-    if spec.kind == "quantile":
-        return dist.quantile(spec.tau)
-    if spec.kind == "expectile":
-        return expectile_exact(dist, spec.tau)
-    if spec.kind == "gmean":
-        _check_support(dist, spec.g, "gmean")
-        return _analytic_gmean(dist, spec.g)
-    if spec.kind == "gexpectile":
-        _check_support(dist, spec.g, "gexpectile")
-        law = pushforward_law(dist, spec.g)
-        if law is None:
-            return None
-        return float(spec.g.invert(expectile_exact(law, spec.tau)))
-    if spec.kind == "mvpair":
-        g = spec.g
-        if g is None or g.name == "identity":
-            return (dist.mean(), dist.variance())
-        _check_support(dist, g, "mvpair")
-        law = pushforward_law(dist, g)
-        if law is None:
-            return None
-        return (law.mean(), law.variance())
-    raise ParameterError(f"unknown functional kind {spec.kind!r}")
+    g = spec.g
+    if g is None:
+        return _base_value(dist, spec.kind, spec.tau)
+    _check_support(dist, g, spec.kind)
+    if spec.kind == "gmean" and g.name == "negate":
+        return dist.mean()  # affine g: g^-1(E[g(Y)]) = E[Y]
+    law = pushforward_law(dist, g)
+    if law is not None:
+        value = _base_value(law, _BASE_KIND[spec.kind], spec.tau)
+    elif spec.kind == "gmean" and isinstance(dist, Lognormal) and g.name == "box-cox":
+        (a,) = g.params  # E[g(Y)] from the raw moment; exp(mu) at a = 0
+        if a == 0.0:
+            return math.exp(dist.mu)
+        value = (dist.raw_moment(a) - 1.0) / a
+    else:
+        return None
+    return value if spec.kind == "mvpair" else float(g.invert(value))
 
 
 def _mc_expectile(w: np.ndarray, tau: float):
@@ -259,36 +249,25 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
 def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
     """Monte Carlo value of the functional, and its stderr, from draws of the law."""
     w = np.asarray(draws, dtype=float)
-    if spec.g is not None and spec.kind in ("gmean", "gexpectile", "mvpair"):
-        w = np.asarray(spec.g.apply(w), dtype=float)
-
-    if spec.kind == "mean":
-        return FunctionalValue(float(np.mean(w)), mean_stderr(w), "mc")
-
-    if spec.kind == "gmean":
-        m = float(np.mean(w))
-        se_m = mean_stderr(w)
-        if not spec.g.codomain.contains(m):
-            raise DomainError(m, spec.g.codomain, "gmean: mean of transformed draws")
-        val = float(spec.g.invert(m))
-        se = se_m / max(abs(float(spec.g.deriv(val))), 1e-300)
-        return FunctionalValue(val, se, "mc")
-
-    if spec.kind == "quantile":
+    g = spec.g
+    if g is not None:
+        w = np.asarray(g.apply(w), dtype=float)
+    kind = _BASE_KIND.get(spec.kind, spec.kind)
+    if kind == "quantile":
         emp = Empirical(w)
-        iv = emp.quantile(spec.tau)
-        se = _quantile_stderr(emp.sorted_values, spec.tau)
-        return FunctionalValue(iv, se, "mc", notes="empirical quantile interval")
-
-    if spec.kind in ("expectile", "gexpectile"):
-        root, se_root = _mc_expectile(w, spec.tau)
-        if spec.kind == "expectile":
-            return FunctionalValue(root, se_root, "mc")
-        val = float(spec.g.invert(root))
-        se = se_root / max(abs(float(spec.g.deriv(val))), 1e-300)
-        return FunctionalValue(val, se, "mc")
-
-    return sample_mv_pair(w)  # mvpair
+        return FunctionalValue(emp.quantile(spec.tau), _quantile_stderr(emp.sorted_values, spec.tau),
+                               "mc", notes="empirical quantile interval")
+    if kind == "mvpair":
+        return sample_mv_pair(w)
+    value, se = (_mc_expectile(w, spec.tau) if kind == "expectile"
+                 else (float(np.mean(w)), mean_stderr(w)))
+    if g is None:
+        return FunctionalValue(value, se, "mc")
+    if not g.codomain.contains(value):
+        raise DomainError(value, g.codomain, f"{spec.kind}: {kind} of transformed draws")
+    back = float(g.invert(value))
+    # delta method: the stderr of g^-1(m) is se(m) / |g'(g^-1(m))|
+    return FunctionalValue(back, se / max(abs(float(g.deriv(back))), 1e-300), "mc")
 
 
 def g_quantile(dist: DistributionSpec, g: Bijection, tau: float):

@@ -2,18 +2,19 @@
 
 A :class:`Bijection` bundles a strictly monotone map with its inverse,
 derivative, domain/codomain intervals, and orientation. The catalog covers
-identity, negation, logarithmic, exponential, power, and Box-Cox families;
-domains are open at singular endpoints, and evaluation there or an overflow
-raises a DomainError instead of returning infinities.
-
-Monotonicity (and for Box-Cox the codomain) is recorded per parameter value,
-since one family can contain both increasing and decreasing members.
+identity, negation, logarithmic, exponential, power, and Box-Cox families,
+each one of four base maps (identity, log, exp, t^a) of an affine map
+p t + q of its argument, and Box-Cox also (s - 1)/a of the value s. The
+domain is the preimage of the base domain, the codomain the image of the
+base codomain, and the orientation the product of the signs. Domains are
+open at singular endpoints, and evaluation there or an overflow raises a
+DomainError instead of returning infinities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -95,22 +96,90 @@ def roundtrip_check(bij: Bijection, grid) -> float:
     return worst
 
 
-def _require(cond: bool, name: str, constraint: str):
-    if not cond:
-        raise ParameterError(f"{name}: parameter constraint violated ({constraint})")
+_FULL = Interval.open(-_INF, _INF)
+_POSITIVE = Interval.open(0.0, _INF)
+
+# The four base maps. Every catalog map is base(p t + q), and Box-Cox then
+# (s - 1)/a of the base value s.
+_IDENTITY = Bijection("identity", lambda t: +np.asarray(t, float), lambda t: +np.asarray(t, float),
+                      lambda t: np.ones_like(np.asarray(t, float)), _FULL, _FULL, True)
+_LOG = Bijection("log", np.log, np.exp, lambda t: 1.0 / np.asarray(t, float),
+                 _POSITIVE, _FULL, True)
+_EXP = Bijection("exp", np.exp, np.log, np.exp, _FULL, _POSITIVE, True)
 
 
-def _nparams(name: str, params: tuple, k: int):
-    if len(params) != k:
-        raise ParameterError(f"{name} expects {k} parameter(s), got {len(params)}")
+def _power(a: float, open_at_zero: bool = False) -> Bijection:
+    """t^a, closed at 0 where t^a and its derivative stay finite there."""
+    half = Interval(0.0, _INF, lo_closed=a >= 1 and not open_at_zero)
+    return Bijection("power", lambda t: np.power(np.asarray(t, float), a),
+                     lambda t: np.power(np.asarray(t, float), 1.0 / a),
+                     lambda t: a * np.power(np.asarray(t, float), a - 1.0), half, half, a > 0)
 
 
-def _power_domain(a: float, shift: float = 0.0) -> Interval:
-    # Left endpoint closed only when the map and derivative stay finite there.
-    lo = -shift + 0.0  # normalizes -0.0
-    if a >= 1:
-        return Interval(lo, _INF, lo_closed=True)
-    return Interval.open(lo, _INF)
+def _affine(p: float, q: float, floor: float | None = None):
+    """x -> p x + q, raised to ``floor`` if given, and its inverse
+    x -> (x - q)/p. A unit p and a zero q are left out, so they keep every
+    bit of x, the sign of zero included."""
+    def forward(x):
+        x = np.asarray(x, float)
+        x = x if p == 1.0 else p * x
+        x = x if q == 0.0 else x + q
+        return x if floor is None else np.maximum(x, floor)
+
+    def inverse(x):
+        x = x if q == 0.0 else x - q
+        return x if p == 1.0 else x / p
+
+    return forward, inverse
+
+
+def _preimage(iv: Interval, p: float, q: float) -> Interval:
+    """{t : p t + q in iv}, with a zero end unsigned."""
+    lo, hi = (iv.lo - q) / p + 0.0, (iv.hi - q) / p + 0.0
+    if p > 0:
+        return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
+    return Interval(hi, lo, iv.hi_closed, iv.lo_closed)
+
+
+def _composed(name: str, params: tuple, base: Bijection, p: float = 1.0, q: float = 0.0,
+              d: float = 1.0, e: float = 0.0) -> Bijection:
+    """base(p t + q), then (s - e)/d of its value s. With both affine parts
+    the identity, the base's own callables are kept."""
+    if (p, q, d, e) == (1.0, 0.0, 1.0, 0.0):
+        return replace(base, name=name, params=params)
+    # p t + q may round past the base domain's closed end at the domain's end
+    inner, uninner = _affine(p, q, base.domain.lo if base.domain.lo_closed else None)
+    unouter, outer = _affine(d, e)
+    scale, unscale = _affine(p, 0.0)[0], _affine(d, 0.0)[1]
+    return Bijection(name, lambda t: outer(base.forward(inner(t))),
+                     lambda v: uninner(base.inverse(unouter(v))),
+                     lambda t: unscale(scale(base.derivative(inner(t)))),  # p base'(p t + q)/d
+                     _preimage(base.domain, p, q), _preimage(base.codomain, d, e),
+                     (base.increasing == (p > 0)) == (d > 0), params)
+
+
+# name -> (parameter count, constraints as (holds(*params), text), form): the
+# form maps the parameters to the arguments (base, p, q[, d, e]) of _composed.
+_CATALOG = {
+    "identity": (0, (), lambda: (_IDENTITY,)),
+    "negate": (0, (), lambda: (_IDENTITY, -1.0)),
+    "log": (0, (), lambda: (_LOG,)),
+    "affine-log": (2, ((lambda a, b: a > 0, "log(a t + b) requires a > 0"),),
+                   lambda a, b: (_LOG, a, b)),
+    "shifted-log": (1, (), lambda b: (_LOG, 1.0, b)),
+    "exp": (0, (), lambda: (_EXP,)),
+    "affine-exp": (2, ((lambda a, b: a != 0, "exp(a t + b) requires a != 0"),),
+                   lambda a, b: (_EXP, a, b)),
+    "power": (1, ((lambda a: a != 0, "t^a requires a != 0"),), lambda a: (_power(a),)),
+    "affine-power": (3, ((lambda a, b, c: a != 0, "(b t + c)^a requires a != 0"),
+                         (lambda a, b, c: b > 0, "(b t + c)^a requires b > 0")),
+                     lambda a, b, c: (_power(a), b, c)),
+    "shifted-power": (2, ((lambda a, c: a != 0, "(t + c)^a requires a != 0"),),
+                      lambda a, c: (_power(a), 1.0, c)),
+    # (t^a - 1)/a tends to log(t) as a -> 0; defined by continuity.
+    "box-cox": (1, (), lambda a: (_LOG,) if a == 0.0
+                else (_power(a, open_at_zero=True), 1.0, 0.0, a, 1.0)),
+}
 
 
 def catalog(name: str, params=()) -> Bijection:
@@ -121,124 +190,15 @@ def catalog(name: str, params=()) -> Bijection:
     shifted-power (a, c), box-cox (a).
     """
     params = tuple(float(p) for p in params)
-
-    if name == "identity":
-        _nparams(name, params, 0)
-        full = Interval.open(-_INF, _INF)
-        return Bijection(name, lambda t: +np.asarray(t, float), lambda t: +np.asarray(t, float),
-                         lambda t: np.ones_like(np.asarray(t, float)), full, full, True)
-
-    if name == "negate":
-        _nparams(name, params, 0)
-        full = Interval.open(-_INF, _INF)
-        return Bijection(name, np.negative, np.negative,
-                         lambda t: -np.ones_like(np.asarray(t, float)), full, full, False)
-
-    if name == "log":
-        _nparams(name, params, 0)
-        return Bijection(name, np.log, np.exp, lambda t: 1.0 / np.asarray(t, float),
-                         Interval.open(0.0, _INF), Interval.open(-_INF, _INF), True)
-
-    if name == "affine-log":
-        _nparams(name, params, 2)
-        a, b = params
-        _require(a > 0, name, "log(a t + b) requires a > 0")
-        return Bijection(
-            name,
-            lambda t: np.log(a * np.asarray(t, float) + b),
-            lambda t: (np.exp(t) - b) / a,
-            lambda t: a / (a * np.asarray(t, float) + b),
-            Interval.open(-b / a, _INF), Interval.open(-_INF, _INF), True, params)
-
-    if name == "shifted-log":
-        _nparams(name, params, 1)
-        (b,) = params
-        return Bijection(
-            name,
-            lambda t: np.log(np.asarray(t, float) + b),
-            lambda t: np.exp(t) - b,
-            lambda t: 1.0 / (np.asarray(t, float) + b),
-            Interval.open(-b, _INF), Interval.open(-_INF, _INF), True, params)
-
-    if name == "exp":
-        _nparams(name, params, 0)
-        return Bijection(name, np.exp, np.log, np.exp,
-                         Interval.open(-_INF, _INF), Interval.open(0.0, _INF), True)
-
-    if name == "affine-exp":
-        _nparams(name, params, 2)
-        a, b = params
-        _require(a != 0, name, "exp(a t + b) requires a != 0")
-        return Bijection(
-            name,
-            lambda t: np.exp(a * np.asarray(t, float) + b),
-            lambda t: (np.log(t) - b) / a,
-            lambda t: a * np.exp(a * np.asarray(t, float) + b),
-            Interval.open(-_INF, _INF), Interval.open(0.0, _INF), a > 0, params)
-
-    if name == "power":
-        _nparams(name, params, 1)
-        (a,) = params
-        _require(a != 0, name, "t^a requires a != 0")
-        if a > 0:
-            dom = _power_domain(a)
-            codom = Interval(0.0, _INF, lo_closed=dom.lo_closed)
-        else:
-            dom = Interval.open(0.0, _INF)
-            codom = Interval.open(0.0, _INF)
-        return Bijection(
-            name,
-            lambda t: np.power(np.asarray(t, float), a),
-            lambda t: np.power(np.asarray(t, float), 1.0 / a),
-            lambda t: a * np.power(np.asarray(t, float), a - 1.0),
-            dom, codom, a > 0, params)
-
-    if name == "affine-power":
-        _nparams(name, params, 3)
-        a, b, c = params
-        _require(a != 0, name, "(b t + c)^a requires a != 0")
-        _require(b > 0, name, "(b t + c)^a requires b > 0")
-        dom = _power_domain(a, shift=c / b) if a > 0 else Interval.open(-c / b, _INF)
-        codom = Interval(0.0, _INF, lo_closed=dom.lo_closed) if a > 0 else \
-            Interval.open(0.0, _INF)
-        return Bijection(
-            name,
-            lambda t: np.power(b * np.asarray(t, float) + c, a),
-            lambda t: (np.power(np.asarray(t, float), 1.0 / a) - c) / b,
-            lambda t: a * b * np.power(b * np.asarray(t, float) + c, a - 1.0),
-            dom, codom, a > 0, params)
-
-    if name == "shifted-power":
-        _nparams(name, params, 2)
-        a, c = params
-        _require(a != 0, name, "(t + c)^a requires a != 0")
-        dom = _power_domain(a, shift=c) if a > 0 else Interval.open(-c, _INF)
-        codom = Interval(0.0, _INF, lo_closed=dom.lo_closed) if a > 0 else \
-            Interval.open(0.0, _INF)
-        return Bijection(
-            name,
-            lambda t: np.power(np.asarray(t, float) + c, a),
-            lambda t: np.power(np.asarray(t, float), 1.0 / a) - c,
-            lambda t: a * np.power(np.asarray(t, float) + c, a - 1.0),
-            dom, codom, a > 0, params)
-
-    if name == "box-cox":
-        _nparams(name, params, 1)
-        (a,) = params
-        dom = Interval.open(0.0, _INF)
-        if a == 0.0:
-            # (t^a - 1)/a tends to log(t) as a -> 0; defined by continuity.
-            return Bijection(name, np.log, np.exp, lambda t: 1.0 / np.asarray(t, float),
-                             dom, Interval.open(-_INF, _INF), True, params)
-        codom = Interval.open(-1.0 / a, _INF) if a > 0 else Interval.open(-_INF, -1.0 / a)
-        return Bijection(
-            name,
-            lambda t: (np.power(np.asarray(t, float), a) - 1.0) / a,
-            lambda t: np.power(a * np.asarray(t, float) + 1.0, 1.0 / a),
-            lambda t: np.power(np.asarray(t, float), a - 1.0),
-            dom, codom, True, params)
-
-    raise ParameterError(f"unknown transformation name: {name!r}")
+    if name not in _CATALOG:
+        raise ParameterError(f"unknown transformation name: {name!r}")
+    k, constraints, form = _CATALOG[name]
+    if len(params) != k:
+        raise ParameterError(f"{name} expects {k} parameter(s), got {len(params)}")
+    for holds, constraint in constraints:
+        if not holds(*params):
+            raise ParameterError(f"{name}: parameter constraint violated ({constraint})")
+    return _composed(name, params, *form(*params))
 
 
 def identity() -> Bijection:

@@ -1,4 +1,5 @@
-"""Reference formulas for the score and identification families.
+"""Reference formulas for the score and identification families and the
+transformation catalog (``transform``, at the end).
 
 Each family is written out from its definition, one numpy expression per
 family, independently of the package's family table; the tests compare the
@@ -70,3 +71,64 @@ def ident(spec, z, y):
     if spec.family == "quantile":
         return ind - spec.tau
     return 2.0 * np.abs(ind - spec.tau) * np.subtract(z, y)
+
+
+def transform(name, params=()):
+    """(forward, inverse, derivative) of a catalog map, each formula written
+    out on its own with the operations in the order the package evaluates
+    them, so forward and inverse agree bit for bit (the sign of zero
+    included):
+
+    * ``identity``       t
+    * ``negate``         -t
+    * ``log``            log t
+    * ``affine-log``     log(a t + b)
+    * ``shifted-log``    log(t + b)
+    * ``exp``            exp t
+    * ``affine-exp``     exp(a t + b)
+    * ``power``          t^a
+    * ``affine-power``   (b t + c)^a
+    * ``shifted-power``  (t + c)^a
+    * ``box-cox``        (t^a - 1)/a, and log t at a = 0
+    """
+    p = tuple(float(v) for v in params)
+    if name == "identity":
+        return (lambda t: +np.asarray(t, float), lambda v: +np.asarray(v, float),
+                lambda t: np.ones_like(np.asarray(t, float)))
+    if name == "negate":
+        return np.negative, np.negative, lambda t: -np.ones_like(np.asarray(t, float))
+    if name == "log" or (name == "box-cox" and p == (0.0,)):
+        return np.log, np.exp, lambda t: 1.0 / np.asarray(t, float)
+    if name == "affine-log":
+        a, b = p
+        return (lambda t: np.log(a * np.asarray(t, float) + b), lambda v: (np.exp(v) - b) / a,
+                lambda t: a / (a * np.asarray(t, float) + b))
+    if name == "shifted-log":
+        (b,) = p
+        return (lambda t: np.log(np.asarray(t, float) + b), lambda v: np.exp(v) - b,
+                lambda t: 1.0 / (np.asarray(t, float) + b))
+    if name == "exp":
+        return np.exp, np.log, np.exp
+    if name == "affine-exp":
+        a, b = p
+        return (lambda t: np.exp(a * np.asarray(t, float) + b), lambda v: (np.log(v) - b) / a,
+                lambda t: a * np.exp(a * np.asarray(t, float) + b))
+    if name == "power":
+        (a,) = p
+        return (lambda t: np.power(np.asarray(t, float), a),
+                lambda v: np.power(np.asarray(v, float), 1.0 / a),
+                lambda t: a * np.power(np.asarray(t, float), a - 1.0))
+    if name == "affine-power":
+        a, b, c = p
+        return (lambda t: np.power(b * np.asarray(t, float) + c, a),
+                lambda v: (np.power(np.asarray(v, float), 1.0 / a) - c) / b,
+                lambda t: a * b * np.power(b * np.asarray(t, float) + c, a - 1.0))
+    if name == "shifted-power":
+        a, c = p
+        return (lambda t: np.power(np.asarray(t, float) + c, a),
+                lambda v: np.power(np.asarray(v, float), 1.0 / a) - c,
+                lambda t: a * np.power(np.asarray(t, float) + c, a - 1.0))
+    (a,) = p  # box-cox, a != 0
+    return (lambda t: (np.power(np.asarray(t, float), a) - 1.0) / a,
+            lambda v: np.power(a * np.asarray(v, float) + 1.0, 1.0 / a),
+            lambda t: np.power(np.asarray(t, float), a - 1.0))

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -32,6 +33,14 @@ def zy_file(tmp_path):
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("fmt,record", [("text", "catalog.txt"), ("json", "catalog.json")])
+    def test_output_matches_its_golden_record(self, tmp_path, fmt, record):
+        """Any change to a domain, codomain, orientation or encoding string
+        changes these bytes."""
+        out = tmp_path / record
+        assert main(["catalog", "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (pathlib.Path(__file__).with_name("data") / record).read_bytes()
+
     def test_text_has_enough_rows(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracle
 from elicit import Bijection, DomainError, Interval, ParameterError, catalog, roundtrip_check
 from elicit.numerics import central_diff
 from elicit.transforms import CATALOG_ROWS
@@ -11,7 +13,12 @@ from elicit.transforms import CATALOG_ROWS
 
 def domain_grid(bij, k=100):
     """Quasi-uniform points strictly inside the domain."""
-    lo, hi = bij.domain.lo, bij.domain.hi
+    return interval_grid(bij.domain, k)
+
+
+def interval_grid(iv, k=100):
+    """Quasi-uniform points strictly inside the interval."""
+    lo, hi = iv.lo, iv.hi
     lo = lo if math.isfinite(lo) else -8.0
     hi = hi if math.isfinite(hi) else max(lo + 1.0, 8.0)
     span = hi - lo
@@ -53,6 +60,126 @@ def test_monotonicity_direction(name, params):
     # derivative sign agrees with the recorded orientation
     signs = np.sign([bij.deriv(float(t)) for t in grid])
     assert np.all(signs == (1 if bij.increasing else -1))
+
+
+# The listed maps, and maps whose affine parts take values the listing's do not.
+ORACLE_MAPS = ALL_ROWS + [("affine-log", (3.0, 0.7)), ("affine-exp", (-1.3, 0.2)),
+                          ("affine-power", (0.3, 2.5, 0.0)), ("box-cox", (0.3,)),
+                          ("box-cox", (-0.7,))]
+
+
+def _points(iv, k):
+    """Grid inside the interval, with both signed zeros where it holds them."""
+    grid = np.concatenate([interval_grid(iv, k), [0.0, -0.0]])
+    return grid[[iv.contains(float(t)) for t in grid]]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name,params", ORACLE_MAPS)
+def test_catalog_matches_the_oracle(name, params):
+    """Forward and inverse bit for bit, the sign of zero included; the
+    derivative within 4 ulp."""
+    bij = catalog(name, params)
+    forward, inverse, derivative = oracle.transform(name, params)
+    t = _points(bij.domain, 101)
+    v = np.concatenate([forward(t), _points(bij.codomain, 101)])
+    np.testing.assert_array_equal(_bits(bij.apply(t)), _bits(forward(t)))
+    np.testing.assert_array_equal(_bits(bij.invert(v)), _bits(inverse(v)))
+    want = derivative(t)
+    assert np.all(np.abs(bij.deriv(t) - want) <= 4 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize("name,params", [("shifted-power", (-2.0, 0.0)),
+                                         ("affine-power", (-0.7, 3.0, 0.0))])
+def test_domain_end_at_zero_is_unsigned(name, params):
+    bij = catalog(name, params)
+    assert str(bij.domain) == "(0, inf)"
+    assert not math.copysign(1.0, bij.domain.lo) < 0
+    with pytest.raises(DomainError, match=r" \(0, inf\)"):
+        bij.apply(-1.0)
+
+
+def _nonzero(m):
+    return st.floats(0.1, m) | st.floats(-m, -0.1)
+
+
+# Parameters drawn inside each name's constraints, at magnitudes where no
+# interior value below saturates a double.
+PARAMS = {
+    "identity": st.tuples(),
+    "negate": st.tuples(),
+    "log": st.tuples(),
+    "affine-log": st.tuples(st.floats(0.1, 10.0), st.floats(-5.0, 5.0)),
+    "shifted-log": st.tuples(st.floats(-5.0, 5.0)),
+    "exp": st.tuples(),
+    "affine-exp": st.tuples(_nonzero(5.0), st.floats(-5.0, 5.0)),
+    "power": st.tuples(_nonzero(5.0)),
+    "affine-power": st.tuples(_nonzero(5.0), st.floats(0.1, 10.0), st.floats(-5.0, 5.0)),
+    "shifted-power": st.tuples(_nonzero(5.0), st.floats(-5.0, 5.0)),
+    "box-cox": st.tuples(st.just(0.0) | _nonzero(5.0)),
+}
+
+
+def test_properties_cover_every_name():
+    assert set(PARAMS) == {name for name, _ in ALL_ROWS}
+
+
+def check_edges(bij, t):
+    """A closed domain end maps to the codomain's closed end (up to the
+    rounding of an affine argument there), an open one raises; the interior
+    point t maps into the codomain and back, with the derivative's sign the
+    recorded orientation."""
+    dom, cod = bij.domain, bij.codomain
+    images = {dom.lo: (cod.lo, cod.lo_closed) if bij.increasing else (cod.hi, cod.hi_closed),
+              dom.hi: (cod.hi, cod.hi_closed) if bij.increasing else (cod.lo, cod.lo_closed)}
+    for end, closed in ((dom.lo, dom.lo_closed), (dom.hi, dom.hi_closed)):
+        if closed:
+            image, image_closed = images[end]
+            value = bij.apply(end)
+            assert image_closed and cod.contains(value)
+            assert value == pytest.approx(image, abs=1e-12)
+        elif math.isfinite(end):
+            with pytest.raises(DomainError):
+                bij.apply(end)
+    assert cod.contains(bij.apply(t))
+    assert roundtrip_check(bij, [t]) <= 1e-10
+    assert np.sign(bij.deriv(t)) == (1 if bij.increasing else -1)
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+@given(data=st.data())
+def test_domain_edges(name, data):
+    bij = catalog(name, data.draw(PARAMS[name], label="params"))
+    if math.isfinite(bij.domain.lo):
+        t = bij.domain.lo + data.draw(st.floats(1e-3, 20.0), label="offset")
+    else:
+        t = data.draw(st.floats(-20.0, 20.0), label="t")
+    check_edges(bij, t)
+
+
+# b t + c at the closed end t = -c/b rounds below 0 for the first two (b, c)
+# and above 0 for the third.
+@pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("b,c", [(8.645471331263877, 0.41461220249091735),
+                                 (3.427558899402038, -3.4972053310516094), (49.0, 1.0)])
+def test_affine_power_closed_end_under_rounding(a, b, c):
+    bij = catalog("affine-power", [a, b, c])
+    check_edges(bij, bij.domain.lo + 1.0)
+
+
+@given(a=st.floats(-5.0, 5.0))
+def test_box_cox_codomain_bound(a):
+    cod = catalog("box-cox", [a]).codomain
+    if a > 0:
+        assert (cod.lo, cod.hi) == (-1.0 / a, math.inf)
+    elif a < 0:
+        assert (cod.lo, cod.hi) == (-math.inf, -1.0 / a)
+    else:
+        assert (cod.lo, cod.hi) == (-math.inf, math.inf)
+    assert not (cod.lo_closed or cod.hi_closed)
 
 
 class TestCatalogExamples:
