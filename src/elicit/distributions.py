@@ -203,18 +203,27 @@ class Uniform:
         return Interval.closed(self.lo, self.hi)
 
 
+def sorted_quantile(v: np.ndarray, tau: float) -> Interval:
+    """The tau-quantile set of the values ``v``, sorted ascending: the closed
+    interval [v_(k), v_(k+1)] of minimisers of the empirical pinball loss
+    when tau*n is an integer k in [1, n - 1], else the singleton v_(ceil(tau*n))."""
+    tau = _check_tau(tau)
+    n = len(v)
+    k = tau * n
+    k_int = round(k)
+    if abs(k - k_int) < 1e-12 * n and 1 <= k_int <= n - 1:
+        return Interval.closed(float(v[k_int - 1]), float(v[k_int]))
+    return Interval.point(float(v[min(n - 1, max(0, math.ceil(k) - 1))]))
+
+
 @dataclass(frozen=True)
 class Empirical:
     """Discrete uniform over a finite multiset of observed values.
 
     The CDF is the right-continuous step function (1/n) sum 1{v_i <= y}.
-    Quantiles are set-valued: ``quantile`` returns the closed interval of
-    optimal points ([v_(k), v_(k+1)] when tau*n is an integer k, a singleton
-    otherwise).
-
-    ``values`` is a tuple of floats, or a read-only copy of a 1-D float
-    array when the law is built from an array of draws (no per-value Python
-    objects). Two laws are equal when their values are, in order.
+    Quantiles are set-valued (see :func:`sorted_quantile`). ``values`` is
+    the tuple of floats, in the order given; two laws are equal when their
+    values are.
     """
 
     values: tuple
@@ -224,34 +233,15 @@ class Empirical:
     _sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.values, np.ndarray):
-            vals = np.array(self.values, dtype=float)
-            if vals.ndim != 1:
-                raise ParameterError(f"Empirical draws must be 1-D, got shape {vals.shape}")
-            vals.flags.writeable = False
-            arr = vals
-        else:
-            vals = tuple(float(v) for v in self.values)
-            arr = np.asarray(vals, dtype=float)
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ParameterError(f"Empirical values must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ParameterError("Empirical requires at least one value")
         if not np.isfinite(arr).all():
             raise ParameterError("Empirical values must all be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(arr.tolist()))
         object.__setattr__(self, "_sorted", np.sort(arr))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return bool(np.array_equal(self.values, other.values))
-
-    def __hash__(self):
-        return hash(tuple(np.asarray(self.values).tolist()))
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        """The values in ascending order (read-only)."""
-        return self._sorted
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self._sorted, size=int(n), replace=True)
@@ -260,15 +250,7 @@ class Empirical:
         return float(np.searchsorted(self._sorted, y, side="right")) / self._sorted.size
 
     def quantile(self, tau: float) -> Interval:
-        tau = _check_tau(tau)
-        v = self._sorted
-        n = len(v)
-        k = tau * n
-        k_int = round(k)
-        if abs(k - k_int) < 1e-12 * n and 1 <= k_int <= n - 1:
-            return Interval.closed(float(v[k_int - 1]), float(v[k_int]))
-        idx = min(n - 1, max(0, math.ceil(k) - 1))
-        return Interval.point(float(v[idx]))
+        return sorted_quantile(self._sorted, tau)
 
     def mean(self) -> float:
         return float(np.mean(self._sorted))
@@ -292,13 +274,3 @@ def sample_iid(dist: DistributionSpec, n: int, seed: Seed) -> np.ndarray:
     if n < 1:
         raise ParameterError(f"sample_iid needs n >= 1, got {n}")
     return dist.sample(n, make_rng(seed))
-
-
-def cdf(dist: DistributionSpec, y: float) -> float:
-    """P(Y <= y)."""
-    return dist.cdf(float(y))
-
-
-def quantile(dist: DistributionSpec, tau: float):
-    """tau-quantile; a float for continuous variants, an Interval for Empirical."""
-    return dist.quantile(tau)

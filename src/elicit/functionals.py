@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (DistributionSpec, Empirical, Lognormal, Normal,
-                            Uniform, sample_iid)
+                            Uniform, sample_iid, sorted_quantile)
 from .errors import DomainError, EvaluationError, ParameterError
 from .identification import IdentSpec, expected_ident_curve, prepare_ident_realizations
 from .intervals import Interval
@@ -46,8 +46,6 @@ class FunctionalSpec:
 
     def __post_init__(self):
         check_options("functional kind", KINDS, self.kind, tau=self.tau, g=self.g)
-        if self.g is not None and self.g.inverse is None:
-            raise ParameterError(f"{self.kind} requires an invertible transformation")
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,6 @@ class FunctionalValue:
     stderr: object
     method: str  # "analytic" | "mc"
     notes: str = ""
-
-
-def capping(a: float, b: float, t):
-    """Clamp t into [-a, b]; a and b may be infinite, both nonnegative."""
-    a, b = float(a), float(b)
-    if a < 0 or b < 0 or math.isnan(a) or math.isnan(b):
-        raise ParameterError(f"capping bounds must lie in [0, inf], got a={a}, b={b}")
-    out = np.maximum(np.minimum(t, b), -a)
-    return float(out) if np.ndim(t) == 0 else out
 
 
 def scalar_value(value) -> float:
@@ -254,8 +243,8 @@ def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
         w = np.asarray(g.apply(w), dtype=float)
     kind = _BASE_KIND.get(spec.kind, spec.kind)
     if kind == "quantile":
-        emp = Empirical(w)
-        return FunctionalValue(emp.quantile(spec.tau), _quantile_stderr(emp.sorted_values, spec.tau),
+        w = np.sort(w)
+        return FunctionalValue(sorted_quantile(w, spec.tau), _quantile_stderr(w, spec.tau),
                                "mc", notes="empirical quantile interval")
     if kind == "mvpair":
         return sample_mv_pair(w)
@@ -268,13 +257,3 @@ def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
     back = float(g.invert(value))
     # delta method: the stderr of g^-1(m) is se(m) / |g'(g^-1(m))|
     return FunctionalValue(back, se / max(abs(float(g.deriv(back))), 1e-300), "mc")
-
-
-def g_quantile(dist: DistributionSpec, g: Bijection, tau: float):
-    """g^-1 of the tau-quantile of the law of g(Y), via exact monotone mapping.
-
-    For strictly increasing g this equals the tau-quantile of Y itself; for
-    strictly decreasing g the level flips to 1 - tau.
-    """
-    level = tau if g.increasing else 1.0 - tau
-    return dist.quantile(level)

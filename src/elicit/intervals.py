@@ -41,9 +41,12 @@ class Interval:
     def point(cls, x: float) -> "Interval":
         return cls(x, x, True, True)
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
+    def inside(self, values):
+        """Elementwise membership of ``values``, as a boolean array."""
+        arr = np.asarray(values, dtype=float)
+        lo_ok = arr >= self.lo if self.lo_closed else arr > self.lo
+        hi_ok = arr <= self.hi if self.hi_closed else arr < self.hi
+        return lo_ok & hi_ok
 
     def contains(self, t: float) -> bool:
         lo_ok = t >= self.lo if self.lo_closed else t > self.lo
@@ -51,19 +54,15 @@ class Interval:
         return bool(lo_ok and hi_ok)
 
     def contains_all(self, values) -> bool:
+        """Whether every element is contained: the least and the greatest
+        are (a NaN is neither, so it is not)."""
         arr = np.asarray(values, dtype=float)
-        lo_ok = arr >= self.lo if self.lo_closed else arr > self.lo
-        hi_ok = arr <= self.hi if self.hi_closed else arr < self.hi
-        return bool(np.all(lo_ok & hi_ok))
+        return arr.size == 0 or (self.contains(arr.min()) and self.contains(arr.max()))
 
     def first_outside(self, values) -> float:
         """First element of ``values`` not contained in the interval."""
         arr = np.atleast_1d(np.asarray(values, dtype=float))
-        lo_ok = arr >= self.lo if self.lo_closed else arr > self.lo
-        hi_ok = arr <= self.hi if self.hi_closed else arr < self.hi
-        bad = ~(lo_ok & hi_ok)
-        idx = int(np.argmax(bad))
-        return float(arr[idx])
+        return float(arr[int(np.argmax(~self.inside(arr)))])
 
     def distance(self, t: float) -> float:
         """Distance from t to the interval (0 when inside)."""

@@ -1,7 +1,7 @@
 """Deterministic low-level numerics.
 
-Derivative-free one-dimensional minimization and root finding, seeded Monte
-Carlo expectations, and central finite differences. Everything here is pure
+Derivative-free one-dimensional minimization and root finding, seeded random
+streams, and central finite differences. Everything here is pure
 given an explicit seed; concurrent callers derive independent streams with
 :func:`derive_seed` so results never depend on scheduling order.
 """
@@ -40,21 +40,6 @@ class Bracket:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo estimate: sample mean, its standard error, sample count."""
-
-    value: float
-    stderr: float
-    n: int
-
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ParameterError("stderr must be nonnegative")
-        if self.n < 1:
-            raise ParameterError("n must be at least 1")
 
 
 def check_seed(seed: Seed) -> int:
@@ -167,31 +152,6 @@ def root1d(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
 def mean_stderr(x) -> float:
     """Standard error of the mean of the samples ``x``: std(ddof=1) / sqrt(n)."""
     return float(np.std(x, ddof=1) / math.sqrt(np.size(x)))
-
-
-def mc_expectation(h: Callable, dist, n: int, seed: Seed) -> McEstimate:
-    """Monte Carlo estimate of E[h(Y)] for Y distributed per ``dist``.
-
-    ``dist`` is any object with a ``sample(n, rng)`` method (see the
-    distributions module). Reproducible: same (h, dist, n, seed) gives a
-    bit-identical result.
-    """
-    n = int(n)
-    if n < 2:
-        raise ParameterError(f"mc_expectation needs n >= 2, got {n}")
-    draws = np.asarray(dist.sample(n, make_rng(seed)), dtype=float)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(h(draws), dtype=float)
-        if vals.shape != draws.shape:
-            vals = np.fromiter((float(h(v)) for v in draws), dtype=float, count=n)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i = int(np.argmax(~finite))
-        raise EvaluationError(
-            f"h produced non-finite value {vals[i]!r} at draw y={draws[i]!r} (index {i})"
-        )
-    value = float(np.mean(vals))
-    return McEstimate(value=value, stderr=mean_stderr(vals), n=n)
 
 
 def default_diff_step(z: float) -> float:

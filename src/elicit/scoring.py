@@ -17,7 +17,7 @@ admits only ``none`` and ``realization`` (predictions stay in pair space).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,10 +108,8 @@ class TransformMode:
         else:
             if self.g is None:
                 raise ParameterError(f"mode {self.mode!r} requires a transformation")
-            if self.mode in ("prediction", "both"):
-                if not isinstance(self.g, Bijection) or self.g.inverse is None:
-                    raise ParameterError(
-                        f"mode {self.mode!r} requires an invertible Bijection")
+            if self.mode in ("prediction", "both") and not isinstance(self.g, Bijection):
+                raise ParameterError(f"mode {self.mode!r} requires an invertible Bijection")
 
     @classmethod
     def none(cls) -> "TransformMode":
@@ -128,12 +126,6 @@ class TransformMode:
     @classmethod
     def both(cls, g: Bijection) -> "TransformMode":
         return cls("both", g)
-
-    def label(self) -> str:
-        if self.mode == "none":
-            return "none"
-        g = self.g.label if isinstance(self.g, Bijection) else getattr(self.g, "__name__", "g")
-        return f"{self.mode}:{g}"
 
     def realization(self, y):
         """Effective realizations: g(y) under ``realization`` and ``both``.
@@ -408,35 +400,3 @@ def mv_vertex(spec: ScoreSpec, prepared: PreparedRealizations) -> tuple[float, f
             raise EvaluationError(f"mean-variance score: no vertex near ({x1:.6g}, {x2:.6g})")
         x1, x2 = x1 - h * (f_hi - f_lo) / (2.0 * curv), a / b
     return x1, x2
-
-
-def homogeneity_probe(spec: ScoreSpec, order_candidates: Sequence[float],
-                      c_grid: Sequence[float], sample: Sequence[tuple]) -> Optional[float]:
-    """Degree b with S(c z, c y) = c^b S(z, y) across all probes, or None.
-
-    Probes are restricted to scale factors c > 0: indicator-based families
-    are positively homogeneous only (the indicator flips under c < 0 unless
-    tau = 1/2).
-    """
-    pairs = [(float(z), float(y)) for z, y in sample]
-    for z, y in pairs:
-        if evaluate_score(spec, z, y) == 0.0:
-            raise ParameterError(f"sample point (z={z}, y={y}) has zero score; "
-                                 "homogeneity probes need nonzero scores")
-    for c in c_grid:
-        if not c > 0:
-            raise ParameterError(f"scale factors must be positive, got {c}")
-    for b in order_candidates:
-        ok = True
-        for c in c_grid:
-            for z, y in pairs:
-                base = float(c) ** b * evaluate_score(spec, z, y)
-                scaled = evaluate_score(spec, c * z, c * y)
-                if abs(scaled - base) > 1e-9 * abs(base):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return float(b)
-    return None

@@ -7,8 +7,9 @@ each one of four base maps (identity, log, exp, t^a) of an affine map
 p t + q of its argument, and Box-Cox also (s - 1)/a of the value s. The
 domain is the preimage of the base domain, the codomain the image of the
 base codomain, and the orientation the product of the signs. Domains are
-open at singular endpoints, and evaluation there or an overflow raises a
-DomainError instead of returning infinities.
+open at singular endpoints. Evaluation there, and a value that overflows or
+rounds onto an open end of the codomain (or, inverting, of the domain),
+raises a DomainError instead of returning a value outside the map's range.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import DomainError, ParameterError
 from .intervals import Interval
 
 _INF = math.inf
+_FULL = Interval.open(-_INF, _INF)
+_POSITIVE = Interval.open(0.0, _INF)
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,13 @@ class Bijection:
     """A strictly monotone map with inverse and derivative.
 
     ``forward``/``inverse``/``derivative`` must accept floats or numpy
-    arrays. ``inverse`` may be None for forward-only transforms, which are
-    rejected wherever an actual inverse is required. Equality compares the
-    name, parameters, and interval metadata, not the callables.
+    arrays. Equality compares the name, parameters, and interval metadata,
+    not the callables.
     """
 
     name: str
     forward: Callable = field(compare=False, repr=False)
-    inverse: Callable | None = field(compare=False, repr=False)
+    inverse: Callable = field(compare=False, repr=False)
     derivative: Callable = field(compare=False, repr=False)
     domain: Interval
     codomain: Interval
@@ -54,26 +56,28 @@ class Bijection:
             return f"{self.name}({', '.join(map(format_number, self.params))})"
         return self.name
 
-    def _eval(self, fn, t, where: Interval, what: str):
+    def _eval(self, fn, t, where: Interval, what: str, image: Interval = _FULL):
+        """fn(t) for t in ``where``. A value outside ``image`` (one that
+        overflowed or rounded onto an open end) raises a DomainError naming
+        its input t."""
         arr = np.asarray(t, dtype=float)
         if not where.contains_all(arr):
             raise DomainError(where.first_outside(arr), where, f"{what} of {self.label}")
-        with np.errstate(over="ignore"):
+        with np.errstate(all="ignore"):  # a non-finite value is caught below
             out = np.asarray(fn(arr), dtype=float)
-        bad = ~np.isfinite(out)  # the input is finite: the map overflowed
-        if bad.any():
-            raise DomainError(float(arr[bad].flat[0]), None, f"{what} of {self.label} overflows")
+        if not image.contains_all(out):
+            bad = ~image.inside(out)
+            raise DomainError(float(arr[bad].flat[0]), None, f"{what} of {self.label} "
+                              f"(value {float(out[bad].flat[0])!r} not in {image})")
         if np.isscalar(t) or arr.ndim == 0:
             return float(out)
         return out
 
     def apply(self, t):
-        return self._eval(self.forward, t, self.domain, "forward")
+        return self._eval(self.forward, t, self.domain, "forward", self.codomain)
 
     def invert(self, t):
-        if self.inverse is None:
-            raise ParameterError(f"{self.label} has no inverse")
-        return self._eval(self.inverse, t, self.codomain, "inverse")
+        return self._eval(self.inverse, t, self.codomain, "inverse", self.domain)
 
     def deriv(self, t):
         return self._eval(self.derivative, t, self.domain, "derivative")
@@ -85,19 +89,6 @@ def format_number(x: float) -> str:
     text = f"{x:g}"
     return text if float(text) == x else repr(float(x))
 
-
-def roundtrip_check(bij: Bijection, grid) -> float:
-    """Max relative error of invert(apply(t)) - t over the grid."""
-    worst = 0.0
-    for t in grid:
-        t = float(t)
-        err = abs(bij.invert(bij.apply(t)) - t) / max(1.0, abs(t))
-        worst = max(worst, err)
-    return worst
-
-
-_FULL = Interval.open(-_INF, _INF)
-_POSITIVE = Interval.open(0.0, _INF)
 
 # The four base maps. Every catalog map is base(p t + q), and Box-Cox then
 # (s - 1)/a of the base value s.

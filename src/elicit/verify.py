@@ -50,9 +50,12 @@ from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional
                     parse_score, parse_suite_line)
 from .transforms import Bijection
 
-# Each kind, and the optional CheckConfig fields it reads; another is an error.
+# Each kind, and which of the CheckConfig fields in _FIELDS it requires;
+# setting another of them is an error.
 CHECK_KINDS = {"consistency": "score", "strictness": "score", "identification": "ident",
                "pair": "score bracket2", "revelation": "score g", "realization": "score g"}
+_FIELDS = {"score": "a score spec", "ident": "an ident spec",
+           "bracket2": "a variance bracket (bracket2)", "g": "a transformation g"}
 
 MIN_N = 10**4
 
@@ -95,35 +98,26 @@ class CheckConfig:
         for name, tol in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
             if not 0.0 <= tol < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {tol}")
-        if self.kind == "identification":
-            if self.ident is None:
-                raise ParameterError("identification check requires an ident spec")
-            if self.ident.family == "mv":
-                raise ParameterError("identification check sweeps scalar predictions; "
-                                     "the mean-variance pair is checked by kind=pair")
-        elif self.score is None:
-            raise ParameterError(f"{self.kind} check requires a score spec")
-        elif self.kind == "pair":
+        requires = CHECK_KINDS[self.kind].split()
+        for name, text in _FIELDS.items():
+            if (getattr(self, name) is None) == (name in requires):
+                raise ParameterError(f"{self.kind} check requires {text}" if name in requires
+                                     else f"{self.kind} check takes no {name}")
+        if self.kind == "identification" and self.ident.family == "mv":
+            raise ParameterError("identification check sweeps scalar predictions; "
+                                 "the mean-variance pair is checked by kind=pair")
+        if self.kind == "pair":
             if self.score.family != "mv":
                 raise ParameterError("pair check requires the mean-variance score")
-            if self.bracket2 is None:
-                raise ParameterError("pair check requires a variance bracket (bracket2)")
             if self.bracket2.lo <= 0:
                 raise ParameterError("variance bracket must be positive")
-        elif self.score.family == "mv":
+        elif self.score is not None and self.score.family == "mv":
             raise ParameterError(f"{self.kind} check sweeps scalar predictions; mean-variance "
                                  "predictions are (x1, x2) pairs, checked by kind=pair")
-        if self.kind in ("revelation", "realization"):
-            if self.g is None:
-                raise ParameterError(f"{self.kind} check requires a transformation g")
-            if self.score.transform.mode != "none":
-                raise ParameterError(f"{self.kind} check starts from an untransformed score")
-        if self.kind == "revelation" and (not isinstance(self.g, Bijection)
-                                          or self.g.inverse is None):
+        if self.g is not None and self.score.transform.mode != "none":
+            raise ParameterError(f"{self.kind} check starts from an untransformed score")
+        if self.kind == "revelation" and not isinstance(self.g, Bijection):
             raise ParameterError("revelation check requires an invertible Bijection")
-        for name in ("score", "ident", "bracket2", "g"):
-            if getattr(self, name) is not None and name not in CHECK_KINDS[self.kind].split():
-                raise ParameterError(f"{self.kind} check takes no {name}")
 
 
 @dataclass(frozen=True)
@@ -580,6 +574,15 @@ def load_suite_file(path: str, seed: Seed):
         raise SpecParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# The suite-line keys besides name, kind and expect, each with its parser;
+# dist, functional and bracket are required, n defaults to 1e6 and a key
+# left out takes CheckConfig's default.
+_SUITE_KEYS = {"dist": parse_dist, "functional": parse_functional, "bracket": parse_bracket,
+               "n": float, "seed": int, "score": parse_score, "ident": parse_ident,
+               "bracket2": parse_bracket, "points": float, "tol_abs": float, "tol_rel": float,
+               "target": float, "g": parse_bijection}
+
+
 def _parse_suite(lines, seed: Seed, source: str):
     """CheckConfigs from suite lines; a check without ``seed=`` gets child
     seed i of ``seed``, i its position among the checks. A bad line raises
@@ -594,24 +597,14 @@ def _parse_suite(lines, seed: Seed, source: str):
             expect = kv.pop("expect", "pass")
             if expect not in ("pass", "fail"):
                 raise SpecParseError(f"expect must be pass or fail, got {expect!r}")
-            cfg = CheckConfig(
-                name=kv.pop("name", f"line{lineno}"),
-                kind=kv.pop("kind"),
-                dist=parse_dist(kv.pop("dist")),
-                functional=parse_functional(kv.pop("functional")),
-                bracket=parse_bracket(kv.pop("bracket")),
-                n=float(kv.pop("n", "1000000")),
-                seed=int(kv.pop("seed")) if "seed" in kv else derive_seed(seed, len(configs)),
-                score=parse_score(kv.pop("score")) if "score" in kv else None,
-                ident=parse_ident(kv.pop("ident")) if "ident" in kv else None,
-                bracket2=parse_bracket(kv.pop("bracket2")) if "bracket2" in kv else None,
-                points=float(kv.pop("points", "201")),
-                tol_abs=float(kv.pop("tol_abs", "1e-3")),
-                tol_rel=float(kv.pop("tol_rel", "0.02")),
-                target=float(kv.pop("target")) if "target" in kv else None,
-                g=parse_bijection(kv.pop("g")) if "g" in kv else None,
-                expect_pass=expect == "pass",
-            )
+            fields = {"name": kv.pop("name", f"line{lineno}"), "kind": kv.pop("kind"), "n": 1e6,
+                      "expect_pass": expect == "pass"}
+            for key, parse in _SUITE_KEYS.items():
+                if key in kv or key in ("dist", "functional", "bracket"):
+                    fields[key] = parse(kv.pop(key))
+            if "seed" not in fields:
+                fields["seed"] = derive_seed(seed, len(configs))
+            cfg = CheckConfig(**fields)
             if kv:
                 raise SpecParseError(f"unknown keys {sorted(kv)}")
             configs.append(cfg)

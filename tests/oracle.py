@@ -26,9 +26,18 @@ Identification functions:
 * ``quantile``  1{z >= y} - tau
 * ``expectile`` 2 |1{z >= y} - tau| (z - y)
 * ``mv``        (x1 - y, x2 + x1^2 - y^2)
+
+Also: ``mc_mean``, a Monte Carlo expectation read through the package's own
+sampler and mean functional, and ``pinball_argmin``, the brute-force
+tau-quantile set of a finite sample.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from elicit import FunctionalSpec, sample_iid
+from elicit.functionals import functional_from_draws
 
 
 def score(spec, z, y):
@@ -71,6 +80,24 @@ def ident(spec, z, y):
     if spec.family == "quantile":
         return ind - spec.tau
     return 2.0 * np.abs(ind - spec.tau) * np.subtract(z, y)
+
+
+def mc_mean(h, dist, n, seed):
+    """E[h(Y)] as a FunctionalValue: the mean of h over ``sample_iid`` draws, and its stderr."""
+    return functional_from_draws(FunctionalSpec("mean"), h(sample_iid(dist, n, seed)))
+
+
+def pinball_argmin(values, tau: Fraction):
+    """(lo, hi) of the set of z minimising sum_i (1{z >= y_i} - tau)(z - y_i)
+    over the sample ``values``, in exact rational arithmetic: the loss is
+    convex and linear between sample points and rises outside them, so its
+    minimisers form the interval between the least and greatest minimising
+    sample point."""
+    ys = [Fraction(y) for y in values]
+    loss = {z: sum(((z >= y) - tau) * (z - y) for y in ys) for z in set(ys)}
+    least = min(loss.values())
+    best = [z for z, l in loss.items() if l == least]
+    return float(min(best)), float(max(best))
 
 
 def transform(name, params=()):

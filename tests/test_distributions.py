@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.stats import expon, lognorm, norm, uniform
 
+import oracle
 from elicit import (Empirical, Exponential, Interval, Lognormal, Normal,
-                    ParameterError, Uniform, cdf, quantile, sample_iid)
-from elicit.functionals import expectile_exact
+                    ParameterError, Uniform, sample_iid)
+from elicit.distributions import sorted_quantile
+from elicit.functionals import FunctionalSpec, expectile_exact, functional_from_draws
 
 CONTINUOUS = [
     Normal(0.0, 1.0),
@@ -22,12 +26,10 @@ CONTINUOUS = [
 
 
 def test_sampling_means_match_analytic():
-    from elicit import mc_expectation
-
     variants = [Uniform(0.0, 1.0), Exponential(2.0), Normal(0.5, 2.0),
                 Lognormal(0.0, 1.0), Empirical((1.0, 2.0, 7.0))]
     for k, dist in enumerate(variants):
-        est = mc_expectation(lambda y: y, dist, 10**6, seed=3 + k)
+        est = oracle.mc_mean(lambda y: y, dist, 10**6, seed=3 + k)
         assert abs(est.value - dist.mean()) <= 3 * est.stderr
 
 
@@ -46,16 +48,16 @@ def test_sampling_reproducible():
 
 class TestCdf:
     def test_normal_symmetry(self):
-        assert cdf(Normal(0.0, 1.0), 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert Normal(0.0, 1.0).cdf(0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_exponential_half_life(self):
         # 1 - exp(-ln 2) = 1/2
-        assert cdf(Exponential(1.0), math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
+        assert Exponential(1.0).cdf(math.log(2.0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_empirical_step(self):
-        assert cdf(Empirical((1.0, 2.0, 3.0)), 2.0) == pytest.approx(2.0 / 3.0)
-        assert cdf(Empirical((1.0, 2.0, 3.0)), 0.5) == 0.0
-        assert cdf(Empirical((1.0, 2.0, 3.0)), 3.5) == 1.0
+        assert Empirical((1.0, 2.0, 3.0)).cdf(2.0) == pytest.approx(2.0 / 3.0)
+        assert Empirical((1.0, 2.0, 3.0)).cdf(0.5) == 0.0
+        assert Empirical((1.0, 2.0, 3.0)).cdf(3.5) == 1.0
 
     def test_against_scipy(self):
         pairs = [
@@ -66,37 +68,57 @@ class TestCdf:
         ]
         for dist, ref in pairs:
             for y in (-0.5, 0.3, 1.0, 2.7):
-                assert cdf(dist, y) == pytest.approx(ref.cdf(y), abs=1e-12)
+                assert dist.cdf(y) == pytest.approx(ref.cdf(y), abs=1e-12)
 
 
 def test_quantile_cdf_roundtrip():
     for dist in CONTINUOUS:
         for tau in np.arange(0.1, 0.95, 0.1):
-            assert cdf(dist, quantile(dist, tau)) == pytest.approx(tau, abs=1e-9)
+            assert dist.cdf(dist.quantile(tau)) == pytest.approx(tau, abs=1e-9)
 
 
 def test_quantile_level_validated():
     with pytest.raises(ParameterError):
-        quantile(Normal(0, 1), 0.0)
+        Normal(0, 1).quantile(0.0)
     with pytest.raises(ParameterError):
-        quantile(Normal(0, 1), 1.0)
+        Normal(0, 1).quantile(1.0)
 
 
 class TestEmpiricalQuantiles:
     def test_even_sample_median_interval(self):
-        iv = quantile(Empirical((1.0, 1.0, 2.0, 2.0)), 0.5)
+        iv = Empirical((1.0, 1.0, 2.0, 2.0)).quantile(0.5)
         assert isinstance(iv, Interval)
         assert (iv.lo, iv.hi) == (1.0, 2.0)
 
     def test_odd_sample_median_singleton(self):
-        iv = quantile(Empirical((1.0, 2.0, 3.0)), 0.5)
-        assert iv.is_singleton and iv.lo == 2.0
+        iv = Empirical((1.0, 2.0, 3.0)).quantile(0.5)
+        assert iv.lo == iv.hi == 2.0
 
     def test_interior_level(self):
-        iv = quantile(Empirical((10.0, 20.0, 30.0, 40.0)), 0.1)
-        assert iv.is_singleton and iv.lo == 10.0
-        iv = quantile(Empirical((10.0, 20.0, 30.0, 40.0)), 0.75)
+        iv = Empirical((10.0, 20.0, 30.0, 40.0)).quantile(0.1)
+        assert iv.lo == iv.hi == 10.0
+        iv = Empirical((10.0, 20.0, 30.0, 40.0)).quantile(0.75)
         assert (iv.lo, iv.hi) == (30.0, 40.0)
+
+
+# Supports of 2-50 values, many of them repeated; a level k/m with m the
+# sample size (tau n an integer), twice it (an integer half the time) or fixed.
+SUPPORTS = st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.25]) | st.floats(-1e3, 1e3),
+                    min_size=2, max_size=50)
+
+
+@given(values=SUPPORTS, data=st.data())
+def test_quantile_set_is_the_pinball_argmin(values, data):
+    n = len(values)
+    m = data.draw(st.sampled_from([n, 2 * n, 7, 10, 100]), label="m")
+    level = Fraction(data.draw(st.integers(1, m - 1), label="k"), m)
+    tau = float(level)
+    iv = sorted_quantile(np.sort(values), tau)
+    assert (iv.lo, iv.hi) == oracle.pinball_argmin(values, level)
+    assert iv.lo_closed and iv.hi_closed
+    assert Empirical(tuple(values)).quantile(tau) == iv
+    from_draws = functional_from_draws(FunctionalSpec("quantile", tau=tau), values)
+    assert from_draws.value == iv
 
 
 def test_partial_mean_above_matches_quadrature():
@@ -172,7 +194,7 @@ class TestEmpiricalFromDraws:
         emp = Empirical(draws)
         draws[0] = 100.0
         assert emp.support() == Interval.closed(1.0, 3.0)
-        assert not emp.values.flags.writeable
+        assert isinstance(emp.values, tuple)
         assert Empirical((2.0, 1.0)) != Empirical((1.0, 2.0))
 
     def test_validation(self):

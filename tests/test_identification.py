@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import oracle
 from elicit import (Exponential, IdentSpec, Lognormal, Normal, ParameterError,
                     ScoreSpec, TransformMode, catalog, evaluate_identification,
-                    mc_expectation, orientation_probe, osband_residual)
+                    orientation_probe, osband_residual)
 from elicit.identification import builtin_osband_pairings
 from elicit.scoring import convex_generator, ConvexGenerator, register_convex_generator
 
@@ -65,7 +66,7 @@ class TestInvariances:
         median = math.log(2.0)
         for g in (catalog("exp"), catalog("negate")):
             spec = IdentSpec("quantile", tau=0.5, transform=TransformMode.both(g))
-            est = mc_expectation(lambda y: np.asarray(
+            est = oracle.mc_mean(lambda y: np.asarray(
                 evaluate_identification(spec, median, y)), d, 10**5, seed=21)
             assert abs(est.value) <= 3 * est.stderr
 
@@ -87,7 +88,7 @@ class TestInvariances:
              Lognormal(0.0, 1.0), 1.0),
         ]
         for spec, dist, truth in cases:
-            est = mc_expectation(lambda y: np.asarray(
+            est = oracle.mc_mean(lambda y: np.asarray(
                 evaluate_identification(spec, truth, y)), dist, 10**5, seed=5)
             assert abs(est.value) <= 3 * est.stderr
 

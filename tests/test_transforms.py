@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
-from elicit import Bijection, DomainError, Interval, ParameterError, catalog, roundtrip_check
+from elicit import Bijection, DomainError, Interval, ParameterError, catalog
 from elicit.numerics import central_diff
 from elicit.transforms import CATALOG_ROWS
+
+
+def roundtrip_error(bij, grid):
+    """Max of |invert(apply(t)) - t| / max(1, |t|) over the grid."""
+    return max(abs(bij.invert(bij.apply(t)) - t) / max(1.0, abs(t)) for t in map(float, grid))
 
 
 def domain_grid(bij, k=100):
@@ -31,7 +36,7 @@ ALL_ROWS = [(name, params) for name, params, _, _ in CATALOG_ROWS]
 @pytest.mark.parametrize("name,params", ALL_ROWS)
 def test_roundtrip_everywhere(name, params):
     bij = catalog(name, params)
-    assert roundtrip_check(bij, domain_grid(bij)) <= 1e-10
+    assert roundtrip_error(bij, domain_grid(bij)) <= 1e-10
 
 
 @pytest.mark.parametrize("name,params", ALL_ROWS)
@@ -145,7 +150,7 @@ def check_edges(bij, t):
             with pytest.raises(DomainError):
                 bij.apply(end)
     assert cod.contains(bij.apply(t))
-    assert roundtrip_check(bij, [t]) <= 1e-10
+    assert roundtrip_error(bij, [t]) <= 1e-10
     assert np.sign(bij.deriv(t)) == (1 if bij.increasing else -1)
 
 
@@ -158,6 +163,44 @@ def test_domain_edges(name, data):
     else:
         t = data.draw(st.floats(-20.0, 20.0), label="t")
     check_edges(bij, t)
+
+
+# Next to a finite domain end, or far out where there is none: there the
+# value (or the inverse's) underflows, overflows or rounds onto an end.
+SATURATING = st.floats(5e-324, 1e-6) | st.floats(1.0, 1e308)
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+@given(data=st.data())
+def test_values_stay_in_range_where_doubles_saturate(name, data):
+    """A map returns a value inside its codomain and its inverse one inside
+    its domain, or raises a DomainError naming the input."""
+    bij = catalog(name, data.draw(PARAMS[name], label="params"))
+    dom, offset = bij.domain, data.draw(SATURATING, label="offset")
+    inward = data.draw(st.sampled_from([1.0, -1.0]), label="inward")  # from lo, from hi
+    end = dom.lo if inward > 0 else dom.hi
+    t = end + inward * offset if math.isfinite(end) else -inward * offset
+    if not dom.contains(t):
+        return
+    try:
+        value = bij.apply(t)
+        assert bij.codomain.contains(value), value
+    except DomainError as exc:
+        assert exc.value == t
+        return
+    try:
+        assert dom.contains(bij.invert(value)), value
+    except DomainError as exc:
+        assert exc.value == value
+
+
+@pytest.mark.parametrize("name,params,t", [("box-cox", [2.0], 1e-10), ("exp", [], -800.0),
+                                           ("power", [-2.0], 1e200)])
+def test_value_rounding_onto_an_open_codomain_end_raises(name, params, t):
+    bij = catalog(name, params)
+    with pytest.raises(DomainError, match=f"forward of {name}") as exc_info:
+        bij.apply(np.array([1.0, t]))
+    assert exc_info.value.value == t
 
 
 # b t + c at the closed end t = -c/b rounds below 0 for the first two (b, c)
@@ -212,9 +255,9 @@ class TestCatalogExamples:
         assert bij.invert(math.e) == pytest.approx(0.0, abs=1e-12)
 
     def test_roundtrip_examples(self):
-        assert roundtrip_check(catalog("log"), [0.1, 1.0, 10.0]) <= 1e-12
-        assert roundtrip_check(catalog("box-cox", [0.25]), [0.5, 1.0, 2.0]) <= 1e-12
-        assert roundtrip_check(catalog("power", [-1.0]), [0.5, 2.0]) <= 1e-12
+        assert roundtrip_error(catalog("log"), [0.1, 1.0, 10.0]) <= 1e-12
+        assert roundtrip_error(catalog("box-cox", [0.25]), [0.5, 1.0, 2.0]) <= 1e-12
+        assert roundtrip_error(catalog("power", [-1.0]), [0.5, 2.0]) <= 1e-12
 
     def test_negative_power_is_decreasing(self):
         bij = catalog("power", [-1.0])
@@ -287,7 +330,7 @@ def test_custom_bijection_construction():
                        Interval.open(-math.inf, math.inf),
                        Interval.open(-math.inf, math.inf), True)
     assert double.apply(3.0) == 6.0
-    assert roundtrip_check(double, [-5.0, 0.1, 7.0]) == 0.0
+    assert roundtrip_error(double, [-5.0, 0.1, 7.0]) == 0.0
 
 
 def test_order_preservation_on_random_pairs():
