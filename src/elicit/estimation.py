@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import DomainError, ParameterError
 from .numerics import Bracket, minimize1d
@@ -153,10 +152,13 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float
         except DomainError:
             return math.inf
 
+    # Imported here, not at module level: no other code path needs scipy,
+    # and importing it costs every CLI process about half a second.
+    from scipy.optimize import minimize
+
     def run(start):
-        return _scipy_minimize(obj, start, method="Nelder-Mead",
-                               options={"xatol": tol, "fatol": 1e-14,
-                                        "maxiter": 2000, "maxfev": 4000})
+        return minimize(obj, start, method="Nelder-Mead",
+                        options={"xatol": tol, "fatol": 1e-14, "maxiter": 2000, "maxfev": 4000})
 
     res = run(x0)
     if not res.success:  # restart once from the end: a fresh simplex

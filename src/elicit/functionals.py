@@ -46,6 +46,9 @@ class FunctionalSpec:
 
     def __post_init__(self):
         check_options("functional kind", KINDS, self.kind, tau=self.tau, g=self.g)
+        if self.g is not None and not isinstance(self.g, Bijection):
+            raise ParameterError(f"{self.kind} requires an invertible Bijection g, "
+                                 f"got {self.g!r}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +241,9 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
 def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
     """Monte Carlo value of the functional, and its stderr, from draws of the law."""
     w = np.asarray(draws, dtype=float)
+    if w.size < 2:
+        raise ParameterError(f"a Monte Carlo {spec.kind} needs n >= 2 draws for its stderr, "
+                             f"got {w.size}")
     g = spec.g
     if g is not None:
         w = np.asarray(g.apply(w), dtype=float)

@@ -186,6 +186,18 @@ def _target_se(target: FunctionalValue) -> float:
     return float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
 
 
+def _target_shift(curve, t: float, zs: np.ndarray, target: FunctionalValue) -> float:
+    """How far a curve moves when a Monte Carlo target t misses the truth by
+    its stderr se_t: |curve'(t)| se_t, the slope a central difference over
+    one grid step. 0 for an exact target."""
+    se_t = _target_se(target)
+    if se_t == 0.0:
+        return 0.0
+    delta = float(zs[1] - zs[0])
+    lo, hi = curve([t - delta, t + delta])
+    return abs(float(hi - lo)) / (2.0 * delta) * se_t
+
+
 def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, bracket: Bracket, seed: Seed):
     """Draws, prepared realizations, grid, and the grid argmin refined by
     bracketed search between its neighbors: returns (prepared, zs, argmin)."""
@@ -258,11 +270,14 @@ def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValu
     tol = _tolerance(cfg, t_scalar, se)
     dist_ok = _target_distance(z_star, target.value) <= tol
 
-    # The truth must not beat the curve anywhere beyond paired-noise level.
+    # The truth must not beat the curve anywhere beyond paired-noise level,
+    # nor beyond what the error of a Monte Carlo target moves the curve by.
     ineq_ok = True
     if bracket.lo <= t_scalar <= bracket.hi:
         dmean, dse = score_diff_stats(score, t_scalar, zs, prepared)
-        ineq_ok = bool(np.all(dmean <= 3.0 * dse + 1e-12))
+        shift = _target_shift(lambda z: expected_score_curve(score, z, prepared),
+                              t_scalar, zs, target)
+        ineq_ok = bool(np.all(dmean <= 3.0 * np.hypot(dse, shift) + 1e-12))
 
     notes = f"argmin={z_star:.6g}"
     if isinstance(target.value, Interval):
@@ -314,15 +329,8 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
     zs = np.linspace(cfg.bracket.lo, cfg.bracket.hi, cfg.points)
     vmeans, vses = expected_ident_curve(cfg.ident, zs, prepared)
 
-    # A Monte Carlo target misses the true zero by se_t; the expected
-    # identification value moves by (local slope) x that much.
-    se_t = _target_se(target)
-    if se_t > 0.0:
-        delta = float(zs[1] - zs[0])
-        (v_lo, v_hi), _ = expected_ident_curve(
-            cfg.ident, [t_scalar - delta, t_scalar + delta], prepared)
-        slope = float(v_hi - v_lo) / (2.0 * delta)
-        se0 = math.hypot(se0, abs(slope) * se_t)
+    se0 = math.hypot(se0, _target_shift(lambda z: expected_ident_curve(cfg.ident, z, prepared)[0],
+                                        t_scalar, zs, target))
     zero_ok = abs(est0) <= max(3.0 * se0, 1e-12)
     flat_tol = max(cfg.tol_abs, cfg.tol_rel * max(1.0, abs(t_scalar)))
     far = np.abs(zs - t_scalar) > flat_tol

@@ -1,6 +1,8 @@
 import csv
 import json
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -521,3 +523,11 @@ class TestSeedEnvVar:
 def test_usage_error_exit_code():
     assert main(["score"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_start_up_imports_no_scipy():
+    # scipy's import costs every process about half a second; only the
+    # linear fit's optimiser needs it, and it imports scipy where it runs
+    code = "import sys, elicit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import expon, lognorm, norm, uniform
 
 import oracle
 from elicit import (Empirical, Exponential, Interval, Lognormal, Normal,
                     ParameterError, Uniform, sample_iid)
-from elicit.distributions import sorted_quantile
+from elicit.distributions import ndtr, ndtri, sorted_quantile
 from elicit.functionals import FunctionalSpec, expectile_exact, functional_from_draws
 
 CONTINUOUS = [
@@ -69,6 +70,20 @@ class TestCdf:
         for dist, ref in pairs:
             for y in (-0.5, 0.3, 1.0, 2.7):
                 assert dist.cdf(y) == pytest.approx(ref.cdf(y), abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(x=st.floats(-30.0, 8.0))
+def test_ndtr_matches_scipy(x):
+    want = float(special.ndtr(x))
+    assert abs(ndtr(x) - want) <= 1e-13 * want
+
+
+@settings(max_examples=200)
+@given(p=st.floats(1e-300, 1.0 - 1e-16, exclude_min=True, exclude_max=True))
+def test_ndtri_matches_scipy(p):
+    want = float(special.ndtri(p))
+    assert abs(ndtri(p) - want) <= 1e-14 * abs(want)
 
 
 def test_quantile_cdf_roundtrip():

@@ -230,6 +230,23 @@ def test_spec_validation():
         FunctionalSpec("gexpectile", tau=0.3)
 
 
+@pytest.mark.parametrize("g", [np.exp, math.log, "log"])
+def test_spec_rejects_a_g_that_is_not_a_bijection(g):
+    with pytest.raises(ParameterError, match="invertible Bijection"):
+        FunctionalSpec("gmean", g=g)
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec("gmean", g=catalog("shifted-log", [1.0])),
+    FunctionalSpec("gexpectile", tau=0.3, g=catalog("shifted-log", [1.0])),
+    FunctionalSpec("mvpair", g=catalog("shifted-log", [1.0]))])
+def test_monte_carlo_path_needs_two_draws(spec):
+    # no closed form on Exponential(1): the value and its stderr come from draws
+    with pytest.raises(ParameterError, match="n >= 2"):
+        functional_value(spec, Exponential(1.0), n=1, seed=3)
+    assert functional_value(spec, Exponential(1.0), n=2, seed=3).method == "mc"
+
+
 def test_scalar_value_rules():
     assert scalar_value(Interval.closed(1.0, 2.0)) == 1.0
     assert scalar_value(3.5) == 3.5

@@ -450,3 +450,26 @@ def test_pair_check_counts_monte_carlo_target_error():
     off = replace(base, target=(mean + 0.04, var))
     assert not check_pair_consistency(replace(off, target_stderr=(0.0, 0.0))).passed
     assert check_pair_consistency(replace(off, target_stderr=(0.03, 0.0))).passed
+
+
+def test_truth_beats_curve_counts_monte_carlo_target_error(tmp_path):
+    # verify-mc's realization check at workload seed 57. Its target, the
+    # mean of 1e6 transformed draws, carries a stderr of 4.2e-4; with that
+    # error left out, the curve at the target sat 3.7 paired stderrs above
+    # a grid point and the check reported a false violation.
+    from dataclasses import replace
+
+    from elicit import TransformMode
+    from elicit.verify import _transformed_functional
+
+    path = tmp_path / "mc.suite"
+    path.write_text("name=mc/real-se-shiftedlog kind=realization dist=exponential(1) score=se "
+                    "functional=mean g=shifted-log(1) bracket=0.1,1.5 n=1000000 "
+                    "seed=13147460408924249144\n")
+    (c,) = load_suite_file(str(path), seed=57)
+    rpt = run_check(c)
+    assert rpt.passed, rpt.notes
+    target = _transformed_functional(c, TransformMode.realization_only(c.g))
+    assert target.stderr > 0.0
+    exact = run_check(replace(c, target=target.value, target_stderr=0.0))
+    assert "truth beats curve inequality violated" in exact.notes
