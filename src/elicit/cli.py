@@ -31,7 +31,8 @@ from .identification import IDENT_FAMILIES
 from .scoring import (FAMILIES, average_score, expected_score_stats, family_options,
                       prepare_realizations)
 from .transforms import CATALOG_ROWS, catalog, identity
-from .verify import as_expected, builtin_suite, load_suite_file, run_suite, suite_passed
+from .verify import (as_expected, builtin_suite, check_memory, draw_bytes, load_suite_file,
+                     run_suite, suite_bytes, suite_passed)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -251,6 +252,7 @@ def _cmd_verify(args) -> int:
         configs = builtin_suite(args.suite.split(":", 1)[1], seed=args.seed)
     else:
         configs = load_suite_file(args.suite, seed=args.seed)
+    check_memory(f"--jobs {args.jobs}", suite_bytes(configs, args.jobs), UsageError)
     reports = run_suite(configs, parallelism=args.jobs)
     payload = [r.to_json_dict(include_ms=args.timings) for r in reports]
     _emit(payload, args.out)
@@ -269,8 +271,8 @@ def _cmd_curve(args) -> int:
     if spec.family == "mv":
         raise UsageError("curve sweeps scalar predictions; --score mv takes (x1, x2) pairs")
     dist = specs.parse_dist(args.dist)
-    draws = sample_iid(dist, args.n, args.seed)
-    prepared = prepare_realizations(spec, draws)
+    check_memory(f"--n {args.n}", draw_bytes(args.n, "consistency"), UsageError)
+    prepared = prepare_realizations(spec, sample_iid(dist, args.n, args.seed), owned=True)
     zs = np.linspace(args.bracket.lo, args.bracket.hi, args.points)
     means, stderrs = expected_score_stats(spec, zs, prepared)
     rows = [(float(z), float(m), float(s)) for z, m, s in zip(zs, means, stderrs)]

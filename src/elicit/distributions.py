@@ -104,7 +104,8 @@ class Lognormal:
             raise ParameterError(f"Lognormal requires sigma > 0, got {self.sigma}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.exp(rng.normal(self.mu, self.sigma, int(n)))
+        x = rng.normal(self.mu, self.sigma, int(n))
+        return np.exp(x, out=x)
 
     def cdf(self, y: float) -> float:
         if y <= 0:

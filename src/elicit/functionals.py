@@ -179,13 +179,14 @@ def analytic_functional(dist: DistributionSpec, spec: FunctionalSpec):
     return value if spec.kind == "mvpair" else float(g.invert(value))
 
 
-def _mc_expectile(w: np.ndarray, tau: float):
+def _mc_expectile(w: np.ndarray, tau: float, owned: bool = False):
     """Root of the empirical asymmetric-deviation balance
     psi(z) = tau E[(w - z)^+] - (1 - tau) E[(z - w)^+] on the draws w, and its
     standard error. psi is -1/2 times the mean expectile identification
-    function, which the sorted sweep evaluates without a pass over w."""
+    function, which the sorted sweep evaluates without a pass over w; the
+    sweep sorts ``owned`` draws in place."""
     ident = IdentSpec("expectile", tau=tau)
-    prepared = prepare_ident_realizations(ident, w)
+    prepared = prepare_ident_realizations(ident, w, owned)
 
     def psi(z: float) -> float:
         return -0.5 * float(expected_ident_curve(ident, [z], prepared)[0][0])
@@ -223,7 +224,8 @@ def sample_mv_pair(w) -> FunctionalValue:
     w = np.asarray(w, dtype=float)
     m = float(np.mean(w))
     v = float(np.var(w, ddof=1))
-    m4 = float(np.mean(np.square(np.square(w - m))))
+    d = w - m
+    m4 = float(np.mean(np.square(np.square(d, out=d), out=d)))
     se_v = math.sqrt(max(m4 - v * v, 0.0) / w.size)
     return FunctionalValue((m, v), (mean_stderr(w), se_v), "mc")
 
@@ -235,26 +237,33 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
     if analytic is not None:
         stderr = (0.0, 0.0) if isinstance(analytic, tuple) else 0.0
         return FunctionalValue(analytic, stderr, "analytic")
-    return functional_from_draws(spec, sample_iid(dist, n, seed))
+    return functional_from_draws(spec, sample_iid(dist, n, seed), owned=True)
 
 
-def functional_from_draws(spec: FunctionalSpec, draws) -> FunctionalValue:
-    """Monte Carlo value of the functional, and its stderr, from draws of the law."""
+def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> FunctionalValue:
+    """Monte Carlo value of the functional, and its stderr, from draws of the
+    law. ``owned`` draws, which no caller holds, are sorted in place and
+    dropped once transformed."""
     w = np.asarray(draws, dtype=float)
+    owned = owned and w is draws
+    del draws
     if w.size < 2:
         raise ParameterError(f"a Monte Carlo {spec.kind} needs n >= 2 draws for its stderr, "
                              f"got {w.size}")
     g = spec.g
     if g is not None:
-        w = np.asarray(g.apply(w), dtype=float)
+        raw, w = w, np.asarray(g.apply(w), dtype=float)
+        owned = owned if w is raw else not np.may_share_memory(w, raw)
+        del raw  # owned draws go once transformed
     kind = _BASE_KIND.get(spec.kind, spec.kind)
     if kind == "quantile":
-        w = np.sort(w)
+        w = w if owned else w.copy()
+        w.sort()
         return FunctionalValue(sorted_quantile(w, spec.tau), _quantile_stderr(w, spec.tau),
                                "mc", notes="empirical quantile interval")
     if kind == "mvpair":
         return sample_mv_pair(w)
-    value, se = (_mc_expectile(w, spec.tau) if kind == "expectile"
+    value, se = (_mc_expectile(w, spec.tau, owned) if kind == "expectile"
                  else (float(np.mean(w)), mean_stderr(w)))
     if g is None:
         return FunctionalValue(value, se, "mc")

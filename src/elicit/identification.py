@@ -52,8 +52,9 @@ class IdentSpec:
                 "mean-variance identification admits only 'none' or 'realization' transforms")
 
 
-def prepare_ident_realizations(spec: IdentSpec, y) -> PreparedRealizations:
-    return PreparedRealizations(spec.transform, y)
+def prepare_ident_realizations(spec: IdentSpec, y, owned: bool = False) -> PreparedRealizations:
+    """As :func:`~elicit.scoring.prepare_realizations`, for identification functions."""
+    return PreparedRealizations(spec.transform, y, owned)
 
 
 def _coefficients(spec: IdentSpec, u, centre):
@@ -67,11 +68,20 @@ def _coefficients(spec: IdentSpec, u, centre):
     return lin, 2.0 * (1.0 - spec.tau), 2.0 * spec.tau  # 2 |1{u >= w} - tau| (u - w)
 
 
+def mv_ident_components(z, prepared: PreparedRealizations):
+    """V1 = x1 - w and V2 = x2 + x1^2 - w^2 of the mv pair z = (x1, x2), one
+    at a time, so a caller that reduces each holds one beside the draws."""
+    y = prepared.rows()
+    x1, x2 = float(z[0]), float(z[1])
+    yield x1 - np.asarray(y)
+    v = np.square(y)
+    yield np.subtract(x2 + x1 * x1, v, out=v if np.ndim(v) else None)
+
+
 def ident_values(spec: IdentSpec, z, prepared: PreparedRealizations):
-    y = prepared.y
     if spec.family == "mv":
-        x1, x2 = float(z[0]), float(z[1])
-        return (x1 - np.asarray(y), x2 + x1 * x1 - np.square(y))
+        return tuple(mv_ident_components(z, prepared))
+    y = prepared.rows()
     u = spec.transform.prediction(z)
     return per_row(u, y, _coefficients(spec, u, (y,)), spec.family != "mean")
 

@@ -179,17 +179,29 @@ class PreparedRealizations:
     """Realizations prepared once for many predictions; scores and
     identification functions share this object.
 
-    ``y`` holds the effective realizations w in draw order; ``column`` the
-    family's extra basis column, phi(w) for a phi other than the square and
-    g_in(w) for gpl, else None; ``sweep`` the sorted statistics of :func:`sorted_stats`.
+    ``y`` holds the effective realizations w; ``sweep`` the sorted
+    statistics of :func:`sorted_stats`. The draws are ``owned`` when no
+    caller holds them: sampling code passes its draws as owned, and a
+    catalog map's values are owned because the map made them. An ordered
+    sweep sorts owned draws in place (``in_draw_order`` turns False), so a
+    check holds one copy of its draws; a caller's array is never changed.
     """
 
-    __slots__ = ("y", "column", "sweep")
+    __slots__ = ("y", "owned", "in_draw_order", "sweep")
 
-    def __init__(self, transform: TransformMode, y, column: Callable | None = None):
+    def __init__(self, transform: TransformMode, y, owned: bool = False):
         self.y = transform.realization(y)
-        self.column = None if column is None else column(self.y)
+        self.owned = owned if self.y is y else \
+            isinstance(transform.g, Bijection) and not np.may_share_memory(self.y, y)
+        self.in_draw_order = True
         self.sweep = None
+
+    def rows(self):
+        """``y`` for per-row evaluation, which pairs row i with draw i."""
+        if not self.in_draw_order:
+            raise ParameterError("per-row values need the realizations in draw order; "
+                                 "a sweep has sorted these owned draws in place")
+        return self.y
 
 
 def _basis(spec: ScoreSpec):
@@ -201,21 +213,20 @@ def _basis(spec: ScoreSpec):
     return "quad" if spec.family in ("se", "mv", "expectile", "bregman") else "lin"
 
 
-def prepare_realizations(spec: ScoreSpec, y) -> PreparedRealizations:
-    """Pre-transform realizations once; reuse across many prediction values."""
-    basis = _basis(spec)
-    column = basis.phi if isinstance(basis, ConvexGenerator) else \
-        basis.apply if isinstance(basis, Bijection) else None
-    return PreparedRealizations(spec.transform, y, column)
+def prepare_realizations(spec: ScoreSpec, y, owned: bool = False) -> PreparedRealizations:
+    """Pre-transform realizations once; reuse across many prediction values.
+    ``owned`` draws, which no caller holds, may be sorted in place."""
+    return PreparedRealizations(spec.transform, y, owned)
 
 
-def _centre(basis, p: PreparedRealizations, of=lambda v: float(np.mean(v))) -> tuple:
-    """Centring constants of ``basis``: ``of`` of its columns, by default their means."""
+def _centre(basis, y, of=lambda v: float(np.mean(v))) -> tuple:
+    """Centring constants of ``basis`` on the draws y: ``of`` of its columns,
+    by default their means."""
     if isinstance(basis, Bijection):
-        return (of(p.column),)
+        return (of(basis.apply(y)),)
     if basis == "one":
         return ()
-    return (of(p.y), of(p.column)) if isinstance(basis, ConvexGenerator) else (of(p.y),)
+    return (of(y), of(basis.phi(y))) if isinstance(basis, ConvexGenerator) else (of(y),)
 
 
 def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
@@ -226,12 +237,13 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     generator phi {1, t, phi(w)} or an inner transformation g_in
     {1, g_in(w)}, with t = w - mean(w) and phi/g_in centred at their mean.
     Families without a breakpoint pass ``ordered=False``: their draws are
-    neither sorted nor copied.
+    neither sorted nor copied. Owned draws are sorted in place, after the
+    centres, the one reduction that reads them in draw order.
     """
     key = (basis, ordered)
     if p.sweep is not None and p.sweep.key == key:
         return p.sweep
-    centre = _centre(basis, p)
+    centre = _centre(basis, p.y)
     if isinstance(basis, Bijection):
         columns = lambda w: (basis.apply(w) - centre[0],)
     elif basis == "one":
@@ -242,7 +254,9 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
         columns = lambda w: (w - centre[0], np.square(w - centre[0]))
     else:
         columns = lambda w: (w - centre[0], np.asarray(basis.phi(w), float) - centre[1])
-    p.sweep = SortedStats(p.y, columns, key, centre, ordered)
+    in_place = ordered and p.owned
+    p.sweep = SortedStats(p.y, columns, key, centre, ordered, in_place)
+    p.in_draw_order = p.in_draw_order and not in_place
     return p.sweep
 
 
@@ -292,8 +306,9 @@ def _coefficients(spec: ScoreSpec, u, centre):
 
 def _rows(spec: ScoreSpec, u, p: PreparedRealizations):
     """S(u_i, w_i) per row: the table entry centred at each row's own w."""
-    entry = _coefficients(spec, u, _centre(_basis(spec), p, of=lambda v: v))
-    return per_row(u, p.y, entry, spec.family not in _FLAT)
+    y = p.rows()
+    entry = _coefficients(spec, u, _centre(_basis(spec), y, of=lambda v: v))
+    return per_row(u, y, entry, spec.family not in _FLAT)
 
 
 def score_values(spec: ScoreSpec, z, prepared: PreparedRealizations):

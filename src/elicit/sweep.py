@@ -40,14 +40,18 @@ class SortedStats:
     ``basis(w)`` returns the non-constant basis columns evaluated on an
     array of draws; a constant column of ones is always prepended. With
     ``ordered=False`` the draws are neither sorted nor copied: families
-    without a breakpoint only ever sum the whole range. ``key`` identifies
-    the basis and ``centre`` holds its centring constants, for the caller's
-    coefficient functions.
+    without a breakpoint only ever sum the whole range. ``in_place`` sorts
+    draws that no caller holds where they are, instead of a sorted copy.
+    ``key`` identifies the basis and ``centre`` holds its centring
+    constants, for the caller's coefficient functions.
     """
 
-    def __init__(self, w, basis: Callable, key, centre: tuple, ordered: bool):
+    def __init__(self, w, basis: Callable, key, centre: tuple, ordered: bool, in_place: bool):
         w = np.ravel(np.asarray(w, dtype=float))
-        self.w = np.sort(w) if ordered else w
+        if ordered:
+            w = w if in_place else w.copy()
+            w.sort()
+        self.w = w
         self.n = self.w.size
         self.basis = basis
         self.key = key

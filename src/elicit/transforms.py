@@ -92,8 +92,12 @@ def format_number(x: float) -> str:
 
 # The four base maps. Every catalog map is base(p t + q), and Box-Cox then
 # (s - 1)/a of the base value s.
-_IDENTITY = Bijection("identity", lambda t: +np.asarray(t, float), lambda t: +np.asarray(t, float),
-                      lambda t: np.ones_like(np.asarray(t, float)), _FULL, _FULL, True)
+def _copy(t, out=None):
+    return np.positive(np.asarray(t, float), out=out)
+
+
+_IDENTITY = Bijection("identity", _copy, _copy, lambda t: np.ones_like(np.asarray(t, float)),
+                      _FULL, _FULL, True)
 _LOG = Bijection("log", np.log, np.exp, lambda t: 1.0 / np.asarray(t, float),
                  _POSITIVE, _FULL, True)
 _EXP = Bijection("exp", np.exp, np.log, np.exp, _FULL, _POSITIVE, True)
@@ -102,24 +106,33 @@ _EXP = Bijection("exp", np.exp, np.log, np.exp, _FULL, _POSITIVE, True)
 def _power(a: float, open_at_zero: bool = False) -> Bijection:
     """t^a, closed at 0 where t^a and its derivative stay finite there."""
     half = Interval(0.0, _INF, lo_closed=a >= 1 and not open_at_zero)
-    return Bijection("power", lambda t: np.power(np.asarray(t, float), a),
-                     lambda t: np.power(np.asarray(t, float), 1.0 / a),
+    return Bijection("power", lambda t, out=None: np.power(np.asarray(t, float), a, out=out),
+                     lambda t, out=None: np.power(np.asarray(t, float), 1.0 / a, out=out),
                      lambda t: a * np.power(np.asarray(t, float), a - 1.0), half, half, a > 0)
+
+
+def _into(x, own: bool):
+    """``x`` as a ufunc's ``out`` when the chain made it (``own``), else None."""
+    return x if own and isinstance(x, np.ndarray) else None
 
 
 def _affine(p: float, q: float, floor: float | None = None):
     """x -> p x + q, raised to ``floor`` if given, and its inverse
-    x -> (x - q)/p. A unit p and a zero q are left out, so they keep every
-    bit of x, the sign of zero included."""
-    def forward(x):
+    x -> (x - q)/p, each writing over x when ``own`` says the chain made it.
+    A unit p and a zero q are left out, so they keep every bit of x, the
+    sign of zero included."""
+    def forward(x, own=False):
         x = np.asarray(x, float)
-        x = x if p == 1.0 else p * x
-        x = x if q == 0.0 else x + q
-        return x if floor is None else np.maximum(x, floor)
+        if p != 1.0:
+            x, own = np.multiply(p, x, out=_into(x, own)), True
+        if q != 0.0:
+            x, own = np.add(x, q, out=_into(x, own)), True
+        return x if floor is None else np.maximum(x, floor, out=_into(x, own))
 
-    def inverse(x):
-        x = x if q == 0.0 else x - q
-        return x if p == 1.0 else x / p
+    def inverse(x, own=False):
+        if q != 0.0:
+            x, own = np.subtract(x, q, out=_into(x, own)), True
+        return x if p == 1.0 else np.divide(x, p, out=_into(x, own))
 
     return forward, inverse
 
@@ -142,9 +155,18 @@ def _composed(name: str, params: tuple, base: Bijection, p: float = 1.0, q: floa
     inner, uninner = _affine(p, q, base.domain.lo if base.domain.lo_closed else None)
     unouter, outer = _affine(d, e)
     scale, unscale = _affine(p, 0.0)[0], _affine(d, 0.0)[1]
-    return Bijection(name, lambda t: outer(base.forward(inner(t))),
-                     lambda v: uninner(base.inverse(unouter(v))),
-                     lambda t: unscale(scale(base.derivative(inner(t)))),  # p base'(p t + q)/d
+
+    def chain(head, base_map, tail):
+        """tail(base_map(head(t))): the base map writes over head's array
+        when head made one, and the tail over the base map's."""
+        def f(t):
+            x = head(t)
+            return tail(base_map(x, out=_into(x, x is not t)), True)
+        return f
+
+    return Bijection(name, chain(inner, base.forward, outer), chain(unouter, base.inverse, uninner),
+                     # p base'(p t + q)/d
+                     lambda t: unscale(scale(base.derivative(inner(t)), True), True),
                      _preimage(base.domain, p, q), _preimage(base.codomain, d, e),
                      (base.increasing == (p > 0)) == (d > 0), params)
 

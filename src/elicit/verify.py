@@ -41,7 +41,8 @@ from .distributions import DistributionSpec, sample_iid
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
 from .functionals import (FunctionalSpec, FunctionalValue, functional_from_draws,
                           functional_value, pushforward_law, sample_mv_pair, scalar_value)
-from .identification import IdentSpec, expected_ident_curve, ident_values, prepare_ident_realizations
+from .identification import (IdentSpec, expected_ident_curve, mv_ident_components,
+                             prepare_ident_realizations)
 from .intervals import Interval
 from .numerics import Bracket, Seed, check_seed, derive_seed, mean_stderr, minimize1d
 from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
@@ -58,6 +59,38 @@ _FIELDS = {"score": "a score spec", "ident": "an ident spec",
            "bracket2": "a variance bracket (bracket2)", "g": "a transformation g"}
 
 MIN_N = 10**4
+
+# The n-long float arrays a check of each kind holds at once, at most: its
+# draws, and one more while they are transformed, while a Monte Carlo target
+# samples its own, or while a reduction (a standard error) makes a temporary.
+# The pair's E[V] holds V1 or V2 and a temporary beside the draws. Ordered
+# sweeps sort the draws in place, so a sorted copy is not one of them.
+LIVE_ARRAYS = {"consistency": 2, "strictness": 2, "identification": 2, "pair": 3,
+               "revelation": 2, "realization": 2}
+# Bytes of draws a run may hold at once, estimated as n x 8 x LIVE_ARRAYS[kind]
+# per check, summed over the checks that --jobs threads run together. The
+# largest builtin check (n = 4e6) needs 64 MB; 2 GiB stops a mistyped n or
+# --jobs long before it exhausts a small shared machine.
+MEMORY_CAP = 2 * 2**30
+
+
+def draw_bytes(n: int, kind: str) -> int:
+    """Bytes of n-long arrays a check of ``kind`` on n draws holds at once, at most."""
+    return n * 8 * LIVE_ARRAYS[kind]
+
+
+def suite_bytes(configs, jobs: int) -> int:
+    """Bytes of draws ``jobs`` threads hold at once over the suite, at most:
+    its ``jobs`` largest checks together."""
+    return sum(sorted((draw_bytes(c.n, c.kind) for c in configs), reverse=True)[:jobs])
+
+
+def check_memory(what: str, nbytes: int, error=ParameterError) -> None:
+    """Raise ``error`` naming ``what`` when ``nbytes`` exceed :data:`MEMORY_CAP`."""
+    if nbytes > MEMORY_CAP:
+        raise error(f"{what} would hold {nbytes / 2**30:.3g} GiB of draws at once "
+                    f"(n x 8 bytes x live arrays x jobs), over the "
+                    f"{MEMORY_CAP / 2**30:g} GiB cap")
 
 
 @dataclass(frozen=True)
@@ -93,6 +126,7 @@ class CheckConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n < MIN_N:
             raise ParameterError(f"checks need n >= {MIN_N}, got {self.n}")
+        check_memory(f"n={self.n}", draw_bytes(self.n, self.kind))
         if self.points < 5:
             raise ParameterError("grid needs at least 5 points")
         for name, tol in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
@@ -201,7 +235,7 @@ def _target_shift(curve, t: float, zs: np.ndarray, target: FunctionalValue) -> f
 def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, bracket: Bracket, seed: Seed):
     """Draws, prepared realizations, grid, and the grid argmin refined by
     bracketed search between its neighbors: returns (prepared, zs, argmin)."""
-    prepared = prepare_realizations(score, sample_iid(cfg.dist, cfg.n, seed))
+    prepared = prepare_realizations(score, sample_iid(cfg.dist, cfg.n, seed), owned=True)
     zs = np.linspace(bracket.lo, bracket.hi, cfg.points)
     i = int(np.argmin(expected_score_curve(score, zs, prepared)))
     if i == 0 or i == len(zs) - 1:
@@ -309,6 +343,7 @@ def check_strictness(cfg: CheckConfig) -> VerificationReport:
     far = np.abs(zs - z_star) > flat_tol
     strict_ok = bool(np.all(rise[far] > 3.0 * dse[far]))
     n_flat = int(np.sum(~(rise[far] > 3.0 * dse[far])))
+    del prepared  # the draws go before a Monte Carlo target samples its own
 
     target = _resolve_target(cfg)
     notes = f"argmin={z_star:.6g}; flat-tol={flat_tol:.4g}; " \
@@ -322,7 +357,8 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
     target = _resolve_target(cfg)
     t_scalar = scalar_value(target.value)
 
-    prepared = prepare_ident_realizations(cfg.ident, sample_iid(cfg.dist, cfg.n, cfg.seed))
+    prepared = prepare_ident_realizations(cfg.ident, sample_iid(cfg.dist, cfg.n, cfg.seed),
+                                          owned=True)
     (est0,), (se0,) = expected_ident_curve(cfg.ident, [t_scalar], prepared)
     est0, se0 = float(est0), float(se0)
 
@@ -395,8 +431,8 @@ def _transformed_functional(cfg: CheckConfig, transform: TransformMode) -> Funct
         law = pushforward_law(cfg.dist, cfg.g)
         if law is not None:
             return functional_value(cfg.functional, law, n=cfg.n, seed=derive_seed(cfg.seed, 7919))
-    w = transform.realization(sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919)))
-    return functional_from_draws(cfg.functional, w)
+    return functional_from_draws(cfg.functional, transform.realization(
+        sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919))), owned=True)
 
 
 @_timed
@@ -408,7 +444,7 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
     se_t1, se_t2 = (float(s) for s in (target.stderr if isinstance(target.stderr, (tuple, list))
                                        else (target.stderr, target.stderr)))
 
-    prepared = prepare_realizations(cfg.score, sample_iid(cfg.dist, cfg.n, cfg.seed))
+    prepared = prepare_realizations(cfg.score, sample_iid(cfg.dist, cfg.n, cfg.seed), owned=True)
     x1_star, x2_star = mv_vertex(cfg.score, prepared)
     if not (cfg.bracket.lo <= x1_star <= cfg.bracket.hi
             and cfg.bracket2.lo <= x2_star <= cfg.bracket2.hi):
@@ -425,10 +461,10 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
     tol2 = _tolerance(cfg, t2, se2)
     argmin_ok = abs(x1_star - t1) <= tol1 and abs(x2_star - t2) <= tol2
 
-    # The score's prepared draws are the identification's effective draws.
-    v1, v2 = ident_values(IdentSpec("mv", transform=cfg.score.transform), (t1, t2), prepared)
-    e1, e2 = float(np.mean(v1)), float(np.mean(v2))
-    s1, s2 = mean_stderr(v1), mean_stderr(v2)
+    # The score's prepared draws are the identification's effective draws;
+    # V1 and V2 are reduced one at a time.
+    (e1, s1), (e2, s2) = ((float(np.mean(v)), mean_stderr(v))
+                          for v in mv_ident_components((t1, t2), prepared))
     # A Monte Carlo target misses the true zero: E[V1] moves by the error of
     # t1, E[V2] by that of t2 plus 2 t1 times that of t1 (their covariance
     # bounded by Cauchy-Schwarz).
@@ -543,6 +579,11 @@ _PAPER_CORE = _POWER_LINES + (
     "bracket=0.5,3.5 n=1000000",
     "name=pair/mv-log-lognormal kind=pair dist=lognormal(0.5,2) score=mv@realization:log "
     "functional=mvpair:g=log bracket=-0.5,1.5 bracket2=1,8 n=1000000 tol_rel=0.03",
+    # The transformed expectile off tau = 1/2, where swapped weights move the
+    # argmin. Appended last, so the lines above keep their derived seeds.
+    "name=cons/expectile-0.75-both-log kind=consistency dist=lognormal(0,1) "
+    "score=expectile:tau=0.75:phi=square@both:log functional=gexpectile:tau=0.75:g=log "
+    "bracket=0.5,3.5 n=1000000",
 )
 
 # A fast sanity battery used by CLI tests.

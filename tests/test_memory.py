@@ -1,0 +1,258 @@
+"""One copy of the draws per check, and the memory cap.
+
+Ownership: an ordered sweep sorts draws that no caller holds in place, so
+the sweep shares memory with ``prepared.y``; a caller's array comes back
+bit for bit, order included, from every public entry point; and per-row
+evaluation of draws that a sweep has sorted raises.
+
+The guard runs one line per check kind under ``tracemalloc``, which numpy
+reports its buffers to, at two sizes: the slope of the traced peak is the
+bytes each check holds per draw, 8 per n-long array of doubles. Each kind
+stays within ``verify.LIVE_ARRAYS``, the table the cap reads, plus one byte
+for boolean masks.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from elicit import cli, scoring
+from elicit.errors import ElicitError, ParameterError, SpecParseError
+from elicit.estimation import fit
+from elicit.functionals import functional_from_draws
+from elicit.identification import (IdentSpec, expected_ident_curve, ident_values,
+                                   prepare_ident_realizations)
+from elicit.scoring import (average_score, expected_score_curve, prepare_realizations,
+                            score_values)
+from elicit.specs import parse_functional, parse_ident, parse_score
+from elicit.verify import (LIVE_ARRAYS, MEMORY_CAP, _parse_suite, builtin_suite, draw_bytes,
+                           run_check, suite_bytes)
+
+MODES = ("", "@realization:log", "@prediction:exp", "@both:log", "@both:negate")
+FAMILIES = ("se", "ae", "apl:tau=0.3", "gpl:tau=0.6:g=exp", "expectile:tau=0.75:phi=square",
+            "bregman:phi=square")
+SCORES = [f"{fam}{mode}" for fam in FAMILIES for mode in MODES] + [
+    "mv", "mv@realization:log"]
+IDENTS = [f"{fam}{mode}" for fam in ("mean", "quantile:tau=0.3", "expectile:tau=0.8")
+          for mode in MODES]
+FEW = settings(max_examples=10)  # the family x mode grid is wide; each cell needs few draws
+FUNCTIONALS = ["mean", "quantile:tau=0.3", "expectile:tau=0.8", "gmean:g=log",
+               "gexpectile:tau=0.8:g=box-cox(0.5)", "mvpair", "mvpair:g=log"]
+
+
+@st.composite
+def positive_draws(draw):
+    """Positive draws, with ties in about a third of the examples."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.lognormal(0.0, 0.7, n)
+    return np.round(y, 1) + 0.05 if draw(st.booleans()) else y
+
+
+def _predictions(spec, y):
+    if spec.family == "mv":
+        return [(float(np.mean(y)), 1.0), (1.0, 0.5)]
+    return [float(np.median(y)), 0.5, 2.0]
+
+
+def _rows(spec, y):
+    if spec.family == "mv":
+        return np.column_stack([y, np.full_like(y, 0.5)])
+    return y * 1.1
+
+
+def _unchanged(y, before):
+    assert y.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("text", SCORES)
+@FEW
+@given(y=positive_draws())
+def test_score_paths_leave_the_callers_draws_as_they_were(text, y):
+    spec = parse_score(text)
+    before = y.copy()
+    prepared = prepare_realizations(spec, y)
+    _unchanged(y, before)
+    expected_score_curve(spec, _predictions(spec, y), prepared)
+    _unchanged(y, before)
+    average_score(spec, _rows(spec, y), y)
+    _unchanged(y, before)
+    try:
+        fit("constant_pair" if spec.family == "mv" else "constant", spec, y=y)
+    except ElicitError:
+        pass  # tied draws may leave no vertex: the draws must still be unchanged
+    _unchanged(y, before)
+
+
+@pytest.mark.parametrize("text", IDENTS)
+@FEW
+@given(y=positive_draws())
+def test_ident_paths_leave_the_callers_draws_as_they_were(text, y):
+    spec = parse_ident(text)
+    before = y.copy()
+    prepared = prepare_ident_realizations(spec, y)
+    expected_ident_curve(spec, _predictions(spec, y), prepared)
+    _unchanged(y, before)
+
+
+@pytest.mark.parametrize("text", FUNCTIONALS)
+@FEW
+@given(y=positive_draws())
+def test_functional_from_draws_leaves_the_callers_draws_as_they_were(text, y):
+    before = y.copy()
+    try:
+        functional_from_draws(parse_functional(text), y)
+    except ElicitError:
+        pass  # a flat expectile balance on tied draws
+    _unchanged(y, before)
+
+
+ORDERED_SCORES = [t for t in SCORES if not t.startswith(("se", "bregman", "mv"))]
+ORDERED_IDENTS = [t for t in IDENTS if not t.startswith("mean")]
+
+
+@pytest.mark.parametrize("text", ORDERED_SCORES + ORDERED_IDENTS)
+@FEW
+@given(y=positive_draws())
+def test_a_sweep_sorts_owned_draws_in_place_to_the_same_values(text, y):
+    """Owned draws are the sweep's own: no sorted copy beside them, and the
+    same curve, bit for bit, as a sweep of a caller's array."""
+    is_score = text in ORDERED_SCORES
+    spec = parse_score(text) if is_score else parse_ident(text)
+    prepare = prepare_realizations if is_score else prepare_ident_realizations
+    sweep = expected_score_curve if is_score else expected_ident_curve
+    zs = _predictions(spec, y)
+    want = sweep(spec, zs, prepare(spec, y))
+    prepared = prepare(spec, y.copy(), owned=True)
+    got = sweep(spec, zs, prepared)
+    assert np.shares_memory(prepared.sweep.w, prepared.y)
+    assert np.all(np.diff(prepared.y) >= 0) and not prepared.in_draw_order
+    for a, b in zip(np.atleast_1d(got), np.atleast_1d(want)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("text", ["ae", "gpl:tau=0.6:g=exp@both:log", "expectile:tau=0.75"])
+def test_per_row_values_of_sorted_draws_raise(text):
+    spec = parse_score(text)
+    y = np.random.default_rng(1).lognormal(0.0, 0.7, 500)
+    prepared = prepare_realizations(spec, y.copy(), owned=True)
+    expected_score_curve(spec, [1.0], prepared)
+    with pytest.raises(ParameterError, match="draw order"):
+        score_values(spec, 1.0, prepared)
+    for ident in (IdentSpec("mean"), IdentSpec("mv")):
+        with pytest.raises(ParameterError, match="draw order"):
+            ident_values(ident, (1.0, 1.0) if ident.family == "mv" else 1.0, prepared)
+
+
+def test_a_transforms_values_are_owned_and_a_callers_array_is_not():
+    y = np.random.default_rng(2).lognormal(0.0, 0.7, 100)
+    assert prepare_realizations(parse_score("ae@both:log"), y).owned
+    assert not prepare_realizations(parse_score("ae"), y).owned
+    assert not prepare_realizations(parse_score("ae@prediction:exp"), y).owned
+    # a bare callable may hand back its argument or another caller's array
+    spec = scoring.ScoreSpec("ae", transform=scoring.TransformMode.realization_only(np.log))
+    assert not prepare_realizations(spec, y).owned
+
+
+# One line per kind, untransformed and transformed; the transformed ones
+# take a Monte Carlo target where the kind has one.
+GUARD_LINES = (
+    "kind=consistency dist=normal(0,1) score=se functional=mean bracket=-2,2",
+    "kind=consistency dist=lognormal(0,0.5) score=expectile:tau=0.75:phi=square@both:box-cox(0.5) "
+    "functional=gexpectile:tau=0.75:g=box-cox(0.5) bracket=0.5,3.0",
+    "kind=consistency dist=exponential(1) score=apl:tau=0.25@both:negate "
+    "functional=quantile:tau=0.75 bracket=0.3,4",
+    "kind=strictness dist=uniform(0,1) score=expectile:tau=0.75:phi=square "
+    "functional=expectile:tau=0.75 bracket=0.05,0.95",
+    "kind=strictness dist=empirical(1,1,2,2) score=gpl:tau=0.5:g=identity "
+    "functional=quantile:tau=0.5 bracket=0.5,2.5 expect=fail",
+    "kind=identification dist=uniform(0,1) ident=quantile:tau=0.75 functional=quantile:tau=0.75 "
+    "bracket=0.1,0.999",
+    "kind=identification dist=lognormal(0,0.5) ident=expectile:tau=0.75@both:box-cox(0.5) "
+    "functional=gexpectile:tau=0.75:g=box-cox(0.5) bracket=0.6,2.5",
+    "kind=pair dist=normal(0.5,2) score=mv functional=mvpair bracket=-0.5,1.5 bracket2=1,8",
+    "kind=pair dist=lognormal(0,0.5) score=mv@realization:box-cox(0.5) "
+    "functional=mvpair:g=box-cox(0.5) bracket=-0.5,0.6 bracket2=0.05,1.0",
+    "kind=revelation dist=normal(0,1) score=se functional=mean g=exp bracket=-2,2",
+    "kind=realization dist=lognormal(0.3,1) score=se functional=mean g=log bracket=-1,1.5",
+    "kind=realization dist=lognormal(0,0.5) score=apl:tau=0.9 functional=quantile:tau=0.9 "
+    "g=box-cox(0.5) bracket=0.2,1.5",
+    "kind=realization dist=exponential(1) score=se functional=mean g=shifted-log(1) "
+    "bracket=0.1,1.5",
+)
+SMALL, LARGE = 200_000, 800_000
+
+
+def _traced_peak(line: str, n: int) -> int:
+    (cfg,) = _parse_suite([f"{line} n={n}"], 42, "guard")
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    run_check(cfg)
+    return tracemalloc.get_traced_memory()[1] - start
+
+
+def test_each_check_kind_holds_its_live_arrays_per_draw_and_no_more():
+    tracemalloc.start()
+    try:
+        slopes = {line: (_traced_peak(line, LARGE) - _traced_peak(line, SMALL)) / (LARGE - SMALL)
+                  for line in GUARD_LINES}
+    finally:
+        tracemalloc.stop()
+    over = {line: round(b, 2) for line, b in slopes.items()
+            if b > 8 * LIVE_ARRAYS[line.split()[0].removeprefix("kind=")] + 1}
+    assert not over, over
+
+
+def test_the_cap_reads_the_live_array_table():
+    assert draw_bytes(10**6, "pair") == 8 * 10**6 * LIVE_ARRAYS["pair"]
+    (cfg,) = _parse_suite(["kind=consistency dist=normal(0,1) score=se functional=mean "
+                           "bracket=-2,2 n=1e6"], 42, "t")
+    assert suite_bytes([cfg] * 3, 2) == 2 * draw_bytes(10**6, "consistency")
+    assert suite_bytes([cfg] * 3, 10**9) == 3 * draw_bytes(10**6, "consistency")
+
+
+def _over_cap_n(kind: str) -> int:
+    return MEMORY_CAP // (8 * LIVE_ARRAYS[kind]) + 1
+
+
+def test_a_suite_line_over_the_cap_is_rejected_by_name():
+    n = _over_cap_n("consistency")
+    lines = ["kind=consistency dist=normal(0,1) score=se functional=mean bracket=-2,2 n=1e5",
+             f"kind=consistency dist=normal(0,1) score=se functional=mean bracket=-2,2 n={n}"]
+    with pytest.raises(SpecParseError, match=r"^big:2: n=\d+ would hold .* over the 2 GiB cap"):
+        _parse_suite(lines, 42, "big")
+
+
+def test_jobs_and_curve_n_over_the_cap_exit_2_before_anything_runs(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the cap must stop the run before it samples")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "sample_iid", never)
+    n = _over_cap_n("consistency") // 2 + 1  # one line fits, two together do not
+    suite = tmp_path / "suite.txt"
+    suite.write_text("".join(f"kind=consistency dist=normal(0,1) score=se functional=mean "
+                             f"bracket=-2,2 n={n}\n" for _ in range(2)))
+    assert cli.main(["verify", "--suite", str(suite), "--jobs", "2"]) == 2
+    assert "error: --jobs 2 would hold" in capsys.readouterr().err
+    assert cli.main(["curve", "--score", "se", "--dist", "normal(0,1)", "--bracket=-1,1",
+                     "--n", str(_over_cap_n("consistency"))]) == 2
+    assert "error: --n " in capsys.readouterr().err
+
+
+def test_the_appended_expectile_line_catches_swapped_expectile_weights(monkeypatch):
+    """Off tau = 1/2 the transformed expectile's argmin moves to the level
+    1 - tau when the score's weights are swapped; at 1/2 nothing would."""
+    cfg = builtin_suite("paper-core", 42)[-1]
+    assert cfg.name == "cons/expectile-0.75-both-log"
+    assert run_check(cfg).passed
+    coefficients = scoring._coefficients
+
+    def swapped(spec, u, centre):
+        gap, lo, hi = coefficients(spec, u, centre)
+        return (gap, hi, lo) if spec.family == "expectile" else (gap, lo, hi)
+
+    monkeypatch.setattr(scoring, "_coefficients", swapped)
+    assert not run_check(cfg).passed
