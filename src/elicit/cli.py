@@ -6,7 +6,8 @@ encodings), ``score`` (average score and skill on CSV data), ``fit``
 reports), ``curve`` (expected-score curve as CSV for plotting).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 numeric/domain error. The default seed comes from ELICIT_SEED when set.
+3 numeric/domain error; ``score`` and ``fit`` name the file row of a value
+that fails. The default seed comes from ELICIT_SEED when set.
 """
 
 from __future__ import annotations
@@ -346,7 +347,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ElicitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a data row, counted as _read_csv counts it: the header is row 1
+        row = exc.index is not None and args.command in ("score", "fit")
+        print(f"error: {f'{args.data}: row {exc.index + 2}: ' if row else ''}{exc}",
+              file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -4,13 +4,15 @@ Three model classes: a constant (the prediction is a single parameter), a
 line theta0 + theta1 x, and a constant (mean, variance) pair. The constant
 models score one prediction against all data with the sweep of
 :func:`~elicit.scoring.expected_score`; the line scores paired rows with
-:func:`~elicit.scoring.average_score`. The constant fit uses the bracketed
-one-dimensional minimizer, which tolerates the kinks of pinball-type
-objectives. The pair fit takes the exact vertex of the mean-variance
+:func:`~elicit.scoring.score_values`. The data are checked once, before the
+search, and a bad row raises there, naming its observation index. The
+constant fit uses the bracketed one-dimensional minimizer, which tolerates
+the kinks of pinball-type objectives. The pair fit takes the exact vertex of the mean-variance
 expected score (:func:`~elicit.scoring.mv_vertex`), which data of zero
 spread do not have. The line uses a derivative-free simplex search from a
-least-squares start, restarted once from its end on non-convergence; its x
-values must not all be equal."""
+least-squares start, or from the constant at the data's median where that
+line leaves g's domain, restarted once from its end on non-convergence; its
+x values must not all be equal."""
 
 from __future__ import annotations
 
@@ -19,10 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, EvaluationError, ParameterError, naming_observations
+from .intervals import Interval
 from .numerics import Bracket, minimize1d
-from .scoring import (MV_VERTEX_POINTS, ScoreSpec, average_score, expected_score,
-                      mv_vertex, prepare_realizations)
+from .scoring import (MV_VERTEX_POINTS, ScoreSpec, expected_score, mv_vertex,
+                      prepare_realizations, score_values)
+
+_FINITE = Interval.open(-math.inf, math.inf)
 
 MODEL_KINDS = ("constant", "linear", "constant_pair")
 
@@ -83,7 +88,7 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
     ``init`` is the line's starting (theta0, theta1), or "auto" for least
     squares; the other models need no start and take only "auto".
     Non-convergence of the line's simplex search is flagged on the result,
-    not raised.
+    not raised; a non-finite objective raises an EvaluationError.
     """
     model = _as_model(model)
     if y is None or len(y) == 0:
@@ -104,22 +109,35 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
         raise ParameterError(f"the {model.kind} model does not take the {score.family} score: "
                              "the mean-variance score fits the constant_pair model, and only it")
 
-    if model.kind == "constant":
-        return _fit_constant(score, y, tol)
-    if model.kind == "linear":
-        return _fit_linear(score, x, y, None if auto else init, tol)
-    prepared = prepare_realizations(score, y)  # constant_pair: the exact vertex
-    theta = mv_vertex(score, prepared)
-    return FitResult(theta=theta, objective=expected_score(score, theta, prepared),
-                     iterations=MV_VERTEX_POINTS + 1, converged=True)
-
-
-def _fit_constant(score: ScoreSpec, y: np.ndarray, tol: float) -> FitResult:
+    for name, values in (("y", y), ("x", x)):
+        if values is not None and not _FINITE.contains_all(values):
+            i = _FINITE.first_outside(values)
+            raise DomainError(float(values[i]), _FINITE, f"{name} at observation index {i}",
+                              index=i)
+    with naming_observations():  # the data, checked once before the search
+        prepared = prepare_realizations(score, y)
+        if score.family == "gpl":  # g_in(w), which every evaluation of gpl takes
+            score.g_inner.apply(prepared.y)
+        bracket = _prediction_bracket(score, y) if model.kind == "constant" else None
     try:
-        bracket = _prediction_bracket(score, y)
-    except DomainError as exc:
-        raise DomainError(exc.value, exc.domain, "fit data") from exc
-    prepared = prepare_realizations(score, y)
+        if model.kind == "constant":
+            result = _fit_constant(score, prepared, bracket, tol)
+        elif model.kind == "linear":
+            result = _fit_linear(score, x, y, prepared, None if auto else init, tol)
+        else:  # constant_pair: the exact vertex
+            theta = mv_vertex(score, prepared)
+            result = FitResult(theta=theta, objective=expected_score(score, theta, prepared),
+                               iterations=MV_VERTEX_POINTS + 1, converged=True)
+    except (DomainError, EvaluationError) as exc:
+        exc.index = None  # a position among the search's predictions, not a data row
+        raise
+    if not math.isfinite(result.objective):
+        raise EvaluationError(f"the {model.kind} fit found no finite objective: "
+                              f"{result.objective!r} at theta {result.theta}")
+    return result
+
+
+def _fit_constant(score: ScoreSpec, prepared, bracket: Bracket, tol: float) -> FitResult:
     evals = [0]
 
     def obj(z: float) -> float:
@@ -131,9 +149,17 @@ def _fit_constant(score: ScoreSpec, y: np.ndarray, tol: float) -> FitResult:
                      iterations=evals[0], converged=True)
 
 
-def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float) -> FitResult:
+def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, prepared, init,
+                tol: float) -> FitResult:
     if np.all(x == x[0]):
         raise ParameterError(f"the linear model needs two distinct x values, not only {x[0]:g}")
+
+    def obj(theta):
+        try:
+            return float(np.mean(score_values(score, theta[0] + theta[1] * x, prepared)))
+        except DomainError:
+            return math.inf
+
     if init is None:
         try:
             target = _in_prediction_units(score, y)
@@ -141,16 +167,12 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, init, tol: float
             target = y
         slope, intercept = np.polyfit(x, target, 1)
         x0 = np.array([intercept, slope], dtype=float)
+        if not math.isfinite(obj(x0)):  # the line leaves g's domain: a constant stays inside
+            x0 = np.array([float(np.median(target)), 0.0])
     else:
         x0 = np.asarray(init, dtype=float)
         if x0.shape != (2,):
             raise ParameterError("linear init must have two components")
-
-    def obj(theta):
-        try:
-            return average_score(score, theta[0] + theta[1] * x, y)
-        except DomainError:
-            return math.inf
 
     # Imported here, not at module level: no other code path needs scipy,
     # and importing it costs every CLI process about half a second.

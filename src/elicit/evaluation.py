@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateReferenceError, DomainError, ParameterError
+from .errors import DegenerateReferenceError, ParameterError, naming_observations
 from .scoring import ScoreSpec, TransformMode, average_score
 from .transforms import Bijection
 
@@ -74,13 +74,8 @@ def score_climatology(transform: TransformMode, y) -> float:
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ParameterError("a climatology requires observations")
-    try:
+    with naming_observations():
         m = float(np.mean(transform.realization(y)))
-    except DomainError as exc:
-        for i, yi in enumerate(y):
-            if exc.domain is not None and not exc.domain.contains(float(yi)):
-                raise DomainError(float(yi), exc.domain, f"observation index {i}") from exc
-        raise
     if transform.mode == "both":
         return float(transform.g.invert(m))
     return float(transform.g.apply(m)) if transform.mode == "prediction" else m

@@ -59,10 +59,10 @@ class Interval:
         arr = np.asarray(values, dtype=float)
         return arr.size == 0 or (self.contains(arr.min()) and self.contains(arr.max()))
 
-    def first_outside(self, values) -> float:
-        """First element of ``values`` not contained in the interval."""
-        arr = np.atleast_1d(np.asarray(values, dtype=float))
-        return float(arr[int(np.argmax(~self.inside(arr)))])
+    def first_outside(self, values) -> int:
+        """Flat position of the first element of ``values`` not contained in
+        the interval."""
+        return int(np.argmax(~self.inside(values)))
 
     def distance(self, t: float) -> float:
         """Distance from t to the interval (0 when inside)."""

@@ -137,8 +137,10 @@ class TransformMode:
         if isinstance(self.g, Bijection):
             return self.g.apply(y)
         out = np.asarray(self.g(np.asarray(y, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("realization transform produced non-finite values")
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise EvaluationError("realization transform produced non-finite values",
+                                  index=None if np.ndim(y) == 0 else int(np.argmax(bad)))
         return float(out) if np.ndim(y) == 0 else out
 
     def prediction(self, z):
@@ -266,9 +268,12 @@ def _mv_pair(z):
     if z.ndim == 0 or z.shape[-1] != 2:
         raise ParameterError(f"mean-variance predictions are (x1, x2) pairs, got shape {z.shape}")
     x1, x2 = z[..., 0], z[..., 1]
-    if np.any(x2 <= 0):
-        raise DomainError(float(x2[x2 <= 0].flat[0]),
-                          context="mean-variance score (variance coordinate must be > 0)")
+    bad = x2 <= 0
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(float(x2.flat[i]), None,
+                          "mean-variance score (variance coordinate must be > 0)",
+                          index=None if x2.ndim == 0 else i)
     return x1, x2
 
 
@@ -322,16 +327,18 @@ def evaluate_score(spec: ScoreSpec, z, y) -> float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _annotate_index(exc, i: int):
+def _annotate_index(exc):
+    """``exc`` with its text naming the row it carries."""
     if isinstance(exc, DomainError):
-        ctx = f"index {i}" + (f", {exc.context}" if exc.context else "")
-        return DomainError(exc.value, exc.domain, ctx)
-    return EvaluationError(f"at index {i}: {exc}")
+        ctx = f"index {exc.index}" + (f", {exc.context}" if exc.context else "")
+        return DomainError(exc.value, exc.domain, ctx, exc.index)
+    return EvaluationError(f"at index {exc.index}: {exc}", index=exc.index)
 
 
 def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
     """Realized average score (1/n) sum S(z_i, y_i); for the mv family z is
-    an (n, 2) array of (x1, x2) pairs."""
+    an (n, 2) array of (x1, x2) pairs. An error names the first row i at
+    which S(z_i, y_i) fails, a score that is not finite included."""
     z_arr = np.asarray(z, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if spec.family == "mv" and (z_arr.ndim != 2 or z_arr.shape[1] != 2):
@@ -340,17 +347,29 @@ def average_score(spec: ScoreSpec, z: Sequence, y: Sequence) -> float:
         raise ParameterError(f"length mismatch: {z_arr.shape} predictions, {y_arr.shape} realizations")
     if y_arr.size == 0:
         raise ParameterError("average_score requires at least one observation")
+    # one axis of rows, so that an error's flat position is its row
+    return _mean_score(spec, z_arr.reshape(y_arr.size, *z_arr.shape[y_arr.ndim:]),
+                       y_arr.reshape(-1))
+
+
+def _mean_score(spec: ScoreSpec, z, y) -> float:
+    """The mean of S(z_i, y_i) over the rows. Each step of the evaluation
+    checks all rows and raises at its first bad one, so an error at row i
+    is the first row's once rows :i, alone, pass every step."""
     try:
-        p = prepare_realizations(spec, y_arr)
-        return float(np.mean(_rows(spec, spec.transform.prediction(z_arr), p)))
-    except (DomainError, EvaluationError):
-        # Re-scan pointwise so the error names the offending row.
-        for i, (zi, yi) in enumerate(zip(z_arr, y_arr)):
-            try:
-                evaluate_score(spec, zi, yi)
-            except (DomainError, EvaluationError) as exc:
-                raise _annotate_index(exc, i) from exc
-        raise
+        p = prepare_realizations(spec, y)  # before the predictions, as evaluate_score
+        rows = _rows(spec, spec.transform.prediction(z), p)
+        mean = float(np.mean(rows))
+        if not np.isfinite(mean) and not np.isfinite(rows).all():
+            i = int(np.argmin(np.isfinite(rows)))
+            raise EvaluationError(f"non-finite score {float(rows[i])!r}", index=i)
+        return mean
+    except (DomainError, EvaluationError) as exc:
+        if exc.index is None:
+            raise
+        if exc.index:
+            _mean_score(spec, z[:exc.index], y[:exc.index])
+        raise _annotate_index(exc) from exc
 
 
 def _swept(spec: ScoreSpec, zs, p: PreparedRealizations):

@@ -62,16 +62,17 @@ class Bijection:
         its input t."""
         arr = np.asarray(t, dtype=float)
         if not where.contains_all(arr):
-            raise DomainError(where.first_outside(arr), where, f"{what} of {self.label}")
+            i = where.first_outside(arr)
+            raise DomainError(float(arr.flat[i]), where, f"{what} of {self.label}",
+                              index=None if arr.ndim == 0 else i)
         with np.errstate(all="ignore"):  # a non-finite value is caught below
             out = np.asarray(fn(arr), dtype=float)
         if not image.contains_all(out):
-            bad = ~image.inside(out)
-            raise DomainError(float(arr[bad].flat[0]), None, f"{what} of {self.label} "
-                              f"(value {float(out[bad].flat[0])!r} not in {image})")
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
+            i = image.first_outside(out)
+            raise DomainError(float(arr.flat[i]), None, f"{what} of {self.label} "
+                              f"(value {float(out.flat[i])!r} not in {image})",
+                              index=None if arr.ndim == 0 else i)
+        return float(out) if arr.ndim == 0 else out
 
     def apply(self, t):
         return self._eval(self.forward, t, self.domain, "forward", self.codomain)

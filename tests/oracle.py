@@ -28,15 +28,18 @@ Identification functions:
 * ``mv``        (x1 - y, x2 + x1^2 - y^2)
 
 Also: ``mc_mean``, a Monte Carlo expectation read through the package's own
-sampler and mean functional, and ``pinball_argmin``, the brute-force
-tau-quantile set of a finite sample.
+sampler and mean functional, ``pinball_argmin``, the brute-force
+tau-quantile set of a finite sample, and ``average_score``, the realized
+average score evaluated one row at a time, which names the first row that
+fails.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from elicit import FunctionalSpec, sample_iid
+from elicit import DomainError, EvaluationError, FunctionalSpec, evaluate_score, sample_iid
 from elicit.functionals import functional_from_draws
 
 
@@ -85,6 +88,26 @@ def ident(spec, z, y):
 def mc_mean(h, dist, n, seed):
     """E[h(Y)] as a FunctionalValue: the mean of h over ``sample_iid`` draws, and its stderr."""
     return functional_from_draws(FunctionalSpec("mean"), h(sample_iid(dist, n, seed)))
+
+
+def average_score(spec, z, y) -> float:
+    """The mean of S(z_i, y_i), each row evaluated on its own by
+    ``evaluate_score``: the first row i that raises, or whose score is not
+    finite, raises the error the package's ``average_score`` must raise,
+    its text naming index i."""
+    scores = []
+    for i, (zi, yi) in enumerate(zip(np.asarray(z, dtype=float), np.asarray(y, dtype=float))):
+        try:
+            s = evaluate_score(spec, zi, yi)
+        except DomainError as exc:
+            context = f"index {i}" + (f", {exc.context}" if exc.context else "")
+            raise DomainError(exc.value, exc.domain, context, index=i) from exc
+        except EvaluationError as exc:
+            raise EvaluationError(f"at index {i}: {exc}", index=i) from exc
+        if not math.isfinite(s):
+            raise EvaluationError(f"at index {i}: non-finite score {s!r}", index=i)
+        scores.append(s)
+    return float(np.mean(scores))
 
 
 def pinball_argmin(values, tau: Fraction):

@@ -177,6 +177,25 @@ class TestScoreCommand:
         path = zy_file([1.0, 1.0], [1.0, -4.0])
         assert main(["score", "--score", "se@both:log", "--data", path]) == 3
 
+    def test_bad_value_names_the_file_row(self, tmp_path, capsys):
+        # the header is row 1 and a blank line is not counted
+        path = write_text(tmp_path / "f.csv", "y,z\n1.0,1.0\n\n2.0,-1.0\n-4.0,1.0\n")
+        assert main(["score", "--score", "se@both:log", "--data", path]) == 3
+        assert capsys.readouterr().err == (f"error: {path}: row 3: value -1.0 outside domain "
+                                           "(0, inf) of index 1, forward of log\n")
+        for model in ("constant", "mvpair"):
+            score = "mv@realization:log" if model == "mvpair" else "se@both:log"
+            assert main(["fit", "--model", model, "--score", score, "--data", path]) == 3
+            assert capsys.readouterr().err == (f"error: {path}: row 4: value -4.0 outside "
+                                               "domain (0, inf) of observation index 2\n")
+
+    def test_error_of_the_fit_search_names_no_row(self, tmp_path, capsys):
+        # the squared half range underflows: the search's first pairs have
+        # variance 0, at its own position 0, not at a data row
+        path = write_csv(tmp_path / "tiny.csv", [[0.0], [1e-200]], ["y"])
+        assert main(["fit", "--model", "mvpair", "--score", "mv", "--data", path]) == 3
+        assert capsys.readouterr().err.startswith("error: value 0.0 outside domain of mean-var")
+
     def test_bad_score_spec(self, zy_file):
         path = zy_file([1.0], [1.0])
         assert main(["score", "--score", "nope", "--data", path]) == 2

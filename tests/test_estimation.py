@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from elicit import (DomainError, Empirical, Exponential, Lognormal, Normal,
+from elicit import (DomainError, Empirical, EvaluationError, Exponential, Lognormal, Normal,
                     ParameterError, ScoreSpec, TransformMode, Uniform, average_score, catalog,
-                    expectile_exact, fit, functional_value, sample_iid, scalar_value)
+                    estimation, expectile_exact, fit, functional_value, sample_iid, scalar_value)
 from elicit.functionals import FunctionalSpec
 
 
@@ -263,3 +263,60 @@ def test_exact_expectile_agrees_with_fit():
     y = sample_iid(d, 10**5, seed=110)
     res = fit("constant", ScoreSpec("expectile", tau=0.9), y=y)
     assert res.theta[0] == pytest.approx(expectile_exact(d, 0.9), abs=0.01)
+
+
+class TestBadData:
+    LOG_BOTH = ScoreSpec("se", transform=TransformMode.both(catalog("log")))
+
+    @pytest.mark.parametrize("model, x", [("constant", None), ("linear", [0.0, 1.0, 2.0, 3.0])])
+    def test_bad_y_names_its_row_before_the_search(self, monkeypatch, model, x):
+        calls = []
+        monkeypatch.setattr(estimation, "score_values", lambda *a: calls.append(a))
+        monkeypatch.setattr(estimation, "expected_score", lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match=r"^value -1.0 outside domain \(0, inf\) "
+                                              r"of observation index 2$") as info:
+            fit(model, self.LOG_BOTH, x=x, y=[1.0, 2.0, -1.0, -2.0])
+        assert info.value.index == 2 and not calls
+
+    def test_gpl_inner_map_is_checked_once(self):
+        spec = ScoreSpec("gpl", tau=0.5, g_inner=catalog("log"))
+        with pytest.raises(DomainError, match="observation index 1$"):
+            fit("linear", spec, x=[0.0, 1.0, 2.0], y=[1.0, -1.0, 2.0])
+
+    def test_prediction_mode_bracket_names_its_row(self):
+        spec = ScoreSpec("se", transform=TransformMode.prediction_only(catalog("log")))
+        with pytest.raises(DomainError, match="observation index 0$"):
+            fit("constant", spec, y=[-1.0, 2.0])
+
+    @pytest.mark.parametrize("model, x, y, message", [
+        ("constant", None, [math.nan, 1.0, 2.0], "value nan outside domain (-inf, inf) "
+                                                 "of y at observation index 0"),
+        ("linear", [0.0, math.inf, 1.0], [1.0, 2.0, 3.0], "value inf outside domain "
+                                                          "(-inf, inf) of x at observation index 1"),
+    ])
+    def test_non_finite_data_names_its_row(self, model, x, y, message):
+        with pytest.raises(DomainError) as info:
+            fit(model, ScoreSpec("se"), x=x, y=y)
+        assert str(info.value) == message
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_search_error_carries_no_row(self):
+        # every line from this start leaves log's domain: no finite objective
+        x = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(EvaluationError, match="no finite objective") as info:
+            fit("linear", self.LOG_BOTH, x=x, y=np.exp(x), init=(-5.0, 0.0))
+        assert info.value.index is None
+
+    def test_least_squares_start_outside_the_domain_falls_back(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-3.0, 3.0, 20000)
+        y = np.exp(0.2 + 0.5 * x + 0.3 * rng.normal(size=x.size))
+        slope, intercept = np.polyfit(x, y, 1)
+        assert intercept + slope * x.min() < 0.0  # the least-squares line leaves (0, inf)
+        constant = fit("constant", self.LOG_BOTH, y=y).objective
+        for family, tau in (("se", None), ("expectile", 0.8), ("apl", 0.9)):
+            spec = ScoreSpec(family, tau=tau, transform=TransformMode.both(catalog("log")))
+            res = fit("linear", spec, x=x, y=y)
+            assert res.converged and math.isfinite(res.objective), family
+            if family == "se":
+                assert res.objective < 0.5 * constant

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from elicit import (DegenerateReferenceError, DomainError, ParameterError,
-                    ScoreSpec, TransformMode, catalog, identity, nse, skill_score,
-                    transformed_climatology, climatology_predictions)
+from elicit import (DegenerateReferenceError, DomainError, EvaluationError, ParameterError,
+                    ScoreSpec, TransformMode, catalog, estimation, fit, identity, nse, scoring,
+                    skill_score, transformed_climatology, climatology_predictions)
+from elicit.evaluation import score_climatology
 from elicit.scoring import average_score
 
 
@@ -114,3 +115,32 @@ def test_transformed_climatology_reference_scores_zero_skill():
     spec = ScoreSpec("se", transform=TransformMode.both(g))
     ref = climatology_predictions(g, y)
     assert skill_score(spec, ref, ref, "zero-optimum", y) == 0.0
+
+
+class TestBadRowsAreFoundWhereDetected:
+    def test_no_per_row_rescan(self, monkeypatch):
+        def per_row(*args):
+            raise AssertionError("re-scanned row by row")
+
+        for module in (scoring, estimation):
+            for name in ("evaluate_score", "score_values"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, per_row)
+        log = catalog("log")
+        y = [1.0, 2.0, -3.0, 4.0]
+        with pytest.raises(DomainError, match="of index 2, forward of log$"):
+            average_score(ScoreSpec("se", transform=TransformMode.both(log)), [1.0] * 4, y)
+        with pytest.raises(DomainError, match="of observation index 2$"):
+            score_climatology(TransformMode.realization_only(log), y)
+        with pytest.raises(DomainError, match="of observation index 2$"):
+            fit("linear", ScoreSpec("se", transform=TransformMode.both(log)), x=[0, 1, 2, 3], y=y)
+
+    def test_climatology_names_an_overflow_by_its_index(self):
+        with pytest.raises(DomainError, match=r"^value 800.0 outside domain of forward of exp "
+                                              r"\(value inf not in") as info:
+            score_climatology(TransformMode.realization_only(catalog("exp")), [1.0, 800.0])
+        assert info.value.index == 1
+
+    def test_non_finite_realization_names_its_row(self):
+        with pytest.raises(EvaluationError, match="^at index 2: non-finite score nan$"):
+            nse([1.0, 2.0, math.nan], [1.0, 2.0, 3.0])

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from elicit import (SQUARE, Bijection, ConvexGenerator, DomainError, EvaluationError, Interval,
                     ParameterError, ScoreSpec, TransformMode, average_score,
                     catalog, convex_generator, evaluate_score, register_convex_generator)
@@ -339,3 +341,104 @@ def test_score_values_vectorizes_over_realizations():
     vals = score_values(spec, 2.0, prepare_realizations(spec, y))
     expected = (np.log(2.0) - np.log(y)) ** 2
     assert np.allclose(vals, expected)
+
+
+# Bad rows: an entry outside a domain (-1, 0), one whose map overflows or
+# rounds onto an open end (800 under exp, 1e-310 under t^-1), and
+# non-finite ones; a mean-variance pair is bad in its variance (0, -1, ...).
+GOOD = st.floats(0.1, 10.0)
+BAD = st.sampled_from([-1.0, 0.0, 1e-310, 800.0, 1e300, math.nan, math.inf, -math.inf])
+LOG, EXP, RECIPROCAL = catalog("log"), catalog("exp"), catalog("power", [-1.0])
+ROW_SPECS = [
+    ScoreSpec("se"), se(TransformMode.realization_only(LOG)),
+    se(TransformMode.prediction_only(EXP)), se(TransformMode.both(RECIPROCAL)),
+    se(TransformMode.realization_only(np.sqrt)),
+    ScoreSpec("ae", transform=TransformMode.both(catalog("box-cox", [0.5]))),
+    ScoreSpec("apl", tau=0.3, transform=TransformMode.prediction_only(LOG)),
+    ScoreSpec("gpl", tau=0.4, g_inner=EXP, transform=TransformMode.both(LOG)),
+    ScoreSpec("gpl", tau=0.6, g_inner=LOG, transform=TransformMode.realization_only(EXP)),
+    ScoreSpec("expectile", tau=0.7, transform=TransformMode.both(LOG)),
+    ScoreSpec("bregman", transform=TransformMode.realization_only(EXP)),
+    ScoreSpec("mv"), ScoreSpec("mv", transform=TransformMode.realization_only(LOG)),
+    ScoreSpec("mv", transform=TransformMode.realization_only(np.log)),
+]
+
+
+def _outcome(f, *args):
+    """What f(*args) raises (type, text, index), or its value."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(*args)
+    except (DomainError, EvaluationError) as exc:
+        return type(exc), str(exc), exc.index
+
+
+@st.composite
+def bad_rows(draw):
+    """(spec, z, y) of 1-50 rows, with bad entries in y, in z or in both,
+    in both sometimes at the same row."""
+    spec = draw(st.sampled_from(ROW_SPECS))
+    n = draw(st.integers(1, 50))
+    y, z = (draw(st.lists(GOOD, min_size=n, max_size=n)) for _ in "yz")
+    where = draw(st.sampled_from(["y", "z", "both", "same row"]))
+    rows = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    at = {"y": draw(rows) if where != "z" else [], "z": draw(rows) if where != "y" else []}
+    if where == "same row":
+        at["z"].append(min(at["y"]))
+    for column, values in (("y", y), ("z", z)):
+        for i in at[column]:
+            values[i] = draw(BAD)
+    if spec.family == "mv":  # the mean is any number; the variance may be bad
+        z = [(draw(st.floats(-5.0, 5.0)), v) for v in z]
+    return spec, z, y
+
+
+class TestBadRows:
+    @settings(max_examples=300)
+    @given(bad_rows())
+    def test_first_failing_row_matches_the_per_row_reference(self, case):
+        spec, z, y = case
+        got, want = _outcome(average_score, spec, z, y), _outcome(oracle.average_score, spec, z, y)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want
+
+    def test_a_prediction_before_the_first_bad_realization_wins(self):
+        spec = se(TransformMode.both(LOG))
+        with pytest.raises(DomainError, match="^value -2.0 outside domain .* of index 1, forward"):
+            average_score(spec, [1.0, -2.0, 1.0], [1.0, 1.0, -3.0])
+        # and at the same row the realization, checked first
+        with pytest.raises(DomainError, match="^value -3.0 outside domain .* of index 1, forward"):
+            average_score(spec, [1.0, -2.0, 1.0], [1.0, -3.0, 1.0])
+
+    def test_non_finite_scores_name_their_row(self):
+        with pytest.raises(EvaluationError, match="^at index 0: non-finite score nan$"):
+            average_score(ScoreSpec("se"), [math.nan, 1.0], [1.0, 2.0])
+        with pytest.raises(EvaluationError, match="^at index 1: non-finite score inf$") as info:
+            average_score(ScoreSpec("se"), [1.0, math.inf], [1.0, 2.0])
+        assert info.value.index == 1
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError, match="at index 2"):
+            average_score(ScoreSpec("se"), [0.0, 0.0, 1e200], [0.0, 0.0, -1e200])
+
+    def test_scalar_argument_has_no_index(self):
+        log = catalog("log")
+        for call in (lambda: log.apply(-1.0), lambda: log.invert(math.inf),
+                     lambda: EXP.apply(800.0), lambda: RECIPROCAL.apply(np.float64(1e-310)),
+                     lambda: TransformMode.realization_only(np.log).realization(-1.0),
+                     lambda: evaluate_score(ScoreSpec("mv"), (0.0, -1.0), 1.0)):
+            with np.errstate(all="ignore"), pytest.raises((DomainError, EvaluationError)) as info:
+                call()
+            assert info.value.index is None
+
+    def test_array_argument_has_its_flat_position(self):
+        with pytest.raises(DomainError) as info:
+            catalog("log").apply([[1.0, 2.0], [3.0, -4.0]])
+        assert info.value.index == 3 and info.value.value == -4.0
+        with pytest.raises(DomainError, match=r"value 800.0 .*\(value inf not in") as info:
+            EXP.apply([1.0, 800.0, 900.0])
+        assert info.value.index == 1
+        with np.errstate(invalid="ignore"), pytest.raises(EvaluationError) as info:
+            TransformMode.realization_only(np.log).realization(np.array([1.0, 2.0, -1.0]))
+        assert info.value.index == 2
+        assert Interval.open(0.0, 1.0).first_outside([0.5, 0.2, 1.0, -1.0]) == 2
