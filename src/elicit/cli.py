@@ -25,7 +25,7 @@ import numpy as np
 from . import specs
 from .errors import DataError, ElicitError, EvaluationError, SpecParseError
 from .estimation import fit
-from .evaluation import climatology_predictions, score_climatology, skill_score
+from .evaluation import climatology_predictions, score_climatology, skill_of_average
 from .distributions import sample_iid
 from .functionals import KINDS
 from .identification import IDENT_FAMILIES
@@ -222,7 +222,7 @@ def _cmd_score(args) -> int:
             ref = climatology_predictions(identity(), y)
         else:  # g-climatology, in the score's transform mode
             ref = np.full_like(y, score_climatology(spec.transform, y))
-        payload["skill"] = skill_score(spec, z, ref, "zero-optimum", y)
+        payload["skill"] = skill_of_average(spec, payload["average_score"], ref, "zero-optimum", y)
         payload["reference"] = args.skill
         payload["reference_value"] = float(ref[0])
     _emit(payload, args.out)

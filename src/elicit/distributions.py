@@ -23,6 +23,8 @@ from .errors import ParameterError
 from .intervals import Interval
 from .numerics import Seed, make_rng
 
+CHUNK = 2**16  # draws a streamed pass holds at once (see sample_chunks)
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -258,7 +260,13 @@ class Empirical:
         object.__setattr__(self, "_sorted", np.sort(arr))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self._sorted, size=int(n), replace=True)
+        # The draws of rng.choice, without its n-long int64 index array: the
+        # indices come CHUNK at a time from one generator, so the same bits.
+        out = np.empty(int(n))
+        for start in range(0, out.size, CHUNK):
+            part = out[start:start + CHUNK]
+            np.take(self._sorted, rng.integers(0, self._sorted.size, part.size), out=part)
+        return out
 
     def cdf(self, y: float) -> float:
         return float(np.searchsorted(self._sorted, y, side="right")) / self._sorted.size
@@ -282,9 +290,23 @@ class Empirical:
 DistributionSpec = Union[Normal, Lognormal, Exponential, Uniform, Empirical]
 
 
-def sample_iid(dist: DistributionSpec, n: int, seed: Seed) -> np.ndarray:
-    """n iid draws from ``dist``; bit-reproducible given seed."""
+def _draw_count(n: int, what: str) -> int:
     n = int(n)
     if n < 1:
-        raise ParameterError(f"sample_iid needs n >= 1, got {n}")
-    return dist.sample(n, make_rng(seed))
+        raise ParameterError(f"{what} needs n >= 1, got {n}")
+    return n
+
+
+def sample_iid(dist: DistributionSpec, n: int, seed: Seed) -> np.ndarray:
+    """n iid draws from ``dist``; bit-reproducible given seed."""
+    return dist.sample(_draw_count(n, "sample_iid"), make_rng(seed))
+
+
+def sample_chunks(dist: DistributionSpec, n: int, seed: Seed):
+    """The draws of :func:`sample_iid`, bit for bit once concatenated, as
+    arrays of :data:`CHUNK` draws (the last one shorter) from one generator:
+    a pass over them holds one chunk, not n draws. Each array is new, so
+    its consumer may change it in place."""
+    n = _draw_count(n, "sample_chunks")
+    rng = make_rng(seed)
+    return (dist.sample(min(CHUNK, n - start), rng) for start in range(0, n, CHUNK))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, ParameterError, naming_observations
 from .intervals import Interval
 from .numerics import Bracket, minimize1d
-from .scoring import (MV_VERTEX_POINTS, ScoreSpec, expected_score, mv_vertex,
+from .scoring import (MV_VERTEX_POINTS, ScoreSpec, expected_score, held_moments, mv_vertex,
                       prepare_realizations, score_values)
 
 _FINITE = Interval.open(-math.inf, math.inf)
@@ -53,21 +53,22 @@ def _as_model(model) -> ModelSpec:
     return ModelSpec(model) if isinstance(model, str) else model
 
 
-def _in_prediction_units(score: ScoreSpec, y: np.ndarray) -> np.ndarray:
+def _in_prediction_units(score: ScoreSpec, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The data where optimal constants lie: g(y) when g acts on one
     argument only (under ``prediction`` the parameter lives in transformed
-    space), the raw data for plain and jointly-transformed scores."""
+    space), the raw data for plain and jointly-transformed scores. ``w`` are
+    the effective realizations of y, g(y) already under ``realization``."""
     t = score.transform
     if t.mode == "prediction":
         return t.g.apply(y)
-    return y if t.mode == "both" else t.realization(y)
+    return y if t.mode == "both" else w
 
 
-def _prediction_bracket(score: ScoreSpec, y: np.ndarray) -> Bracket:
+def _prediction_bracket(score: ScoreSpec, y: np.ndarray, w: np.ndarray) -> Bracket:
     """Data-driven bracket for a constant prediction, in prediction units:
     optimal constants lie in the convex hull of :func:`_in_prediction_units`."""
     mode = score.transform.mode
-    vals = _in_prediction_units(score, y)
+    vals = _in_prediction_units(score, y, w)
     lo, hi = float(np.min(vals)), float(np.max(vals))
     pad = 0.01 * max(hi - lo, 1e-9 * max(1.0, abs(lo), abs(hi)), 1e-12)
     # A padded end must stay where the score evaluates predictions: g's
@@ -118,14 +119,14 @@ def fit(model, score: ScoreSpec, x=None, y=None, init="auto", tol: float = 1e-9)
         prepared = prepare_realizations(score, y)
         if score.family == "gpl":  # g_in(w), which every evaluation of gpl takes
             score.g_inner.apply(prepared.y)
-        bracket = _prediction_bracket(score, y) if model.kind == "constant" else None
+        bracket = _prediction_bracket(score, y, prepared.y) if model.kind == "constant" else None
     try:
         if model.kind == "constant":
             result = _fit_constant(score, prepared, bracket, tol)
         elif model.kind == "linear":
             result = _fit_linear(score, x, y, prepared, None if auto else init, tol)
-        else:  # constant_pair: the exact vertex
-            theta = mv_vertex(score, prepared)
+        else:  # constant_pair: the exact vertex of the data's moments
+            theta = mv_vertex(score, held_moments(prepared.y))
             result = FitResult(theta=theta, objective=expected_score(score, theta, prepared),
                                iterations=MV_VERTEX_POINTS + 1, converged=True)
     except (DomainError, EvaluationError) as exc:
@@ -162,7 +163,7 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, prepared, init,
 
     if init is None:
         try:
-            target = _in_prediction_units(score, y)
+            target = _in_prediction_units(score, y, prepared.y)
         except DomainError:
             target = y
         slope, intercept = np.polyfit(x, target, 1)

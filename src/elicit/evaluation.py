@@ -36,7 +36,11 @@ def skill_score(score: ScoreSpec, z, z_ref, z_opt, y) -> float:
     families minimized at zero; otherwise uses the two-reference form
     (avg(z) - avg(z_ref)) / (avg(z_opt) - avg(z_ref)).
     """
-    s_z = average_score(score, z, y)
+    return skill_of_average(score, average_score(score, z, y), z_ref, z_opt, y)
+
+
+def skill_of_average(score: ScoreSpec, s_z: float, z_ref, z_opt, y) -> float:
+    """:func:`skill_score` of predictions whose average score on y is ``s_z``."""
     s_ref = average_score(score, z_ref, y)
     if isinstance(z_opt, str):
         if z_opt != "zero-optimum":

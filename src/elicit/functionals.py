@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (DistributionSpec, Empirical, Lognormal, Normal,
-                            Uniform, sample_iid, sorted_quantile)
+                            Uniform, sample_chunks, sample_iid, sorted_quantile)
 from .errors import DomainError, EvaluationError, ParameterError
 from .identification import IdentSpec, expected_ident_curve, prepare_ident_realizations
 from .intervals import Interval
 from .numerics import Bracket, Seed, mean_stderr, root1d
-from .scoring import check_options
+from .scoring import TransformMode, check_options, held_moments, streamed_moments
 from .transforms import Bijection
 
 # The options each kind takes, written as in scoring.FAMILIES; g is the transformation.
@@ -219,15 +219,20 @@ def _quantile_stderr(w_sorted: np.ndarray, tau: float) -> float:
     return 0.5 * (hi_q - lo_q)
 
 
-def sample_mv_pair(w) -> FunctionalValue:
-    """Sample (mean, variance) of the draws ``w`` with their standard errors."""
-    w = np.asarray(w, dtype=float)
-    m = float(np.mean(w))
-    v = float(np.var(w, ddof=1))
-    d = w - m
-    m4 = float(np.mean(np.square(np.square(d, out=d), out=d)))
-    se_v = math.sqrt(max(m4 - v * v, 0.0) / w.size)
-    return FunctionalValue((m, v), (mean_stderr(w), se_v), "mc")
+def sample_mv_pair(st) -> FunctionalValue:
+    """Sample (mean, variance) of the draws with their standard errors, from
+    their moments ``st`` (:func:`~elicit.scoring.held_moments` or
+    :func:`~elicit.scoring.streamed_moments`): the sums of
+    t^k, k <= 4, t = w - c about the centre c. The fourth central moment
+    expands about the mean's offset d = mean(t), which the centre keeps small."""
+    n = st.n
+    s1, s2, s3, s4 = st.tot2[0, 1], st.tot2[1, 1], st.tot2[1, 2], st.tot2[2, 2]
+    d = s1 / n
+    v = (s2 - d * s1) / (n - 1)
+    m4 = (s4 - 4.0 * d * s3 + 6.0 * d * d * s2 - 3.0 * n * d ** 4) / n
+    se_v = math.sqrt(max(m4 - v * v, 0.0) / n)
+    return FunctionalValue((float(st.centre[0] + d), float(v)),
+                           (math.sqrt(v / n), se_v), "mc")
 
 
 def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
@@ -237,7 +242,17 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
     if analytic is not None:
         stderr = (0.0, 0.0) if isinstance(analytic, tuple) else 0.0
         return FunctionalValue(analytic, stderr, "analytic")
+    if spec.kind == "mvpair":  # moments only: the draws stream, one chunk at a time
+        _check_mc_size(spec, n)
+        transform = TransformMode.realization_only(spec.g) if spec.g else TransformMode.none()
+        return sample_mv_pair(streamed_moments(transform, sample_chunks(dist, n, seed)))
     return functional_from_draws(spec, sample_iid(dist, n, seed), owned=True)
+
+
+def _check_mc_size(spec: FunctionalSpec, n: int) -> None:
+    if n < 2:
+        raise ParameterError(f"a Monte Carlo {spec.kind} needs n >= 2 draws for its stderr, "
+                             f"got {n}")
 
 
 def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> FunctionalValue:
@@ -247,9 +262,7 @@ def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> F
     w = np.asarray(draws, dtype=float)
     owned = owned and w is draws
     del draws
-    if w.size < 2:
-        raise ParameterError(f"a Monte Carlo {spec.kind} needs n >= 2 draws for its stderr, "
-                             f"got {w.size}")
+    _check_mc_size(spec, w.size)
     g = spec.g
     if g is not None:
         raw, w = w, np.asarray(g.apply(w), dtype=float)
@@ -262,7 +275,7 @@ def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> F
         return FunctionalValue(sorted_quantile(w, spec.tau), _quantile_stderr(w, spec.tau),
                                "mc", notes="empirical quantile interval")
     if kind == "mvpair":
-        return sample_mv_pair(w)
+        return sample_mv_pair(held_moments(w))
     value, se = (_mc_expectile(w, spec.tau, owned) if kind == "expectile"
                  else (float(np.mean(w)), mean_stderr(w)))
     if g is None:

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
 from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, check_options,
-                      evaluate_score, sorted_stats)
-from .sweep import per_row, piece
+                      evaluate_score, sorted_stats, streamed_stats)
+from .sweep import Piecewise, Stats, StreamedStats, per_row, piece
 from .transforms import Bijection
 
 # The options each family takes, written as in scoring.FAMILIES.
@@ -68,6 +68,16 @@ def _coefficients(spec: IdentSpec, u, centre):
     return lin, 2.0 * (1.0 - spec.tau), 2.0 * spec.tau  # 2 |1{u >= w} - tau| (u - w)
 
 
+def mv_ident_stats(z, st: StreamedStats):
+    """(means, standard errors) of V1 and V2 of the mv pair z = (x1, x2), from
+    the moments ``st`` of the effective draws (scoring's mv basis {1, t, t^2},
+    t = w - c): V1 = (x1 - c) - t, V2 = (x2 + (x1 - c)(x1 + c)) - 2c t - t^2."""
+    x1, x2 = float(z[0]), float(z[1])
+    c = st.centre[0]
+    a = np.array([[x1 - c, -1.0, 0.0], [x2 + (x1 - c) * (x1 + c), -2.0 * c, -1.0]])
+    return st.stats(Piecewise(np.zeros(2, dtype=np.intp), a, a))
+
+
 def mv_ident_components(z, prepared: PreparedRealizations):
     """V1 = x1 - w and V2 = x2 + x1^2 - w^2 of the mv pair z = (x1, x2), one
     at a time, so a caller that reduces each holds one beside the draws."""
@@ -97,14 +107,32 @@ def evaluate_identification(spec: IdentSpec, z, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
-    """Empirical mean and stderr of V(z, Y) at each z over common draws."""
+def _sweep_args(spec: IdentSpec, zs):
+    """The basis of the family, whether it breaks, and the effective predictions of zs."""
     if spec.family == "mv":
         raise ParameterError("identification sweeps take scalar predictions")
-    breaks = spec.family != "mean"
-    st = sorted_stats(prepared, "one" if spec.family == "quantile" else "lin", breaks)
-    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+    return ("one" if spec.family == "quantile" else "lin", spec.family != "mean",
+            spec.transform.prediction(np.asarray(zs, dtype=float)))
+
+
+def _curve(spec: IdentSpec, st: Stats, u, breaks: bool):
     return st.stats(piece(st, u, _coefficients(spec, u, st.centre), breaks))
+
+
+def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
+    """Empirical mean and stderr of V(z, Y) at each z over common draws."""
+    basis, breaks, u = _sweep_args(spec, zs)
+    return _curve(spec, sorted_stats(prepared, basis, breaks), u, breaks)
+
+
+def streamed_ident_curve(spec: IdentSpec, zs, chunks):
+    """:func:`expected_ident_curve` of draws that arrive in chunks no caller
+    holds (:func:`~elicit.distributions.sample_chunks`): one pass takes the
+    sums at the predictions zs, fixed before it, so no n-long array is held.
+    The same table and evaluator, on sums centred at the first chunk's mean."""
+    basis, breaks, u = _sweep_args(spec, zs)
+    st = streamed_stats(spec.transform, chunks, basis, u if breaks else ())
+    return _curve(spec, st, u, breaks)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParameterError
-from .sweep import Piecewise, SortedStats, per_row, piece
+from .distributions import CHUNK
+from .errors import DomainError, ElicitError, EvaluationError, ParameterError
+from .sweep import Piecewise, SortedStats, Stats, StreamedStats, per_row, piece
 from .transforms import Bijection
 
 # The options each family takes, "?" marking an optional one: tau a level in
@@ -231,6 +232,23 @@ def _centre(basis, y, of=lambda v: float(np.mean(v))) -> tuple:
     return (of(y), of(basis.phi(y))) if isinstance(basis, ConvexGenerator) else (of(y),)
 
 
+def _columns(basis, centre: tuple) -> Callable:
+    """The non-constant columns of ``basis`` centred at ``centre``, as a
+    function of the draws (see :func:`sorted_stats`)."""
+    if isinstance(basis, Bijection):
+        return lambda w: (basis.apply(w) - centre[0],)
+    if basis == "one":
+        return lambda w: ()
+    if basis == "lin":
+        return lambda w: (w - centre[0],)
+    if basis == "quad":
+        def quad(w):
+            t = w - centre[0]
+            return t, np.square(t)
+        return quad
+    return lambda w: (w - centre[0], np.asarray(basis.phi(w), float) - centre[1])
+
+
 def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     """The prepared draws' sorted statistics on a centred basis, built on
     first use and kept on ``p`` until a sweep asks for another basis.
@@ -246,20 +264,53 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     if p.sweep is not None and p.sweep.key == key:
         return p.sweep
     centre = _centre(basis, p.y)
-    if isinstance(basis, Bijection):
-        columns = lambda w: (basis.apply(w) - centre[0],)
-    elif basis == "one":
-        columns = lambda w: ()
-    elif basis == "lin":
-        columns = lambda w: (w - centre[0],)
-    elif basis == "quad":
-        columns = lambda w: (w - centre[0], np.square(w - centre[0]))
-    else:
-        columns = lambda w: (w - centre[0], np.asarray(basis.phi(w), float) - centre[1])
     in_place = ordered and p.owned
-    p.sweep = SortedStats(p.y, columns, key, centre, ordered, in_place)
+    p.sweep = SortedStats(p.y, _columns(basis, centre), key, centre, ordered, in_place)
     p.in_draw_order = p.in_draw_order and not in_place
     return p.sweep
+
+
+def streamed_stats(transform: TransformMode, chunks, basis, u=()) -> StreamedStats:
+    """The sums of :func:`sorted_stats` over draws that arrive in chunks no
+    caller holds (:func:`~elicit.distributions.sample_chunks`), each made
+    effective by ``transform`` as it comes, taken at the effective
+    predictions u, fixed before the pass, and in total. The basis is
+    centred at the first chunk's means. An error of the transform carries
+    its position among all the draws."""
+    def centred(first):
+        centre = _centre(basis, first)
+        return _columns(basis, centre), centre
+
+    def effective():
+        start = 0
+        for chunk in chunks:
+            try:
+                p = PreparedRealizations(transform, chunk, owned=True)
+            except ElicitError as exc:
+                if exc.index is not None:
+                    exc.index += start
+                raise
+            start += chunk.size
+            yield p.y if p.owned else p.y.copy()  # a bare callable's values may be its own
+
+    return StreamedStats(effective(), centred, u)
+
+
+def streamed_moments(transform: TransformMode, chunks) -> StreamedStats:
+    """The sums of the mean-variance basis {1, t, t^2} (t^3 and t^4 among
+    their products) over chunks of draws made effective by ``transform``:
+    the moments :func:`mv_vertex`, the pair's standard errors and its
+    identification means read."""
+    return streamed_stats(transform, chunks, _basis(ScoreSpec("mv")))
+
+
+def held_moments(w: np.ndarray) -> StreamedStats:
+    """:func:`streamed_moments` of the held effective draws w, fed in CHUNK
+    slices, so that held and sampled draws share one implementation. No
+    points are given, so no slice is sorted."""
+    w = np.ravel(w)
+    return streamed_moments(TransformMode.none(),
+                            (w[i:i + CHUNK] for i in range(0, w.size, CHUNK)))
 
 
 def _mv_pair(z):
@@ -372,11 +423,16 @@ def _mean_score(spec: ScoreSpec, z, y) -> float:
         raise _annotate_index(exc) from exc
 
 
+def _table(spec: ScoreSpec, st: Stats, zs) -> Piecewise:
+    """The table of the predictions zs on the sums ``st``."""
+    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+    return piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
+
+
 def _swept(spec: ScoreSpec, zs, p: PreparedRealizations):
     """The prepared draws' sorted statistics, and the table of the predictions zs on them."""
     st = sorted_stats(p, _basis(spec), spec.family not in _FLAT)
-    u = spec.transform.prediction(np.asarray(zs, dtype=float))
-    return st, piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
+    return st, _table(spec, st, zs)
 
 
 def expected_score(spec: ScoreSpec, z, prepared: PreparedRealizations) -> float:
@@ -412,21 +468,22 @@ def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations)
     return st.diff_stats(Piecewise(*(c[:1] for c in f)), Piecewise(*(c[1:] for c in f)))
 
 
-def mv_vertex(spec: ScoreSpec, prepared: PreparedRealizations) -> tuple[float, float]:
+def mv_vertex(spec: ScoreSpec, st: StreamedStats) -> tuple[float, float]:
     """The minimiser (x1, x2) of the mv score's empirical expected score
-    M = x2^-2 (E(x1 - W)^2 - 2 x2), from M's values on the sweep: a parabola
+    M = x2^-2 (E(x1 - W)^2 - 2 x2), from M's values on the moments ``st``
+    of the effective draws (:func:`streamed_moments`, :func:`held_moments`): a parabola
     in x1 at x2 = s (vertex x1* from a, a +- sqrt(s)), while x2^2 M = A - 2B x2
     (B from (a, 2s), A at x1* from the parabola), least at x2 = A / B. Two
     rounds: from the draws' midrange and squared half range, then from that
     vertex, where nothing cancels. Zero spread has no minimiser: M -> -inf."""
-    lo, hi = float(np.min(prepared.y)), float(np.max(prepared.y))
+    lo, hi = st.lo, st.hi
     if not lo < hi:
         raise ParameterError(f"mean-variance score: no minimum on data of zero spread (all {lo:g})")
     x1, x2 = 0.5 * (lo + hi), (0.5 * (hi - lo)) ** 2
     for _ in range(MV_VERTEX_POINTS // 4):
         h = x2 ** 0.5
-        f_lo, f_mid, f_hi, f_wide = expected_score_curve(
-            spec, [(x1 - h, x2), (x1, x2), (x1 + h, x2), (x1, 2.0 * x2)], prepared).tolist()
+        f_lo, f_mid, f_hi, f_wide = st.mean(_table(
+            spec, st, [(x1 - h, x2), (x1, x2), (x1 + h, x2), (x1, 2.0 * x2)])).tolist()
         curv, b = f_hi - 2.0 * f_mid + f_lo, 0.5 * x2 * (f_mid - 4.0 * f_wide)
         least = f_mid - (f_hi - f_lo) ** 2 / (8.0 * curv) if curv > 0.0 else -np.inf
         a = x2 * (x2 * least + 2.0 * b)

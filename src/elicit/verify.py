@@ -37,16 +37,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_iid
+from .distributions import DistributionSpec, sample_chunks, sample_iid
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
 from .functionals import (FunctionalSpec, FunctionalValue, functional_from_draws,
                           functional_value, pushforward_law, sample_mv_pair, scalar_value)
-from .identification import (IdentSpec, expected_ident_curve, mv_ident_components,
-                             prepare_ident_realizations)
+from .identification import IdentSpec, mv_ident_stats, streamed_ident_curve
 from .intervals import Interval
-from .numerics import Bracket, Seed, check_seed, derive_seed, mean_stderr, minimize1d
+from .numerics import Bracket, Seed, check_seed, derive_seed, minimize1d
 from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
-                      mv_vertex, prepare_realizations, score_diff_stats)
+                      mv_vertex, prepare_realizations, score_diff_stats, streamed_moments)
 from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional, parse_ident,
                     parse_score, parse_suite_line)
 from .transforms import Bijection
@@ -63,9 +62,11 @@ MIN_N = 10**4
 # The n-long float arrays a check of each kind holds at once, at most: its
 # draws, and one more while they are transformed, while a Monte Carlo target
 # samples its own, or while a reduction (a standard error) makes a temporary.
-# The pair's E[V] holds V1 or V2 and a temporary beside the draws. Ordered
-# sweeps sort the draws in place, so a sorted copy is not one of them.
-LIVE_ARRAYS = {"consistency": 2, "strictness": 2, "identification": 2, "pair": 3,
+# Ordered sweeps sort the draws in place, so a sorted copy is not one of them.
+# Identification and pair checks stream their draws, CHUNK at a time: only
+# the identification's Monte Carlo expectile target holds n draws (and their
+# transform); the pair, its Monte Carlo target included, holds none.
+LIVE_ARRAYS = {"consistency": 2, "strictness": 2, "identification": 2, "pair": 0,
                "revelation": 2, "realization": 2}
 # Bytes of draws a run may hold at once, estimated as n x 8 x LIVE_ARRAYS[kind]
 # per check, summed over the checks that --jobs threads run together. The
@@ -220,16 +221,23 @@ def _target_se(target: FunctionalValue) -> float:
     return float(target.stderr) if not isinstance(target.stderr, (tuple, list)) else 0.0
 
 
-def _target_shift(curve, t: float, zs: np.ndarray, target: FunctionalValue) -> float:
-    """How far a curve moves when a Monte Carlo target t misses the truth by
-    its stderr se_t: |curve'(t)| se_t, the slope a central difference over
-    one grid step. 0 for an exact target."""
-    se_t = _target_se(target)
-    if se_t == 0.0:
-        return 0.0
+def _shift_points(t: float, zs: np.ndarray, target: FunctionalValue) -> list:
+    """t -+ one grid step, where a curve's values show how far it moves when
+    a Monte Carlo target t misses the truth; none for an exact target."""
+    if _target_se(target) == 0.0:
+        return []
     delta = float(zs[1] - zs[0])
-    lo, hi = curve([t - delta, t + delta])
-    return abs(float(hi - lo)) / (2.0 * delta) * se_t
+    return [t - delta, t + delta]
+
+
+def _target_shift(values, zs: np.ndarray, target: FunctionalValue) -> float:
+    """How far a curve moves when a Monte Carlo target misses the truth by
+    its stderr se_t: |curve'(t)| se_t, the slope a central difference of its
+    ``values`` at :func:`_shift_points`. 0 for an exact target (no values)."""
+    if not len(values):
+        return 0.0
+    lo, hi = values
+    return abs(float(hi - lo)) / (2.0 * float(zs[1] - zs[0])) * _target_se(target)
 
 
 def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, bracket: Bracket, seed: Seed):
@@ -309,8 +317,8 @@ def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValu
     ineq_ok = True
     if bracket.lo <= t_scalar <= bracket.hi:
         dmean, dse = score_diff_stats(score, t_scalar, zs, prepared)
-        shift = _target_shift(lambda z: expected_score_curve(score, z, prepared),
-                              t_scalar, zs, target)
+        at = _shift_points(t_scalar, zs, target)
+        shift = _target_shift(expected_score_curve(score, at, prepared) if at else [], zs, target)
         ineq_ok = bool(np.all(dmean <= 3.0 * np.hypot(dse, shift) + 1e-12))
 
     notes = f"argmin={z_star:.6g}"
@@ -357,16 +365,13 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
     target = _resolve_target(cfg)
     t_scalar = scalar_value(target.value)
 
-    prepared = prepare_ident_realizations(cfg.ident, sample_iid(cfg.dist, cfg.n, cfg.seed),
-                                          owned=True)
-    (est0,), (se0,) = expected_ident_curve(cfg.ident, [t_scalar], prepared)
-    est0, se0 = float(est0), float(se0)
-
+    # One pass over the draws, chunk by chunk, at every point the verdict reads.
     zs = np.linspace(cfg.bracket.lo, cfg.bracket.hi, cfg.points)
-    vmeans, vses = expected_ident_curve(cfg.ident, zs, prepared)
-
-    se0 = math.hypot(se0, _target_shift(lambda z: expected_ident_curve(cfg.ident, z, prepared)[0],
-                                        t_scalar, zs, target))
+    points = [t_scalar, *zs, *_shift_points(t_scalar, zs, target)]
+    means, ses = streamed_ident_curve(cfg.ident, points, sample_chunks(cfg.dist, cfg.n, cfg.seed))
+    est0, se0 = float(means[0]), float(ses[0])
+    vmeans, vses = means[1:cfg.points + 1], ses[1:cfg.points + 1]
+    se0 = math.hypot(se0, _target_shift(means[cfg.points + 1:], zs, target))
     zero_ok = abs(est0) <= max(3.0 * se0, 1e-12)
     flat_tol = max(cfg.tol_abs, cfg.tol_rel * max(1.0, abs(t_scalar)))
     far = np.abs(zs - t_scalar) > flat_tol
@@ -444,8 +449,9 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
     se_t1, se_t2 = (float(s) for s in (target.stderr if isinstance(target.stderr, (tuple, list))
                                        else (target.stderr, target.stderr)))
 
-    prepared = prepare_realizations(cfg.score, sample_iid(cfg.dist, cfg.n, cfg.seed), owned=True)
-    x1_star, x2_star = mv_vertex(cfg.score, prepared)
+    # One pass over the draws, chunk by chunk: the moments every number below reads.
+    st = streamed_moments(cfg.score.transform, sample_chunks(cfg.dist, cfg.n, cfg.seed))
+    x1_star, x2_star = mv_vertex(cfg.score, st)
     if not (cfg.bracket.lo <= x1_star <= cfg.bracket.hi
             and cfg.bracket2.lo <= x2_star <= cfg.bracket2.hi):
         raise BracketingError(f"mean-variance vertex ({x1_star:.6g}, {x2_star:.6g}) outside "
@@ -454,17 +460,15 @@ def check_pair_consistency(cfg: CheckConfig) -> VerificationReport:
 
     # The empirical pair argmin is the sample (mean, variance) of the
     # transformed draws; combine its sampling error with the target's.
-    se_m, se_v = sample_mv_pair(prepared.y).stderr
+    se_m, se_v = sample_mv_pair(st).stderr
     se1 = math.hypot(se_t1, se_m)
     se2 = math.hypot(se_t2, se_v)
     tol1 = _tolerance(cfg, t1, se1)
     tol2 = _tolerance(cfg, t2, se2)
     argmin_ok = abs(x1_star - t1) <= tol1 and abs(x2_star - t2) <= tol2
 
-    # The score's prepared draws are the identification's effective draws;
-    # V1 and V2 are reduced one at a time.
-    (e1, s1), (e2, s2) = ((float(np.mean(v)), mean_stderr(v))
-                          for v in mv_ident_components((t1, t2), prepared))
+    # The score's effective draws are the identification's.
+    (e1, e2), (s1, s2) = (v.tolist() for v in mv_ident_stats((t1, t2), st))
     # A Monte Carlo target misses the true zero: E[V1] moves by the error of
     # t1, E[V2] by that of t2 plus 2 t1 times that of t1 (their covariance
     # bounded by Cauchy-Schwarz).

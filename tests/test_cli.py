@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from elicit import nse
+from elicit import cli, evaluation, nse
 from elicit.cli import _read_csv, main
 
 
@@ -71,6 +71,27 @@ class TestScoreCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["average_score"] == 0.0
         assert payload["skill"] == 1.0
+
+    def test_skill_scores_the_model_once(self, zy_file, capsys, monkeypatch):
+        rows = []
+        average_score = evaluation.average_score
+
+        def counted(spec, z, y):
+            rows.append(np.asarray(z).tolist())
+            return average_score(spec, z, y)
+
+        monkeypatch.setattr(cli, "average_score", counted)
+        monkeypatch.setattr(evaluation, "average_score", counted)
+        path = zy_file([1.5, 2.0, 2.5], [1.0, 2.0, 4.0])
+        assert main(["score", "--score", "se", "--data", path, "--skill", "climatology"]) == 0
+        assert rows == [[1.5, 2.0, 2.5], [7.0 / 3.0] * 3]  # the model's, then the reference's
+        assert json.loads(capsys.readouterr().out)["skill"] == pytest.approx(nse([1.5, 2.0, 2.5],
+                                                                                 [1.0, 2.0, 4.0]))
+
+    def test_a_reference_of_zero_average_score_exits_3(self, zy_file, capsys):
+        path = zy_file([1.0, 3.0], [2.0, 2.0])
+        assert main(["score", "--score", "se", "--data", path, "--skill", "climatology"]) == 3
+        assert "reference predictions have zero average score" in capsys.readouterr().err
 
     def test_climatology_skill_reproduces_nse(self, zy_file, capsys):
         rng = np.random.default_rng(3)

@@ -11,7 +11,7 @@ from scipy.stats import expon, lognorm, norm, uniform
 import oracle
 from elicit import (Empirical, Exponential, Interval, Lognormal, Normal,
                     ParameterError, Uniform, sample_iid)
-from elicit.distributions import ndtr, ndtri, sorted_quantile
+from elicit.distributions import CHUNK, ndtr, ndtri, sample_chunks, sorted_quantile
 from elicit.functionals import FunctionalSpec, expectile_exact, functional_from_draws
 
 CONTINUOUS = [
@@ -219,3 +219,33 @@ class TestEmpiricalFromDraws:
             Empirical(np.array([1.0, math.inf]))
         with pytest.raises(ParameterError):
             Empirical(np.ones((2, 2)))
+
+
+CATALOG_LAWS = [Normal(0.5, 2.0), Lognormal(0.0, 1.0), Lognormal(0.5, 2.0), Exponential(1.0),
+                Uniform(0.0, 1.0), Empirical((1.0, 1.0, 2.0, 2.0)), Empirical((2.5, 0.3, 1.0))]
+# Below, at and across multiples of the chunk.
+CHUNKED_SIZES = st.one_of(st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,
+                                           3 * CHUNK + 17]), st.integers(1, 3 * CHUNK))
+
+
+@pytest.mark.parametrize("law", CATALOG_LAWS, ids=repr)
+@settings(max_examples=8)
+@given(n=CHUNKED_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_chunks_concatenate_to_the_draws_of_sample_iid_bit_for_bit(law, n, seed):
+    chunks = list(sample_chunks(law, n, seed))
+    assert [c.size for c in chunks[:-1]] == [CHUNK] * (len(chunks) - 1)
+    assert 1 <= chunks[-1].size <= CHUNK
+    assert np.concatenate(chunks).tobytes() == sample_iid(law, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", [10, CHUNK, 300_001])
+def test_empirical_draws_are_rng_choice_without_its_index_array(n):
+    law = Empirical((2.5, 1.0, 1.0, 7.0, 2.0))
+    want = np.random.default_rng(np.random.SeedSequence(5)).choice(
+        np.sort(law.values), size=n, replace=True)
+    assert sample_iid(law, n, 5).tobytes() == want.tobytes()
+
+
+def test_sample_chunks_rejects_no_draws():
+    with pytest.raises(ParameterError, match="sample_chunks needs n >= 1"):
+        sample_chunks(Normal(0.0, 1.0), 0, 1)

@@ -7,6 +7,7 @@ from elicit import (DomainError, Empirical, EvaluationError, Exponential, Lognor
                     ParameterError, ScoreSpec, TransformMode, Uniform, average_score, catalog,
                     estimation, expectile_exact, fit, functional_value, sample_iid, scalar_value)
 from elicit.functionals import FunctionalSpec
+from elicit.transforms import Bijection
 
 
 class TestConstantFits:
@@ -74,6 +75,26 @@ class TestConstantFits:
     def test_unexpected_predictors_rejected(self):
         with pytest.raises(ParameterError):
             fit("constant", ScoreSpec("se"), x=[1.0], y=[1.0])
+
+
+@pytest.mark.parametrize("model", ["constant", "linear"])
+def test_a_realization_transform_maps_the_data_once(model, monkeypatch):
+    y = np.random.default_rng(8).lognormal(0.0, 0.5, 1000)
+    x = np.linspace(0.0, 1.0, y.size) if model == "linear" else None
+    want = fit(model, ScoreSpec("apl", tau=0.3, transform=TransformMode.realization_only(
+        catalog("log"))), x=x, y=y)
+    sizes = []
+    apply = Bijection.apply
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return apply(self, t)
+
+    monkeypatch.setattr(Bijection, "apply", counted)
+    got = fit(model, ScoreSpec("apl", tau=0.3, transform=TransformMode.realization_only(
+        catalog("log"))), x=x, y=y)
+    assert sizes.count(y.size) == 1
+    assert got == want
 
 
 class TestLinearFits:

@@ -9,7 +9,9 @@ The guard runs one line per check kind under ``tracemalloc``, which numpy
 reports its buffers to, at two sizes: the slope of the traced peak is the
 bytes each check holds per draw, 8 per n-long array of doubles. Each kind
 stays within ``verify.LIVE_ARRAYS``, the table the cap reads, plus one byte
-for boolean masks.
+for boolean masks. Identification and pair lines without a Monte Carlo
+target that holds its draws stream them: their peak stays under 4 MB at
+n = 4e6.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elicit import cli, scoring
+from elicit.distributions import Empirical, sample_iid
 from elicit.errors import ElicitError, ParameterError, SpecParseError
 from elicit.estimation import fit
 from elicit.functionals import functional_from_draws
@@ -27,8 +30,8 @@ from elicit.identification import (IdentSpec, expected_ident_curve, ident_values
 from elicit.scoring import (average_score, expected_score_curve, prepare_realizations,
                             score_values)
 from elicit.specs import parse_functional, parse_ident, parse_score
-from elicit.verify import (LIVE_ARRAYS, MEMORY_CAP, _parse_suite, builtin_suite, draw_bytes,
-                           run_check, suite_bytes)
+from elicit.verify import (LIVE_ARRAYS, MEMORY_CAP, MIN_N, _parse_suite, builtin_suite,
+                           draw_bytes, run_check, suite_bytes)
 
 MODES = ("", "@realization:log", "@prediction:exp", "@both:log", "@both:negate")
 FAMILIES = ("se", "ae", "apl:tau=0.3", "gpl:tau=0.6:g=exp", "expectile:tau=0.75:phi=square",
@@ -203,6 +206,42 @@ def test_each_check_kind_holds_its_live_arrays_per_draw_and_no_more():
     over = {line: round(b, 2) for line, b in slopes.items()
             if b > 8 * LIVE_ARRAYS[line.split()[0].removeprefix("kind=")] + 1}
     assert not over, over
+
+
+# Every line of these kinds but the identification's Monte Carlo expectile
+# target, which holds its draws to find its root.
+STREAMED_LINES = [line for line in GUARD_LINES if line.startswith(("kind=identification",
+                                                                   "kind=pair"))
+                  and "gexpectile" not in line]
+
+
+def test_streamed_checks_hold_chunks_not_draws():
+    tracemalloc.start()
+    try:
+        for line in STREAMED_LINES:  # imports and lazy set-up before the measured run
+            _traced_peak(line, MIN_N)
+        peaks = {line: _traced_peak(line, 4 * 10**6) for line in STREAMED_LINES}
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    over = {line: peak for line, peak in peaks.items() if peak >= 4 * 10**6}
+    assert not over, over
+
+
+def test_empirical_sampling_holds_its_draws_and_no_index_array():
+    def peak(n):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sample_iid(Empirical((1.0, 1.0, 2.0, 2.0)), n, 3)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(SMALL)
+        slope = (peak(LARGE) - peak(SMALL)) / (LARGE - SMALL)
+    finally:
+        tracemalloc.stop()
+    assert slope <= 8 + 1, slope
 
 
 def test_the_cap_reads_the_live_array_table():

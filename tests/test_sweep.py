@@ -19,11 +19,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
+from elicit.distributions import CHUNK
+from elicit.errors import ParameterError
+from elicit.functionals import sample_mv_pair
 from elicit.identification import (evaluate_identification, expected_ident_curve,
-                                   ident_values, prepare_ident_realizations)
-from elicit.scoring import (average_score, evaluate_score, expected_score,
-                            expected_score_curve, expected_score_stats, prepare_realizations,
-                            score_diff_stats, score_values)
+                                   ident_values, mv_ident_stats, prepare_ident_realizations,
+                                   streamed_ident_curve)
+from elicit.scoring import (TransformMode, average_score, evaluate_score, expected_score,
+                            expected_score_curve, expected_score_stats, held_moments,
+                            prepare_realizations, score_diff_stats, score_values, streamed_stats)
 from elicit.specs import parse_ident, parse_score
 from elicit.sweep import _CHUNK, BLOCK
 
@@ -360,3 +364,70 @@ def test_sorted_stats_keeps_no_n_long_column_but_the_draws(text):
     arrays = {k: v for k, v in vars(prepared.sweep).items() if isinstance(v, np.ndarray)}
     assert arrays.pop("w").size == n
     assert arrays and all(a.size < n for a in arrays.values())
+
+
+def _split(y, cuts):
+    """A copy of y in chunks, cut at ``cuts`` (positions in 1..n-1)."""
+    return np.split(y.copy(), sorted(set(cuts)))
+
+
+@pytest.mark.parametrize("text", IDENT_SPECS)
+@given(data=draws_and_predictions(), cuts=st.lists(st.integers(1, 4 * BLOCK), max_size=3))
+def test_streamed_ident_curve_equals_the_held_sweep(text, data, cuts):
+    """Chunk by chunk, at points fixed before the pass, the same (mean,
+    stderr) at every point as the sweep of the held draws: bit for bit where
+    they are counts (quantile), else to 1e-12 on the mean |V| and mean V^2."""
+    spec = parse_ident(text)
+    y, zs = data
+    cuts = [c for c in cuts if c < y.size]
+    means, ses = streamed_ident_curve(spec, zs, _split(y, cuts))
+    want_means, want_ses = expected_ident_curve(spec, zs, prepare_ident_realizations(spec, y))
+    if spec.family == "quantile":
+        _assert_identical(means, want_means)
+        _assert_identical(ses, want_ses)
+    for k, z in enumerate(zs):
+        v = np.asarray(oracle.ident(spec, z, y), dtype=float)
+        _close(means[k], want_means[k], float(np.mean(np.abs(v))))
+        _close(ses[k] ** 2 * y.size, want_ses[k] ** 2 * y.size, float(np.mean(v * v)))
+
+
+@given(data=draws_and_predictions(), cuts=st.lists(st.integers(1, 4 * BLOCK), max_size=3))
+def test_streamed_sums_count_the_draws_at_or_below_each_point(data, cuts):
+    """The 1{u >= w} rule on chunks: an atom on a point counts below it."""
+    y, zs = data
+    st_ = streamed_stats(TransformMode.none(), _split(y, [c for c in cuts if c < y.size]),
+                         "lin", zs)
+    keys = st_.cut(zs)
+    t = y - st_.centre[0]
+    for k, z in zip(keys, zs):
+        below = y <= z
+        assert st_.s1[k, 0] == np.sum(below)
+        _close(st_.s1[k, 1], np.sum(t[below]), float(np.sum(np.abs(t))))
+        _close(st_.s2[k, 1, 1], np.sum(t[below] ** 2), float(np.sum(t * t)))
+    assert st_.n == y.size and (st_.lo, st_.hi) == (np.min(y), np.max(y))
+    with pytest.raises(ParameterError, match="only at the points"):
+        st_.cut([float(np.max(zs)) + 1.0])
+
+
+@pytest.mark.parametrize("location", [0.0, 1e3, 1e6])
+def test_streamed_moments_match_the_direct_formulas_far_from_zero(location):
+    """Location much larger than scale: the moments about the first chunk's
+    mean give the two-pass sample mean, variance, their standard errors and
+    the mean-variance identification's means and standard errors."""
+    n = 3 * CHUNK + 17
+    w = location + np.random.default_rng(7).lognormal(0.0, 0.5, n)
+    st_ = held_moments(w)
+    pair = sample_mv_pair(st_)
+    (m, v), (se_m, se_v) = pair.value, pair.stderr
+    d = w - np.mean(w)
+    v0 = float(np.sum(d * d) / (n - 1))
+    assert abs(m - np.mean(w)) <= 1e-15 * abs(np.mean(w)) + REL * math.sqrt(v0)
+    assert v == pytest.approx(v0, rel=REL)
+    assert se_m == pytest.approx(math.sqrt(v0 / n), rel=REL)
+    assert se_v == pytest.approx(math.sqrt((np.mean(d ** 4) - v0 * v0) / n), rel=REL)
+    x1, x2 = float(np.mean(w)) + 0.01, v0 * 1.1
+    # V2 = x2 + x1^2 - w^2, written so that nothing cancels far from zero
+    direct = [x1 - w, x2 - (w - x1) * (w + x1)]
+    means, ses = mv_ident_stats((x1, x2), st_)
+    for k, vals in enumerate(direct):
+        _assert_stats(means[k], ses[k], vals, n)

@@ -9,7 +9,11 @@ from elicit import (Bracket, CheckConfig, Empirical, Exponential, Lognormal,
                     check_consistency, check_identification, check_pair_consistency,
                     check_realization_transform, check_revelation, check_strictness,
                     derive_seed, run_check, run_suite, sample_iid, suite_passed)
-from elicit.specs import parse_functional, parse_ident, parse_score
+from elicit.distributions import CHUNK, sample_chunks
+from elicit.errors import DomainError
+from elicit.identification import streamed_ident_curve
+from elicit.scoring import TransformMode, streamed_moments
+from elicit.specs import parse_bijection, parse_functional, parse_ident, parse_score
 from elicit.verify import load_suite_file
 
 N = 5 * 10**4  # enough for the loose tolerances below, fast in CI
@@ -473,3 +477,40 @@ def test_truth_beats_curve_counts_monte_carlo_target_error(tmp_path):
     assert target.stderr > 0.0
     exact = run_check(replace(c, target=target.value, target_stderr=0.0))
     assert "truth beats curve inequality violated" in exact.notes
+
+
+# Normal draws under shifted-log(4): at seed 17 the first of 1e6 draws
+# outside (-4, inf) is draw 106,294, in the second chunk.
+SHIFTED = "shifted-log(4)"
+
+
+def _held_transform_error():
+    y = sample_iid(Normal(0.0, 1.0), 10**6, 17)
+    with pytest.raises(DomainError) as held:
+        TransformMode.realization_only(parse_bijection(SHIFTED)).realization(y)
+    assert held.value.index > CHUNK
+    return held.value
+
+
+@pytest.mark.parametrize("kind", ["identification", "pair"])
+def test_a_transform_error_on_a_later_chunk_reports_as_on_the_held_draws(kind):
+    want = _held_transform_error()
+    fields = ({"ident": f"mean@realization:{SHIFTED}"} if kind == "identification" else
+              {"score": f"mv@realization:{SHIFTED}", "functional": "mvpair",
+               "bracket2": (0.5, 2.0)})
+    (rpt,) = run_suite([cfg(kind=kind, n=10**6, seed=17, bracket=(-1.0, 1.0), **fields)])
+    assert rpt.error == {"type": "DomainError", "message": str(want)}
+    assert rpt.notes == f"error: {want}"
+
+
+def test_a_streamed_transform_error_carries_its_index_among_all_the_draws():
+    want = _held_transform_error()
+    g = parse_bijection(SHIFTED)
+    with pytest.raises(DomainError) as ident:
+        streamed_ident_curve(parse_ident(f"quantile:tau=0.5@realization:{SHIFTED}"), [0.0],
+                             sample_chunks(Normal(0.0, 1.0), 10**6, 17))
+    with pytest.raises(DomainError) as moments:
+        streamed_moments(TransformMode.realization_only(g),
+                         sample_chunks(Normal(0.0, 1.0), 10**6, 17))
+    for got in (ident.value, moments.value):
+        assert (str(got), got.index) == (str(want), want.index)
