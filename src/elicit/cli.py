@@ -26,14 +26,13 @@ from . import specs
 from .errors import DataError, ElicitError, EvaluationError, SpecParseError
 from .estimation import fit
 from .evaluation import climatology_predictions, score_climatology, skill_of_average
-from .distributions import sample_iid
+from .distributions import sample_chunks
 from .functionals import KINDS
 from .identification import IDENT_FAMILIES
-from .scoring import (FAMILIES, average_score, expected_score_stats, family_options,
-                      prepare_realizations)
+from .scoring import FAMILIES, average_score, family_options, streamed_score_stats
 from .transforms import CATALOG_ROWS, catalog, identity
-from .verify import (as_expected, builtin_suite, check_memory, draw_bytes, load_suite_file,
-                     run_suite, suite_bytes, suite_passed)
+from .verify import (as_expected, builtin_suite, check_memory, load_suite_file, run_suite,
+                     suite_bytes, suite_passed)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -272,10 +271,9 @@ def _cmd_curve(args) -> int:
     if spec.family == "mv":
         raise UsageError("curve sweeps scalar predictions; --score mv takes (x1, x2) pairs")
     dist = specs.parse_dist(args.dist)
-    check_memory(f"--n {args.n}", draw_bytes(args.n, "consistency"), UsageError)
-    prepared = prepare_realizations(spec, sample_iid(dist, args.n, args.seed), owned=True)
+    # The draws stream, CHUNK at a time: no n-long array, so --n has no memory cap.
     zs = np.linspace(args.bracket.lo, args.bracket.hi, args.points)
-    means, stderrs = expected_score_stats(spec, zs, prepared)
+    means, stderrs = streamed_score_stats(spec, zs, sample_chunks(dist, args.n, args.seed))
     rows = [(float(z), float(m), float(s)) for z, m, s in zip(zs, means, stderrs)]
     to_stdout = (args.out or "-") == "-"
     with contextlib.nullcontext(sys.stdout) if to_stdout else \

@@ -16,6 +16,7 @@ admits only ``none`` and ``realization`` (predictions stay in pair space).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from .distributions import CHUNK
 from .errors import DomainError, ElicitError, EvaluationError, ParameterError
-from .sweep import Piecewise, SortedStats, Stats, StreamedStats, per_row, piece
+from .sweep import (Held, Piecewise, SortedStats, Stats, StreamedStats, WindowStats, per_row,
+                    piece)
 from .transforms import Bijection
 
 # The options each family takes, "?" marking an optional one: tau a level in
@@ -32,6 +34,9 @@ FAMILIES = {"se": "", "ae": "", "apl": "tau", "gpl": "tau g", "expectile": "tau 
             "bregman": "phi?", "mv": ""}
 MODES = ("none", "realization", "prediction", "both")
 MV_VERTEX_POINTS = 8  # swept points :func:`mv_vertex` evaluates: two rounds of four
+# Grid steps on each side of the first chunk's grid argmin whose draws a
+# streamed argmin holds (:func:`grid_pass`); the polish reads two of them.
+WINDOW = 8
 
 
 def family_options(table: dict, family: str) -> dict:
@@ -222,31 +227,62 @@ def prepare_realizations(spec: ScoreSpec, y, owned: bool = False) -> PreparedRea
     return PreparedRealizations(spec.transform, y, owned)
 
 
-def _centre(basis, y, of=lambda v: float(np.mean(v))) -> tuple:
-    """Centring constants of ``basis`` on the draws y: ``of`` of its columns,
-    by default their means."""
+@contextlib.contextmanager
+def _from(start: int):
+    """An error raised inside names its position among all the draws, the
+    slice it was found in starting at ``start``."""
+    try:
+        yield
+    except ElicitError as exc:
+        if exc.index is not None:
+            exc.index += start
+        raise
+
+
+def _mean_of(f, y) -> float:
+    """The mean of f over the draws y (of y itself when f is None), f taken
+    CHUNK draws at a time, so no n-long f(y) is built."""
+    if f is None:
+        return float(np.mean(y))
+    y, total = np.ravel(y), 0.0
+    for start in range(0, y.size, CHUNK):
+        with _from(start):
+            total += float(np.sum(f(y[start:start + CHUNK])))
+    return total / y.size
+
+
+def _centre(basis, y, of=_mean_of) -> tuple:
+    """Centring constants of ``basis`` on the draws y: ``of(f, y)`` of each
+    column f of the draws (None for the draws themselves), by default its
+    mean."""
     if isinstance(basis, Bijection):
-        return (of(basis.apply(y)),)
+        return (of(basis.apply, y),)
     if basis == "one":
         return ()
-    return (of(y), of(basis.phi(y))) if isinstance(basis, ConvexGenerator) else (of(y),)
+    if isinstance(basis, ConvexGenerator):
+        return of(None, y), of(basis.phi, y)
+    return (of(None, y),)
 
 
 def _columns(basis, centre: tuple) -> Callable:
     """The non-constant columns of ``basis`` centred at ``centre``, as a
-    function of the draws (see :func:`sorted_stats`)."""
-    if isinstance(basis, Bijection):
-        return lambda w: (basis.apply(w) - centre[0],)
-    if basis == "one":
-        return lambda w: ()
-    if basis == "lin":
-        return lambda w: (w - centre[0],)
-    if basis == "quad":
-        def quad(w):
-            t = w - centre[0]
-            return t, np.square(t)
-        return quad
-    return lambda w: (w - centre[0], np.asarray(basis.phi(w), float) - centre[1])
+    function of the draws w: an array of the columns, one row each, written
+    into ``out`` when it is given (see :func:`sorted_stats`)."""
+    d = 0 if basis == "one" else 1 if isinstance(basis, Bijection) or basis == "lin" else 2
+
+    def columns(w, out=None):
+        out = np.empty((d,) + np.shape(w)) if out is None else out
+        if isinstance(basis, Bijection):
+            np.subtract(basis.apply(w), centre[0], out=out[0])
+        elif d:
+            t = np.subtract(w, centre[0], out=out[0])
+            if basis == "quad":
+                np.square(t, out=out[1])
+            elif d == 2:
+                np.subtract(basis.phi(w), centre[1], out=out[1])
+        return out
+
+    return columns
 
 
 def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
@@ -270,30 +306,32 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     return p.sweep
 
 
-def streamed_stats(transform: TransformMode, chunks, basis, u=()) -> StreamedStats:
+def _effective(transform: TransformMode, chunks):
+    """Chunks of draws no caller holds, each made effective by ``transform``
+    as it comes; an error of the transform carries its position among all
+    the draws. A raw chunk goes once its transform exists."""
+    start = 0
+    for chunk in chunks:
+        with _from(start):
+            p = PreparedRealizations(transform, chunk, owned=True)
+        start += chunk.size
+        del chunk  # the raw draws go once transformed
+        yield p.y if p.owned else p.y.copy()  # a bare callable's values may be its own
+        del p  # and the effective ones before the next chunk is drawn
+
+
+def streamed_stats(transform: TransformMode, chunks, basis, u=(), hold=None) -> StreamedStats:
     """The sums of :func:`sorted_stats` over draws that arrive in chunks no
     caller holds (:func:`~elicit.distributions.sample_chunks`), each made
     effective by ``transform`` as it comes, taken at the effective
     predictions u, fixed before the pass, and in total. The basis is
-    centred at the first chunk's means. An error of the transform carries
-    its position among all the draws."""
+    centred at the first chunk's means. ``hold`` goes to
+    :class:`~elicit.sweep.StreamedStats`."""
     def centred(first):
         centre = _centre(basis, first)
         return _columns(basis, centre), centre
 
-    def effective():
-        start = 0
-        for chunk in chunks:
-            try:
-                p = PreparedRealizations(transform, chunk, owned=True)
-            except ElicitError as exc:
-                if exc.index is not None:
-                    exc.index += start
-                raise
-            start += chunk.size
-            yield p.y if p.owned else p.y.copy()  # a bare callable's values may be its own
-
-    return StreamedStats(effective(), centred, u)
+    return StreamedStats(_effective(transform, chunks), centred, u, hold)
 
 
 def streamed_moments(transform: TransformMode, chunks) -> StreamedStats:
@@ -363,7 +401,8 @@ def _coefficients(spec: ScoreSpec, u, centre):
 def _rows(spec: ScoreSpec, u, p: PreparedRealizations):
     """S(u_i, w_i) per row: the table entry centred at each row's own w."""
     y = p.rows()
-    entry = _coefficients(spec, u, _centre(_basis(spec), y, of=lambda v: v))
+    own = _centre(_basis(spec), y, of=lambda f, v: v if f is None else f(v))
+    entry = _coefficients(spec, u, own)
     return per_row(u, y, entry, spec.family not in _FLAT)
 
 
@@ -429,9 +468,12 @@ def _table(spec: ScoreSpec, st: Stats, zs) -> Piecewise:
     return piece(st, u, _coefficients(spec, u, st.centre), spec.family not in _FLAT)
 
 
-def _swept(spec: ScoreSpec, zs, p: PreparedRealizations):
-    """The prepared draws' sorted statistics, and the table of the predictions zs on them."""
-    st = sorted_stats(p, _basis(spec), spec.family not in _FLAT)
+def _swept(spec: ScoreSpec, zs, p):
+    """The sums of the draws ``p``, and the table of the predictions zs on
+    them. ``p`` is prepared realizations, whose sorted statistics are built
+    on first use, or the sums of a streamed pass (a Stats), which serve the
+    points they were taken at."""
+    st = p if isinstance(p, Stats) else sorted_stats(p, _basis(spec), spec.family not in _FLAT)
     return st, _table(spec, st, zs)
 
 
@@ -466,6 +508,69 @@ def score_diff_stats(spec: ScoreSpec, z_ref, zs, prepared: PreparedRealizations)
     """
     st, f = _swept(spec, np.concatenate(([z_ref], np.asarray(zs, dtype=float))), prepared)
     return st.diff_stats(Piecewise(*(c[:1] for c in f)), Piecewise(*(c[1:] for c in f)))
+
+
+def streamed_score_stats(spec: ScoreSpec, zs, chunks):
+    """:func:`expected_score_stats` of draws that arrive in chunks no caller
+    holds (:func:`~elicit.distributions.sample_chunks`): one pass takes the
+    sums at the predictions zs, fixed before it, so no n-long array is held."""
+    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+    st = streamed_stats(spec.transform, chunks, _basis(spec), u if spec.family not in _FLAT else ())
+    return expected_score_stats(spec, zs, st)
+
+
+def _span(u: np.ndarray, a: int, b: int) -> tuple[float, float]:
+    """The effective interval [lo, hi] of grid points a..b of the effective
+    grid u (decreasing under a decreasing g); an end beyond the grid is
+    unbounded."""
+    up = u[-1] > u[0]
+    ends = [u[j] if 0 <= j < u.size else (-np.inf if (j < 0) == up else np.inf) for j in (a, b)]
+    return float(min(ends)), float(max(ends))
+
+
+def grid_pass(spec: ScoreSpec, draws: Callable, n: int, zs, fixed=()) -> Stats:
+    """One pass over the chunks of ``draws()``, n draws
+    (:func:`streamed_stats`), for a streamed argmin: the sums at the grid zs
+    and at the points ``fixed``, both before the pass. A family with a
+    breakpoint also holds the draws within :data:`WINDOW` grid steps of the
+    grid argmin of its first chunk (all n when they are one chunk), for
+    :func:`argmin_window`; a family without one needs only the totals, at
+    any prediction."""
+    basis = _basis(spec)
+    if spec.family in _FLAT:
+        return streamed_stats(spec.transform, draws(), basis)
+    u = spec.transform.prediction(np.asarray(zs, dtype=float))
+
+    def hold(st, first):  # st's sums are the first chunk's
+        if n <= first.size:
+            return Held(-np.inf, np.inf, n)
+        i = int(np.argmin(expected_score_curve(spec, zs, st)))
+        lo, hi = _span(u, i - WINDOW, i + WINDOW)
+        # room for the first chunk's share of the n draws, plus four of its standard errors
+        k = np.diff(np.searchsorted(first, (lo, hi), side="right"))[0]
+        return Held(lo, hi, int(n / first.size * (k + 4.0 * k ** 0.5 + 1.0)))
+
+    points = np.concatenate((u, spec.transform.prediction(np.asarray(fixed, dtype=float))))
+    return streamed_stats(spec.transform, draws(), basis, points, hold)
+
+
+def argmin_window(spec: ScoreSpec, st: Stats, zs, i: int, draws: Callable) -> Stats:
+    """The sums of :func:`grid_pass` ``st`` for the polish of the grid
+    argmin zs[i]: they serve its points and every point within two grid
+    steps of zs[i]. Those lie in the held window, or one more pass over
+    ``draws()``, the same draws, holds exactly them."""
+    if spec.family in _FLAT:
+        return st
+    lo, hi = _span(spec.transform.prediction(np.asarray(zs, dtype=float)), i - 2, i + 2)
+    held, st.held = st.held, None
+    if not (held.lo <= lo and hi <= held.hi):
+        def below(v):  # draws <= v, v a point of the pass or unbounded
+            return 0 if v == -np.inf else st.n if v == np.inf else int(st.s1[st.cut([v])[0], 0])
+
+        held = Held(lo, hi, below(hi) - below(lo))
+        for w in _effective(spec.transform, draws()):
+            held.add(w)
+    return WindowStats(st, held.draws(), held.lo, held.hi)
 
 
 def mv_vertex(spec: ScoreSpec, st: StreamedStats) -> tuple[float, float]:

@@ -8,14 +8,16 @@ coefficients a on a small basis b(w), the weight ``lo`` where 1{u >= w} and
 constants of the draws; :func:`per_row` centres b at each row's own w, where
 the value is weight * a[0]. :class:`Stats` reads P means (and sums of
 squares) as dot products (quadratic forms) of a (P, m) coefficient table
-with the sums of b (and b b^T) over the draws below each cut, which one of
-two providers supplies. :class:`SortedStats` holds the sorted draws and
+with the sums of b (and b b^T) over the draws below each cut, which a
+provider supplies. :class:`SortedStats` holds the sorted draws and
 cumulates sums over blocks of :data:`BLOCK` of them, so any cut is a
 whole-block prefix plus one partial block: O(P log n + P * BLOCK) per sweep
 after an O(n) build, with no n-long column kept but the draws.
 :class:`StreamedStats` holds no draws: it takes the sums at points fixed
-before a pass over chunks of them. b is centred so that difference variances
-do not cancel."""
+before a pass over chunks of them, and may keep the draws of one window.
+:class:`WindowStats` serves both: the streamed sums at the fixed points,
+and any point in the window from the held draws offset by the streamed sums
+below them. b is centred so that difference variances do not cancel."""
 
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ import numpy as np
 from .errors import ParameterError
 
 BLOCK = 128  # measured: each cut gathers a partial block, and more blocks cost the build
-_CHUNK = 512 * BLOCK  # draws per basis evaluation while the block sums are built
+_CHUNK = 64 * BLOCK  # draws per basis evaluation, so its columns and products stay small
+_SCRATCH = 5 * _CHUNK  # values of a streamed chunk's columns and products at once: quad's 5 rows
 
 
 class Piecewise(NamedTuple):
@@ -92,8 +95,9 @@ class SortedStats(Stats):
     """Cumulative per-block sums of a basis, and of its pairwise products,
     over the draws held in sorted order.
 
-    ``basis(w)`` returns the non-constant basis columns evaluated on an
-    array of draws; a constant column of ones is always prepended. With
+    ``basis(w, out=None)`` returns the non-constant basis columns of an
+    array of draws, one row each (in ``out`` when given); a constant column
+    of ones is always prepended. With
     ``ordered=False`` the draws are neither sorted nor copied: families
     without a breakpoint only ever sum the whole range. ``in_place`` sorts
     draws that no caller holds where they are, instead of a sorted copy.
@@ -121,7 +125,7 @@ class SortedStats(Stats):
             w = self.w[start:start + _CHUNK]
             k = -(-w.size // BLOCK)
             x = np.zeros((m - 1, k * BLOCK))  # a ragged last block: zeros add nothing
-            x[:, :w.size] = self.basis(w)
+            self.basis(w, out=x[:, :w.size])
             tiles = x.reshape(m - 1, k, BLOCK)
             j = start // BLOCK + 1
             self.c1[j:j + k, 1:] = tiles.sum(axis=2).T
@@ -153,16 +157,58 @@ class SortedStats(Stats):
         return s1, s2
 
 
-def _sums_below(x: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Sums of x over the first c entries of its last axis, for each c of the
-    non-decreasing ``cut``: the segments between consecutive cuts, summed
-    in one ``reduceat`` and cumulated, which costs less than a cumulative
-    sum of all of x."""
-    ends = np.concatenate(([0], cut))
-    pad = np.zeros(x.shape[:-1] + (1,))  # so that a cut at the end starts a segment
-    seg = np.add.reduceat(np.concatenate((x, pad), axis=-1), ends, axis=-1)[..., :-1]
-    seg[..., ends[:-1] == ends[1:]] = 0.0  # reduceat gives an empty segment its first entry
-    return np.cumsum(seg, axis=-1)
+def _sums_below(w: np.ndarray, cut: np.ndarray, basis: Callable, pairs: list) -> np.ndarray:
+    """Sums of the basis columns b(w), and of the products b_i b_j for
+    each (i, j) in ``pairs``, over w[:c] for each c of the non-decreasing
+    ``cut``, one row per c. Columns and products fill one row each of a
+    scratch array of :data:`_SCRATCH` values, a slice of the draws at a
+    time; each slice's segments between consecutive cuts are summed by one
+    ``reduceat``, and cumulated. No n-long column, no pad copy, and each
+    product once."""
+    d = len(basis(w[:1]))
+    rows = d + len(pairs)
+    y = np.empty((rows, min(w.size, _SCRATCH // max(rows, 1))))
+    starts = np.unique(np.concatenate(([0], cut[cut < w.size])))  # of the segments
+    seg = np.zeros((starts.size, rows))
+    for s in range(0, w.size if d else 0, y.shape[1]):
+        part = w[s:s + y.shape[1]]
+        x = y[:, :part.size]
+        basis(part, out=x[:d])
+        for q, (i, j) in enumerate(pairs):
+            np.multiply(x[i], x[j], out=x[d + q])
+        first = np.searchsorted(starts, s, side="right") - 1  # the segments this part meets
+        last = np.searchsorted(starts, s + part.size)
+        seg[first:last] += np.add.reduceat(
+            x, np.concatenate(([s], starts[first + 1:last])) - s, axis=1).T
+    below = np.zeros((starts.size + 1, rows))
+    np.cumsum(seg, axis=0, out=below[1:])
+    return below[np.searchsorted(starts, cut)]
+
+
+class Held:
+    """The draws w in (lo, hi] of a pass, gathered into one array of
+    ``size`` draws, which grows in place (``ndarray.resize``) if they are
+    more, so no list of pieces or second copy stands beside it."""
+
+    def __init__(self, lo: float, hi: float, size: int = 0):
+        self.lo, self.hi = lo, hi
+        self.w, self.size = np.empty(size), 0
+
+    def add(self, w: np.ndarray, ordered: bool = False) -> None:
+        """Keep the draws of w in (lo, hi]; ``ordered`` w is sorted."""
+        if ordered:
+            part = w[slice(*np.searchsorted(w, (self.lo, self.hi), side="right"))]
+        else:
+            part = w[(w > self.lo) & (w <= self.hi)]
+        end = self.size + part.size
+        if end > self.w.size:
+            self.w.resize(max(end, self.w.size + self.w.size // 8), refcheck=False)
+        self.w[self.size:end] = part
+        self.size = end
+
+    def draws(self) -> np.ndarray:
+        self.w.resize(self.size, refcheck=False)
+        return self.w
 
 
 class StreamedStats(Stats):
@@ -174,50 +220,111 @@ class StreamedStats(Stats):
     no points it is only summed. ``centred(first chunk)`` gives the basis,
     as for SortedStats, and its centring constants, which stay fixed for
     the rest of the pass. ``lo`` and ``hi`` are the least and greatest
-    draw. :meth:`cut` takes only the points."""
+    draw. :meth:`cut` takes only the points.
 
-    def __init__(self, chunks, centred: Callable, points=()):
+    ``hold(self, first chunk)``, if given, is called once the first chunk
+    is summed, so that the sums read so far are that chunk's. It returns
+    the :class:`Held` in which the pass also keeps the draws of an interval
+    (lo, hi], as ``held``; :class:`WindowStats` serves any point there."""
+
+    def __init__(self, chunks, centred: Callable, points=(), hold: Callable | None = None):
         self.points = np.unique(np.asarray(points, dtype=float))
-        self.centred = centred
-        self.n, self.lo, self.hi = 0, np.inf, -np.inf
+        self.centred, self.hold = centred, hold
+        self.n, self.lo, self.hi, self.held = 0, np.inf, -np.inf, None
         for w in chunks:
             self._add(w)
+            del w  # a chunk goes before the next is drawn
         if not self.n:
             raise ParameterError("streamed sums need at least one draw")
-        self.tot1[0] = self.n
-        self.s2[:, 0, :] = self.s2[:, :, 0] = self.s1
-        self.tot2[0, :] = self.tot2[:, 0] = self.tot1
+        self._finish()
+
+    def _finish(self) -> None:
+        """The sums added so far, as s1, s2 (below each key) and tot1, tot2."""
+        # acc rows: key 0 (below every draw), the points, all draws; columns:
+        # the count, the basis sums, the sums of the products in self.pairs
+        m = self.acc.shape[1] - len(self.pairs)
+        s2 = np.empty((len(self.acc), m, m))
+        s2[:, 0, :] = s2[:, :, 0] = self.acc[:, :m]
+        for q, (i, j) in enumerate(self.pairs):
+            s2[:, 1 + i, 1 + j] = s2[:, 1 + j, 1 + i] = self.acc[:, m + q]
+        self.s1, self.s2 = self.acc[:-1, :m], s2[:-1]
+        self.tot1, self.tot2 = self.acc[-1, :m], s2[-1]
 
     def _add(self, w: np.ndarray) -> None:
         """Add one chunk's sums; its temporaries go when it returns."""
-        if self.points.size:
-            w.sort()
-        if not self.n:  # s1[k], s2[k]: the sums below key k; key 0 is below every draw
+        first = not self.n
+        if first:  # centred in draw order, as sorted_stats centres held draws
             self.basis, self.centre = self.centred(w)
-            m = 1 + len(self.basis(w[:1]))
-            self.s1 = np.zeros((self.points.size + 1, m))
-            self.s2 = np.zeros((self.points.size + 1, m, m))
-            self.tot1, self.tot2 = np.zeros(m), np.zeros((m, m))
-        x = np.array(self.basis(w), dtype=float).reshape(-1, w.size)
+            d = len(self.basis(w[:1]))
+            self.upper = np.triu_indices(d)  # the products b_i b_j, i <= j, summed
+            self.pairs = list(zip(*self.upper))
+            self.acc = np.zeros((self.points.size + 2, 1 + d + len(self.pairs)))
         self.n += w.size
         self.lo, self.hi = min(self.lo, float(w.min())), max(self.hi, float(w.max()))
-        self.tot1[1:] += x.sum(axis=1)
-        self.tot2[1:, 1:] += np.einsum("ik,jk->ij", x, x)
         if self.points.size:
-            cut = np.searchsorted(w, self.points, side="right")
-            self.s1[1:, 0] += cut
-            self.s1[1:, 1:] += _sums_below(x, cut).T
-            self.s2[1:, 1:, 1:] += np.moveaxis(_sums_below(x[:, None] * x[None], cut), -1, 0)
+            w.sort()
+            cut = np.append(np.searchsorted(w, self.points, side="right"), w.size)
+            self.acc[1:, 0] += cut
+            self.acc[1:, 1:] += _sums_below(w, cut, self.basis, self.pairs)
+        else:  # the totals alone: one product matrix, the fastest
+            x = self.basis(w)
+            self.acc[1, 0] += w.size
+            self.acc[1, 1:] += np.concatenate((x.sum(axis=1),
+                                               np.einsum("ik,jk->ij", x, x)[self.upper]))
+        if first and self.hold is not None:
+            self._finish()
+            self.held = self.hold(self, w)
+        if self.held is not None:
+            self.held.add(w, ordered=self.points.size > 0)
 
     def cut(self, u):
         """The key of each u, which must be one of the points: 1 + its rank
         among them."""
-        if not np.isin(u, self.points).all():
+        k = np.searchsorted(self.points, u)
+        if not (k < self.points.size).all() or (self.points[k] != u).any():
             raise ParameterError("streamed sums are taken only at the points given before the pass")
-        return np.searchsorted(self.points, u) + 1
+        return k + 1
 
     def _prefix(self, k: np.ndarray, second: bool):
         return self.s1[k], self.s2[k] if second else None
+
+
+class WindowStats(Stats):
+    """The sums of a streamed pass ``st`` at its points, and at any u in a
+    window (lo, hi] from the draws w held there: the streamed sums at lo
+    (nothing at lo = -inf), a point of the pass, plus a :class:`SortedStats`
+    of w on the pass' basis and centre. A key is the number of draws below
+    u, as for SortedStats, so a window point and a point of the pass mix in
+    one call."""
+
+    def __init__(self, st: StreamedStats, w: np.ndarray, lo: float, hi: float):
+        self.st, self.window = st, (lo, hi)
+        self.n, self.centre, self.tot1, self.tot2 = st.n, st.centre, st.tot1, st.tot2
+        self.counts = st.s1[:, 0].astype(np.intp)
+        k = int(st.cut([lo])[0]) if lo > -np.inf else 0
+        self.below, self.below1, self.below2 = self.counts[k], st.s1[k], st.s2[k]
+        self.sorted = SortedStats(w, st.basis, None, st.centre, ordered=True, in_place=True)
+
+    def cut(self, u):
+        u = np.asarray(u, dtype=float)
+        inside = (u >= self.window[0]) & (u <= self.window[1])
+        keys = np.empty(u.shape, dtype=np.intp)
+        keys[inside] = self.below + self.sorted.cut(u[inside])
+        keys[~inside] = self.counts[self.st.cut(u[~inside])]
+        return keys
+
+    def _prefix(self, k: np.ndarray, second: bool):
+        """A key within the window's counts reads the held draws; any other
+        is a point's count, which that point's sums carry."""
+        inside = (k >= self.below) & (k <= self.below + self.sorted.n)
+        j = np.minimum(np.searchsorted(self.counts, k), self.counts.size - 1)
+        s1, s2 = self.st.s1[j], self.st.s2[j] if second else None
+        if inside.any():
+            h1, h2 = self.sorted._prefix(k[inside] - self.below, second)
+            s1[inside] = self.below1 + h1
+            if second:
+                s2[inside] = self.below2 + h2
+        return s1, s2
 
 
 def piece(st: Stats, u, entry, breaks: bool) -> Piecewise:

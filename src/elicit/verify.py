@@ -44,8 +44,9 @@ from .functionals import (FunctionalSpec, FunctionalValue, functional_from_draws
 from .identification import IdentSpec, mv_ident_stats, streamed_ident_curve
 from .intervals import Interval
 from .numerics import Bracket, Seed, check_seed, derive_seed, minimize1d
-from .scoring import (ScoreSpec, TransformMode, expected_score, expected_score_curve,
-                      mv_vertex, prepare_realizations, score_diff_stats, streamed_moments)
+from .scoring import (ScoreSpec, TransformMode, argmin_window, expected_score,
+                      expected_score_curve, grid_pass, mv_vertex, score_diff_stats,
+                      streamed_moments)
 from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional, parse_ident,
                     parse_score, parse_suite_line)
 from .transforms import Bijection
@@ -59,13 +60,13 @@ _FIELDS = {"score": "a score spec", "ident": "an ident spec",
 
 MIN_N = 10**4
 
-# The n-long float arrays a check of each kind holds at once, at most: its
-# draws, and one more while they are transformed, while a Monte Carlo target
-# samples its own, or while a reduction (a standard error) makes a temporary.
-# Ordered sweeps sort the draws in place, so a sorted copy is not one of them.
-# Identification and pair checks stream their draws, CHUNK at a time: only
-# the identification's Monte Carlo expectile target holds n draws (and their
-# transform); the pair, its Monte Carlo target included, holds none.
+# The n-long float arrays a check of each kind holds at once, at most. Every
+# kind streams its draws, CHUNK at a time. An argmin check (consistency,
+# strictness, revelation, realization) also holds the draws of its window,
+# at worst all of them (an atom beside the argmin): 1. A Monte Carlo target
+# that holds its draws holds them and their transform: 2, and so does the
+# identification's expectile root. The pair, its Monte Carlo target
+# included, holds none.
 LIVE_ARRAYS = {"consistency": 2, "strictness": 2, "identification": 2, "pair": 0,
                "revelation": 2, "realization": 2}
 # Bytes of draws a run may hold at once, estimated as n x 8 x LIVE_ARRAYS[kind]
@@ -240,25 +241,34 @@ def _target_shift(values, zs: np.ndarray, target: FunctionalValue) -> float:
     return abs(float(hi - lo)) / (2.0 * float(zs[1] - zs[0])) * _target_se(target)
 
 
-def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, bracket: Bracket, seed: Seed):
-    """Draws, prepared realizations, grid, and the grid argmin refined by
-    bracketed search between its neighbors: returns (prepared, zs, argmin)."""
-    prepared = prepare_realizations(score, sample_iid(cfg.dist, cfg.n, seed), owned=True)
-    zs = np.linspace(bracket.lo, bracket.hi, cfg.points)
-    i = int(np.argmin(expected_score_curve(score, zs, prepared)))
+def _grid(cfg: CheckConfig, bracket: Bracket) -> np.ndarray:
+    """The check's grid of predictions over ``bracket``."""
+    return np.linspace(bracket.lo, bracket.hi, cfg.points)
+
+
+def _swept_argmin(cfg: CheckConfig, score: ScoreSpec, zs: np.ndarray, seed: Seed, fixed=()):
+    """The grid argmin of the expected score, refined by bracketed search
+    between its neighbors, from one pass over the draws, chunk by chunk
+    (:func:`~elicit.scoring.grid_pass`). Returns (sums, argmin): the sums
+    serve the grid, the points ``fixed`` before the pass and every point
+    within two grid steps of the grid argmin."""
+    draws = functools.partial(sample_chunks, cfg.dist, cfg.n, seed)
+    st = grid_pass(score, draws, cfg.n, zs, fixed)
+    i = int(np.argmin(expected_score_curve(score, zs, st)))
     if i == 0 or i == len(zs) - 1:
         raise BracketingError(
             f"expected-score minimum at grid endpoint z={zs[i]:.6g}; "
-            f"bracket [{bracket.lo:.6g}, {bracket.hi:.6g}] likely excludes the minimizer")
+            f"bracket [{zs[0]:.6g}, {zs[-1]:.6g}] likely excludes the minimizer")
+    st = argmin_window(score, st, zs, i, draws)
 
     def esc(z: float) -> float:
-        return expected_score(score, z, prepared)
+        return expected_score(score, z, st)
 
     tol = max(1e-9, 1e-6 * max(1.0, abs(zs[i])))
-    return prepared, zs, minimize1d(esc, Bracket(zs[i - 1], zs[i + 1]), tol)
+    return st, minimize1d(esc, Bracket(zs[i - 1], zs[i + 1]), tol)
 
 
-def _argmin_stderr(score: ScoreSpec, z_star: float, zs: np.ndarray, prepared) -> float:
+def _argmin_stderr(score: ScoreSpec, z_star: float, zs: np.ndarray, st) -> float:
     """Sampling error of the empirical expected-score argmin.
 
     Sandwich plug-in: the standard error of the empirical score slope at the
@@ -269,10 +279,9 @@ def _argmin_stderr(score: ScoreSpec, z_star: float, zs: np.ndarray, prepared) ->
     returned.
     """
     delta = float(zs[1] - zs[0])
-    m_lo, m_mid, m_hi = expected_score_curve(
-        score, [z_star - delta, z_star, z_star + delta], prepared)
+    m_lo, m_mid, m_hi = expected_score_curve(score, [z_star - delta, z_star, z_star + delta], st)
     curv = (float(m_hi) - 2.0 * float(m_mid) + float(m_lo)) / delta**2
-    _, se_diff = score_diff_stats(score, z_star + delta, [z_star - delta], prepared)
+    _, se_diff = score_diff_stats(score, z_star + delta, [z_star - delta], st)
     se_slope = float(se_diff[0]) / (2.0 * delta)
     width = float(zs[-1] - zs[0])
     if curv <= 0.0:
@@ -303,11 +312,14 @@ def _timed(fn):
 def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValue,
                       bracket: Bracket):
     """Shared argmin-vs-target machinery; returns (report, argmin stderr)."""
-    prepared, zs, z_star = _swept_argmin(cfg, score, bracket, cfg.seed)
-
     t_scalar = scalar_value(target.value)
+    zs = _grid(cfg, bracket)
+    inside = bracket.lo <= t_scalar <= bracket.hi
+    at = _shift_points(t_scalar, zs, target) if inside else []
+    st, z_star = _swept_argmin(cfg, score, zs, cfg.seed, [t_scalar, *at] if inside else [])
+
     # Total Monte Carlo uncertainty: target noise plus argmin localization.
-    se_argmin = _argmin_stderr(score, z_star, zs, prepared)
+    se_argmin = _argmin_stderr(score, z_star, zs, st)
     se = math.hypot(_target_se(target), se_argmin)
     tol = _tolerance(cfg, t_scalar, se)
     dist_ok = _target_distance(z_star, target.value) <= tol
@@ -315,10 +327,9 @@ def _consistency_body(cfg: CheckConfig, score: ScoreSpec, target: FunctionalValu
     # The truth must not beat the curve anywhere beyond paired-noise level,
     # nor beyond what the error of a Monte Carlo target moves the curve by.
     ineq_ok = True
-    if bracket.lo <= t_scalar <= bracket.hi:
-        dmean, dse = score_diff_stats(score, t_scalar, zs, prepared)
-        at = _shift_points(t_scalar, zs, target)
-        shift = _target_shift(expected_score_curve(score, at, prepared) if at else [], zs, target)
+    if inside:
+        dmean, dse = score_diff_stats(score, t_scalar, zs, st)
+        shift = _target_shift(expected_score_curve(score, at, st) if at else [], zs, target)
         ineq_ok = bool(np.all(dmean <= 3.0 * np.hypot(dse, shift) + 1e-12))
 
     notes = f"argmin={z_star:.6g}"
@@ -343,15 +354,16 @@ def check_strictness(cfg: CheckConfig) -> VerificationReport:
     Fails when any grid point farther than the tolerance from the empirical
     minimizer is not significantly above the minimum.
     """
-    prepared, zs, z_star = _swept_argmin(cfg, cfg.score, cfg.bracket, cfg.seed)
+    zs = _grid(cfg, cfg.bracket)
+    st, z_star = _swept_argmin(cfg, cfg.score, zs, cfg.seed)
 
     flat_tol = max(cfg.tol_abs, cfg.tol_rel * max(1.0, abs(z_star)))
-    dmean, dse = score_diff_stats(cfg.score, z_star, zs, prepared)
+    dmean, dse = score_diff_stats(cfg.score, z_star, zs, st)
     rise = -dmean  # mean of S(z) - S(z*) >= 0
     far = np.abs(zs - z_star) > flat_tol
     strict_ok = bool(np.all(rise[far] > 3.0 * dse[far]))
     n_flat = int(np.sum(~(rise[far] > 3.0 * dse[far])))
-    del prepared  # the draws go before a Monte Carlo target samples its own
+    del st  # the held draws go before a Monte Carlo target samples its own
 
     target = _resolve_target(cfg)
     notes = f"argmin={z_star:.6g}; flat-tol={flat_tol:.4g}; " \
@@ -366,7 +378,7 @@ def check_identification(cfg: CheckConfig) -> VerificationReport:
     t_scalar = scalar_value(target.value)
 
     # One pass over the draws, chunk by chunk, at every point the verdict reads.
-    zs = np.linspace(cfg.bracket.lo, cfg.bracket.hi, cfg.points)
+    zs = _grid(cfg, cfg.bracket)
     points = [t_scalar, *zs, *_shift_points(t_scalar, zs, target)]
     means, ses = streamed_ident_curve(cfg.ident, points, sample_chunks(cfg.dist, cfg.n, cfg.seed))
     est0, se0 = float(means[0]), float(ses[0])
@@ -405,13 +417,13 @@ def check_revelation(cfg: CheckConfig) -> VerificationReport:
     trans_bracket = Bracket(min(lo, hi), max(lo, hi))
     trans_score = cfg.score.with_transform(TransformMode.prediction_only(g))
 
-    prepared, zs, z_trans = _swept_argmin(cfg, trans_score, trans_bracket,
-                                          derive_seed(cfg.seed, 1))
+    zs = _grid(cfg, trans_bracket)
+    st, z_trans = _swept_argmin(cfg, trans_score, zs, derive_seed(cfg.seed, 1))
 
     target = float(g.apply(z_base))
     # Both argmins carry Monte Carlo noise; the base error maps through g'.
     se = math.hypot(abs(float(g.deriv(z_base))) * se_base,
-                    _argmin_stderr(trans_score, z_trans, zs, prepared))
+                    _argmin_stderr(trans_score, z_trans, zs, st))
     tol = _tolerance(cfg, target, se)
     return _report(cfg, abs(z_trans - target) <= tol, z_trans, target, se,
                    f"base argmin={z_base:.6g}; transformed argmin={z_trans:.6g}")

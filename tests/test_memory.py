@@ -9,9 +9,10 @@ The guard runs one line per check kind under ``tracemalloc``, which numpy
 reports its buffers to, at two sizes: the slope of the traced peak is the
 bytes each check holds per draw, 8 per n-long array of doubles. Each kind
 stays within ``verify.LIVE_ARRAYS``, the table the cap reads, plus one byte
-for boolean masks. Identification and pair lines without a Monte Carlo
-target that holds its draws stream them: their peak stays under 4 MB at
-n = 4e6.
+for boolean masks. Every kind streams its draws: identification and pair
+lines without a Monte Carlo target that holds its draws, and the argmin
+kinds' lines on a continuous law with an exact target, which also hold the
+draws beside their argmin, stay under 4 MB at n = 4e6.
 """
 
 import tracemalloc
@@ -228,6 +229,57 @@ def test_streamed_checks_hold_chunks_not_draws():
     assert not over, over
 
 
+# The argmin kinds' lines on a continuous law whose target is exact: they
+# hold a chunk and the draws of their window, about 7% of them at most here.
+WINDOW_LINES = [line for line in GUARD_LINES if line.startswith(
+    ("kind=consistency", "kind=strictness", "kind=revelation", "kind=realization"))
+    and not any(mc in line for mc in ("gexpectile", "box-cox", "shifted-log", "empirical"))]
+
+
+def test_streamed_argmins_hold_chunks_and_their_window():
+    tracemalloc.start()
+    try:
+        for line in WINDOW_LINES:
+            _traced_peak(line, MIN_N)
+        peaks = {line: _traced_peak(line, 4 * 10**6) for line in WINDOW_LINES}
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 5
+    over = {line: peak for line, peak in peaks.items() if peak >= 4 * 10**6}
+    assert not over, over
+
+
+COSH = scoring.ConvexGenerator("cosh", np.cosh, np.sinh, np.cosh)
+
+
+@pytest.mark.parametrize("spec, how", [
+    (scoring.ScoreSpec("bregman", phi=COSH), "fit"),
+    (parse_score("gpl:tau=0.3:g=exp"), "owned"),
+    (scoring.ScoreSpec("expectile", tau=0.3, phi=COSH), "owned")])
+def test_held_sweeps_centre_a_mapped_basis_without_an_n_long_column(spec, how):
+    """The centres of g_in(w) and phi(w) are reduced CHUNK draws at a time:
+    ``fit --model constant`` under a phi score, whose draws are neither
+    sorted nor copied, and a sweep that sorts owned draws in place hold no
+    n-long array of their own."""
+    def peak(n):
+        y = np.random.default_rng(4).lognormal(0.0, 0.5, n)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        if how == "fit":
+            fit("constant", spec, y=y)
+        else:
+            expected_score_curve(spec, [0.8, 1.2], prepare_realizations(spec, y, owned=True))
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(MIN_N)
+        slope = (peak(LARGE) - peak(SMALL)) / (LARGE - SMALL)
+    finally:
+        tracemalloc.stop()
+    assert slope <= 1, slope
+
+
 def test_empirical_sampling_holds_its_draws_and_no_index_array():
     def peak(n):
         tracemalloc.reset_peak()
@@ -264,21 +316,33 @@ def test_a_suite_line_over_the_cap_is_rejected_by_name():
         _parse_suite(lines, 42, "big")
 
 
-def test_jobs_and_curve_n_over_the_cap_exit_2_before_anything_runs(tmp_path, capsys, monkeypatch):
+def test_jobs_over_the_cap_exit_2_before_anything_runs(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the cap must stop the run before it samples")
 
     monkeypatch.setattr(cli, "run_suite", never)
-    monkeypatch.setattr(cli, "sample_iid", never)
     n = _over_cap_n("consistency") // 2 + 1  # one line fits, two together do not
     suite = tmp_path / "suite.txt"
     suite.write_text("".join(f"kind=consistency dist=normal(0,1) score=se functional=mean "
                              f"bracket=-2,2 n={n}\n" for _ in range(2)))
     assert cli.main(["verify", "--suite", str(suite), "--jobs", "2"]) == 2
     assert "error: --jobs 2 would hold" in capsys.readouterr().err
-    assert cli.main(["curve", "--score", "se", "--dist", "normal(0,1)", "--bracket=-1,1",
-                     "--n", str(_over_cap_n("consistency"))]) == 2
-    assert "error: --n " in capsys.readouterr().err
+
+
+def test_curve_streams_so_its_n_has_no_cap(monkeypatch):
+    """``curve`` holds one chunk at any --n: an n a held sweep could not
+    hold reaches the sampler."""
+    class Sampled(Exception):
+        pass
+
+    def sampled(dist, n, seed):
+        raise Sampled(n)
+
+    monkeypatch.setattr(cli, "sample_chunks", sampled)
+    n = _over_cap_n("consistency")
+    with pytest.raises(Sampled, match=str(n)):
+        cli.main(["curve", "--score", "apl:tau=0.9", "--dist", "normal(0,1)", "--bracket=-1,1",
+                  "--n", str(n)])
 
 
 def test_the_appended_expectile_line_catches_swapped_expectile_weights(monkeypatch):

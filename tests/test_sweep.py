@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from elicit.distributions import CHUNK
@@ -25,9 +25,10 @@ from elicit.functionals import sample_mv_pair
 from elicit.identification import (evaluate_identification, expected_ident_curve,
                                    ident_values, mv_ident_stats, prepare_ident_realizations,
                                    streamed_ident_curve)
-from elicit.scoring import (TransformMode, average_score, evaluate_score, expected_score,
-                            expected_score_curve, expected_score_stats, held_moments,
-                            prepare_realizations, score_diff_stats, score_values, streamed_stats)
+from elicit.scoring import (TransformMode, argmin_window, average_score, evaluate_score,
+                            expected_score, expected_score_curve, expected_score_stats,
+                            grid_pass, held_moments, prepare_realizations, score_diff_stats,
+                            score_values, streamed_stats)
 from elicit.specs import parse_ident, parse_score
 from elicit.sweep import _CHUNK, BLOCK
 
@@ -431,3 +432,60 @@ def test_streamed_moments_match_the_direct_formulas_far_from_zero(location):
     means, ses = mv_ident_stats((x1, x2), st_)
     for k, vals in enumerate(direct):
         _assert_stats(means[k], ses[k], vals, n)
+
+
+# test_memory's family x mode grid: the scalar scores a streamed argmin sweeps.
+WINDOW_SPECS = [f"{fam}{mode}" for fam in (
+    "se", "ae", "apl:tau=0.3", "gpl:tau=0.6:g=exp", "expectile:tau=0.75:phi=square",
+    "bregman:phi=square") for mode in MODES]
+
+
+@st.composite
+def windowed(draw):
+    """A grid, draws (smooth, tied, or atoms on grid points) in chunks, a
+    grid index to polish at and a point near it."""
+    zs = np.linspace(0.4, 3.0, draw(st.sampled_from([7, 21, 41, 61])))
+    n = draw(st.integers(20, 3 * BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["smooth", "rounded", "atoms"]))
+    if kind == "atoms":
+        y = rng.choice(zs[rng.integers(0, zs.size, 3)], size=n)
+    else:
+        y = rng.lognormal(0.2, 0.5, n)
+        if kind == "rounded":
+            y = np.round(y, 1) + 0.05
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    i = draw(st.integers(1, zs.size - 2))
+    a, b = zs[max(i - 2, 0)], zs[min(i + 2, zs.size - 1)]
+    return zs, y, cuts, i, a + draw(st.floats(0.0, 1.0)) * (b - a)
+
+
+@pytest.mark.parametrize("text", WINDOW_SPECS)
+@settings(max_examples=10)
+@given(data=windowed())
+def test_the_window_provider_equals_the_held_sweep(text, data):
+    """The sums of a streamed argmin (the grid pass, then the window at grid
+    index i, from the held draws or a second pass) give what the held sweep
+    of the same draws gives, to 1e-12 of the mean |S| (and mean S^2): on the
+    grid, at a point within two steps of zs[i], and paired between the two."""
+    spec = parse_score(text)
+    zs, y, cuts, i, z = data
+    n = y.size
+
+    def draws():
+        return _split(y, cuts)
+
+    window = argmin_window(spec, grid_pass(spec, draws, n, zs), zs, i, draws)
+    held = prepare_realizations(spec, y)
+    s_z = np.asarray(oracle.score(spec, z, y), dtype=float)
+    scale_z = float(np.mean(np.abs(s_z)))
+    _close(expected_score(spec, z, window), expected_score(spec, z, held), scale_z)
+    got, want = expected_score_stats(spec, zs, window), expected_score_stats(spec, zs, held)
+    diffs = score_diff_stats(spec, z, zs, window), score_diff_stats(spec, z, zs, held)
+    for k, zk in enumerate(zs):
+        s = np.asarray(oracle.score(spec, zk, y), dtype=float)
+        scale, square = float(np.mean(np.abs(s))), float(np.mean(s * s))
+        _close(got[0][k], want[0][k], scale)
+        _close(got[1][k] ** 2 * n, want[1][k] ** 2 * n, square)
+        _close(diffs[0][0][k], diffs[1][0][k], scale + scale_z)
+        _close(diffs[0][1][k] ** 2 * n, diffs[1][1][k] ** 2 * n, square + float(np.mean(s_z * s_z)))

@@ -14,7 +14,8 @@ from elicit.errors import DomainError
 from elicit.identification import streamed_ident_curve
 from elicit.scoring import TransformMode, streamed_moments
 from elicit.specs import parse_bijection, parse_functional, parse_ident, parse_score
-from elicit.verify import load_suite_file
+from elicit import scoring, verify
+from elicit.verify import _parse_suite, load_suite_file
 
 N = 5 * 10**4  # enough for the loose tolerances below, fast in CI
 
@@ -492,12 +493,14 @@ def _held_transform_error():
     return held.value
 
 
-@pytest.mark.parametrize("kind", ["identification", "pair"])
+@pytest.mark.parametrize("kind", ["identification", "pair", "consistency"])
 def test_a_transform_error_on_a_later_chunk_reports_as_on_the_held_draws(kind):
     want = _held_transform_error()
-    fields = ({"ident": f"mean@realization:{SHIFTED}"} if kind == "identification" else
-              {"score": f"mv@realization:{SHIFTED}", "functional": "mvpair",
-               "bracket2": (0.5, 2.0)})
+    fields = {"identification": {"ident": f"mean@realization:{SHIFTED}"},
+              "pair": {"score": f"mv@realization:{SHIFTED}", "functional": "mvpair",
+                       "bracket2": (0.5, 2.0)},
+              "consistency": {"score": f"ae@realization:{SHIFTED}",
+                              "functional": "quantile:tau=0.5"}}[kind]
     (rpt,) = run_suite([cfg(kind=kind, n=10**6, seed=17, bracket=(-1.0, 1.0), **fields)])
     assert rpt.error == {"type": "DomainError", "message": str(want)}
     assert rpt.notes == f"error: {want}"
@@ -514,3 +517,31 @@ def test_a_streamed_transform_error_carries_its_index_among_all_the_draws():
                          sample_chunks(Normal(0.0, 1.0), 10**6, 17))
     for got in (ident.value, moments.value):
         assert (str(got), got.index) == (str(want), want.index)
+
+
+@pytest.mark.parametrize("line", [
+    "kind=consistency dist=uniform(0,1) score=expectile:tau=0.75:phi=square "
+    "functional=expectile:tau=0.75 bracket=0.05,0.95",
+    "kind=strictness dist=exponential(1) score=expectile:tau=0.25:phi=square@both:negate "
+    "functional=expectile:tau=0.75 bracket=0.3,4"])
+def test_a_window_miss_takes_a_second_pass_to_the_same_report(line, monkeypatch):
+    """With no grid step of room (WINDOW = 0) the first chunk's window never
+    holds the polish's points, so a second pass over the same draws holds
+    them: the report is the one the default window gives in one pass, up to
+    summation order."""
+    (config,) = _parse_suite([f"{line} n=200000"], 42, "miss")
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return sample_chunks(*args)
+
+    monkeypatch.setattr(verify, "sample_chunks", counted)
+    one = run_check(config)
+    assert len(passes) == 1
+    monkeypatch.setattr(scoring, "WINDOW", 0)
+    two = run_check(config)
+    assert len(passes) == 3 and passes[1] == passes[2]
+    assert (one.passed, one.notes, one.target) == (two.passed, two.notes, two.target)
+    for a, b in ((one.estimate, two.estimate), (one.stderr, two.stderr)):
+        assert abs(a - b) <= 1e-9 * abs(a)
