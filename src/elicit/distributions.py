@@ -45,6 +45,19 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
+def _check_moments(law) -> None:
+    """Reject parameters whose mean or variance is not a finite float: the
+    sampler, the moments and every check read them."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(law.mean()) and math.isfinite(law.variance())
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ParameterError(f"{type(law).__name__} parameters give a mean or variance "
+                             f"beyond the float range")
+
+
 def _check_tau(tau: float) -> float:
     tau = float(tau)
     if not 0.0 < tau < 1.0:
@@ -64,6 +77,7 @@ class Normal:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ParameterError(f"Normal requires sigma > 0, got {self.sigma}")
+        _check_moments(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, int(n))
@@ -104,6 +118,7 @@ class Lognormal:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ParameterError(f"Lognormal requires sigma > 0, got {self.sigma}")
+        _check_moments(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         x = rng.normal(self.mu, self.sigma, int(n))
@@ -149,6 +164,7 @@ class Exponential:
     def __post_init__(self):
         if not self.rate > 0:
             raise ParameterError(f"Exponential requires rate > 0, got {self.rate}")
+        _check_moments(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, int(n))
@@ -188,6 +204,7 @@ class Uniform:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ParameterError(f"Uniform requires hi > lo, got ({self.lo}, {self.hi})")
+        _check_moments(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, int(n))
@@ -258,6 +275,7 @@ class Empirical:
             raise ParameterError("Empirical values must all be finite")
         object.__setattr__(self, "values", tuple(arr.tolist()))
         object.__setattr__(self, "_sorted", np.sort(arr))
+        _check_moments(self)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # The draws of rng.choice, without its n-long int64 index array: the

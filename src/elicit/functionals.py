@@ -10,25 +10,31 @@ Supported kinds:
 * ``mvpair``      (E[g(Y)], Var[g(Y)]); g defaults to the identity
 
 Values are computed analytically whenever a closed form (or an exact
-root-finding reduction) exists, otherwise by seeded Monte Carlo. Functionals
-of the transformed variable are always computed by transforming draws of the
-original law, never by constructing the transformed law explicitly.
+root-finding reduction) exists, otherwise by seeded Monte Carlo over draws
+that stream a chunk at a time. Functionals of the transformed variable are
+always computed by transforming draws of the original law, never by
+constructing the transformed law explicitly.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .distributions import (DistributionSpec, Empirical, Lognormal, Normal,
-                            Uniform, sample_chunks, sample_iid, sorted_quantile)
-from .errors import DomainError, EvaluationError, ParameterError
-from .identification import IdentSpec, expected_ident_curve, prepare_ident_realizations
+                            Uniform, sample_chunks, sorted_quantile)
+from .errors import DomainError, ParameterError
+from .identification import IdentSpec, ident_stats
 from .intervals import Interval
-from .numerics import Bracket, Seed, mean_stderr, root1d
-from .scoring import TransformMode, check_options, held_moments, streamed_moments
+from .numerics import Bracket, Seed, root1d
+from .scoring import (TransformMode, check_options, effective_chunks, held_window, span,
+                      streamed_moments, streamed_stats)
+from .sweep import Held, StreamedStats, WindowStats
 from .transforms import Bijection
 
 # The options each kind takes, written as in scoring.FAMILIES; g is the transformation.
@@ -36,6 +42,11 @@ KINDS = {"mean": "", "quantile": "tau", "expectile": "tau", "gmean": "g",
          "gexpectile": "tau g", "mvpair": "g?"}
 # A g-kind is its base kind on g(Y), mapped back by g^-1 (mvpair is not).
 _BASE_KIND = {"gmean": "mean", "gexpectile": "expectile", "mvpair": "mvpair"}
+# A streamed quantile or expectile takes its sums at the first chunk's
+# quantiles at k / CELLS, and holds the draws of the cells within MARGIN
+# of the cell of the first chunk's root.
+CELLS = 256
+MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -179,38 +190,8 @@ def analytic_functional(dist: DistributionSpec, spec: FunctionalSpec):
     return value if spec.kind == "mvpair" else float(g.invert(value))
 
 
-def _mc_expectile(w: np.ndarray, tau: float, owned: bool = False):
-    """Root of the empirical asymmetric-deviation balance
-    psi(z) = tau E[(w - z)^+] - (1 - tau) E[(z - w)^+] on the draws w, and its
-    standard error. psi is -1/2 times the mean expectile identification
-    function, which the sorted sweep evaluates without a pass over w; the
-    sweep sorts ``owned`` draws in place."""
-    ident = IdentSpec("expectile", tau=tau)
-    prepared = prepare_ident_realizations(ident, w, owned)
-
-    def psi(z: float) -> float:
-        return -0.5 * float(expected_ident_curve(ident, [z], prepared)[0][0])
-
-    lo, hi = float(np.min(w)), float(np.max(w))
-    span = max(hi - lo, 1e-12)
-    lo, hi = lo - 0.01 * span, hi + 0.01 * span
-    try:
-        root = root1d(psi, Bracket(lo, hi), 1e-10 * max(1.0, abs(lo), abs(hi)))
-    except Exception as exc:
-        raise EvaluationError(
-            f"expectile root bracketing failed on [{lo:.6g}, {hi:.6g}]: {exc}") from exc
-    eps = 1e-6 * max(1.0, abs(root))
-    if psi(root - eps) == 0.0 == psi(root + eps):
-        raise EvaluationError("flat identification region: expectile not unique")
-    se_psi = 0.5 * float(expected_ident_curve(ident, [root], prepared)[1][0])
-    # slope of the population balance at the root: -(tau (1 - F) + (1 - tau) F)
-    f_hat = prepared.sweep.cut(root) / w.size  # the sweep's sorted draws: #{w <= root}
-    slope = tau * (1.0 - f_hat) + (1.0 - tau) * f_hat
-    return root, se_psi / max(slope, 1e-12)
-
-
-def _quantile_stderr(w_sorted: np.ndarray, tau: float) -> float:
-    n = w_sorted.size
+def _quantile_stderr(w_sorted, tau: float) -> float:
+    n = len(w_sorted)
     delta = math.sqrt(tau * (1.0 - tau) / n)
     lo_t = max(1.0 / n, tau - delta)
     hi_t = min(1.0 - 1.0 / n, tau + delta)
@@ -242,42 +223,39 @@ def functional_value(spec: FunctionalSpec, dist: DistributionSpec,
     if analytic is not None:
         stderr = (0.0, 0.0) if isinstance(analytic, tuple) else 0.0
         return FunctionalValue(analytic, stderr, "analytic")
-    if spec.kind == "mvpair":  # moments only: the draws stream, one chunk at a time
-        _check_mc_size(spec, n)
-        transform = TransformMode.realization_only(spec.g) if spec.g else TransformMode.none()
-        return sample_mv_pair(streamed_moments(transform, sample_chunks(dist, n, seed)))
-    return functional_from_draws(spec, sample_iid(dist, n, seed), owned=True)
+    return streamed_functional(spec, functools.partial(sample_chunks, dist, n, seed), n)
 
 
-def _check_mc_size(spec: FunctionalSpec, n: int) -> None:
+def streamed_functional(spec: FunctionalSpec, draws: Callable, n: int,
+                        transform: TransformMode = TransformMode.none()) -> FunctionalValue:
+    """Monte Carlo value of the functional, and its stderr, from the n draws
+    that ``draws()`` yields in chunks no caller holds
+    (:func:`~elicit.distributions.sample_chunks`), each made effective by
+    ``transform`` and then by g: one chunk at a time, no n-long array. A
+    mean or mvpair reads the moments of one pass; a quantile or expectile
+    the held draws of the cell of its root (:func:`_cell_pass`)."""
     if n < 2:
         raise ParameterError(f"a Monte Carlo {spec.kind} needs n >= 2 draws for its stderr, "
                              f"got {n}")
-
-
-def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> FunctionalValue:
-    """Monte Carlo value of the functional, and its stderr, from draws of the
-    law. ``owned`` draws, which no caller holds, are sorted in place and
-    dropped once transformed."""
-    w = np.asarray(draws, dtype=float)
-    owned = owned and w is draws
-    del draws
-    _check_mc_size(spec, w.size)
     g = spec.g
-    if g is not None:
-        raw, w = w, np.asarray(g.apply(w), dtype=float)
-        owned = owned if w is raw else not np.may_share_memory(w, raw)
-        del raw  # owned draws go once transformed
     kind = _BASE_KIND.get(spec.kind, spec.kind)
-    if kind == "quantile":
-        w = w if owned else w.copy()
-        w.sort()
-        return FunctionalValue(sorted_quantile(w, spec.tau), _quantile_stderr(w, spec.tau),
-                               "mc", notes="empirical quantile interval")
-    if kind == "mvpair":
-        return sample_mv_pair(held_moments(w))
-    value, se = (_mc_expectile(w, spec.tau, owned) if kind == "expectile"
-                 else (float(np.mean(w)), mean_stderr(w)))
+    mode = TransformMode.realization_only(g) if g is not None else TransformMode.none()
+
+    def chunks():
+        return effective_chunks(mode, effective_chunks(transform, draws()))
+
+    if kind in ("mean", "mvpair"):
+        pair = sample_mv_pair(streamed_moments(TransformMode.none(), chunks()))
+        if kind == "mvpair":
+            return pair
+        value, se = pair.value[0], pair.stderr[0]
+    else:
+        ident = IdentSpec(kind, tau=spec.tau)
+        st = _cell_pass(ident, chunks())
+        if kind == "quantile":  # a quantile takes no g
+            return FunctionalValue(*_quantile_from(st, spec.tau, chunks), "mc",
+                                   notes="empirical quantile interval")
+        value, se = _expectile_from(st, ident, chunks)
     if g is None:
         return FunctionalValue(value, se, "mc")
     if not g.codomain.contains(value):
@@ -285,3 +263,84 @@ def functional_from_draws(spec: FunctionalSpec, draws, owned: bool = False) -> F
     back = float(g.invert(value))
     # delta method: the stderr of g^-1(m) is se(m) / |g'(g^-1(m))|
     return FunctionalValue(back, se / max(abs(float(g.deriv(back))), 1e-300), "mc")
+
+
+def _cell_pass(ident: IdentSpec, chunks) -> StreamedStats:
+    """One pass over the effective draws ``chunks`` for the root of the
+    mean of ``ident``, which rises in z: its sums at the first chunk's
+    quantiles at k / :data:`CELLS`, and the draws of the cells within
+    :data:`MARGIN` of the cell of the first chunk's root."""
+    first = next(chunks)
+    first.sort()
+    points = first[np.arange(1, CELLS) * first.size // CELLS]
+
+    def hold(st):  # st's sums are the first chunk's
+        i = _root_cell(ident, st)
+        return Held(*span(st.points, i - 1 - MARGIN, i + MARGIN))
+
+    chunks = itertools.chain([first], chunks)
+    del first  # the first chunk goes as the others do
+    return streamed_stats(TransformMode.none(), chunks,
+                          "one" if ident.family == "quantile" else "lin", points, hold)
+
+
+def _root_cell(ident: IdentSpec, st: StreamedStats) -> int:
+    """The cell i, (points[i - 1], points[i]] of the pass ``st``, where the
+    mean of ``ident`` goes from <= 0 to > 0; an end beyond the points is
+    unbounded."""
+    return int(np.searchsorted(ident_stats(ident, st, st.points)[0], 0.0, side="right"))
+
+
+class _Ranks:
+    """The sorted effective draws of a pass as :func:`sorted_quantile` and
+    :func:`_quantile_stderr` read them: rank r is the held draw of ``ws``
+    at r less the streamed count below them."""
+
+    def __init__(self, ws: WindowStats):
+        self.ws = ws
+
+    def __len__(self) -> int:
+        return self.ws.n
+
+    def __getitem__(self, r: int) -> float:
+        return self.ws.sorted.w[r - self.ws.below]
+
+
+def _quantile_from(st: StreamedStats, tau: float, chunks: Callable):
+    """The empirical tau-quantile set of the pass ``st``, and its stderr:
+    the order statistics they read, all of rank within sqrt(tau (1 - tau) n)
+    + 2 of tau n, from the held draws of the cells of those ranks."""
+    n = st.n
+    reach = math.sqrt(tau * (1.0 - tau) * n) + 2.0
+    ends = np.clip((tau * n - reach, tau * n + reach), 0, n - 1)
+    a, b = np.searchsorted(st.s1[:, 0], ends, side="right") - 1  # the cells of those ranks
+    ranks = _Ranks(held_window(st, *span(st.points, a - 1, b), chunks))
+    return sorted_quantile(ranks, tau), _quantile_stderr(ranks, tau)
+
+
+def _expectile_from(st: StreamedStats, ident: IdentSpec, chunks: Callable):
+    """The root of the empirical balance psi(z) = tau E(w - z)^+ -
+    (1 - tau) E(z - w)^+ of the pass ``st``, and its stderr. psi, -1/2 the
+    mean of ``ident``, is linear between consecutive draws, of slope
+    -(tau (n - k) + (1 - tau) k) / n < 0 with k draws <= z: bisection over
+    the held draws of its cell finds where it changes sign, and the root of
+    that segment is closed form."""
+    i = _root_cell(ident, st)
+    ws = held_window(st, *span(st.points, i - 1, i), chunks)
+    tau, n, w = ident.tau, ws.n, ws.sorted.w
+
+    def mean_v(z: float) -> float:
+        return float(ident_stats(ident, ws, np.array([z]))[0][0])
+
+    j, k = -1, w.size  # mean_v <= 0 at w[j], > 0 at w[k]; w[-1], w[size] the window's ends
+    while k - j > 1:
+        mid = (j + k) // 2
+        j, k = (mid, k) if mean_v(w[mid]) <= 0.0 else (j, mid)
+    a = float(w[j]) if j >= 0 else ws.window[0]
+    b = float(w[k]) if k < w.size else ws.window[1]
+    below = int(ws.cut([a])[0])
+    root = min(a - 0.5 * mean_v(a) * n / (tau * (n - below) + (1.0 - tau) * below), b)
+    se_psi = 0.5 * float(ident_stats(ident, ws, np.array([root]))[1][0])
+    # slope of the population balance at the root: -(tau (1 - F) + (1 - tau) F)
+    f_hat = int(ws.cut([root])[0]) / n
+    return root, se_psi / max(tau * (1.0 - f_hat) + (1.0 - tau) * f_hat, 1e-12)

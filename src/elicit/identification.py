@@ -52,9 +52,9 @@ class IdentSpec:
                 "mean-variance identification admits only 'none' or 'realization' transforms")
 
 
-def prepare_ident_realizations(spec: IdentSpec, y, owned: bool = False) -> PreparedRealizations:
+def prepare_ident_realizations(spec: IdentSpec, y) -> PreparedRealizations:
     """As :func:`~elicit.scoring.prepare_realizations`, for identification functions."""
-    return PreparedRealizations(spec.transform, y, owned)
+    return PreparedRealizations(spec.transform, y)
 
 
 def _coefficients(spec: IdentSpec, u, centre):
@@ -81,7 +81,7 @@ def mv_ident_stats(z, st: StreamedStats):
 def mv_ident_components(z, prepared: PreparedRealizations):
     """V1 = x1 - w and V2 = x2 + x1^2 - w^2 of the mv pair z = (x1, x2), one
     at a time, so a caller that reduces each holds one beside the draws."""
-    y = prepared.rows()
+    y = prepared.y
     x1, x2 = float(z[0]), float(z[1])
     yield x1 - np.asarray(y)
     v = np.square(y)
@@ -91,7 +91,7 @@ def mv_ident_components(z, prepared: PreparedRealizations):
 def ident_values(spec: IdentSpec, z, prepared: PreparedRealizations):
     if spec.family == "mv":
         return tuple(mv_ident_components(z, prepared))
-    y = prepared.rows()
+    y = prepared.y
     u = spec.transform.prediction(z)
     return per_row(u, y, _coefficients(spec, u, (y,)), spec.family != "mean")
 
@@ -115,14 +115,16 @@ def _sweep_args(spec: IdentSpec, zs):
             spec.transform.prediction(np.asarray(zs, dtype=float)))
 
 
-def _curve(spec: IdentSpec, st: Stats, u, breaks: bool):
+def ident_stats(spec: IdentSpec, st: Stats, u, breaks: bool = True):
+    """(means, standard errors) of V(u, W) at the effective predictions u,
+    from the sums ``st`` of the effective draws."""
     return st.stats(piece(st, u, _coefficients(spec, u, st.centre), breaks))
 
 
 def expected_ident_curve(spec: IdentSpec, zs, prepared: PreparedRealizations):
     """Empirical mean and stderr of V(z, Y) at each z over common draws."""
     basis, breaks, u = _sweep_args(spec, zs)
-    return _curve(spec, sorted_stats(prepared, basis, breaks), u, breaks)
+    return ident_stats(spec, sorted_stats(prepared, basis, breaks), u, breaks)
 
 
 def streamed_ident_curve(spec: IdentSpec, zs, chunks):
@@ -132,7 +134,7 @@ def streamed_ident_curve(spec: IdentSpec, zs, chunks):
     The same table and evaluator, on sums centred at the first chunk's mean."""
     basis, breaks, u = _sweep_args(spec, zs)
     st = streamed_stats(spec.transform, chunks, basis, u if breaks else ())
-    return _curve(spec, st, u, breaks)
+    return ident_stats(spec, st, u, breaks)
 
 
 @dataclass(frozen=True)

@@ -149,11 +149,6 @@ def root1d(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
     return float(0.5 * (a + b))
 
 
-def mean_stderr(x) -> float:
-    """Standard error of the mean of the samples ``x``: std(ddof=1) / sqrt(n)."""
-    return float(np.std(x, ddof=1) / math.sqrt(np.size(x)))
-
-
 def default_diff_step(z: float) -> float:
     """Default central-difference step: balances truncation and rounding."""
     return 1e-6 * max(1.0, abs(z))

@@ -187,29 +187,17 @@ class PreparedRealizations:
     """Realizations prepared once for many predictions; scores and
     identification functions share this object.
 
-    ``y`` holds the effective realizations w; ``sweep`` the sorted
-    statistics of :func:`sorted_stats`. The draws are ``owned`` when no
-    caller holds them: sampling code passes its draws as owned, and a
-    catalog map's values are owned because the map made them. An ordered
-    sweep sorts owned draws in place (``in_draw_order`` turns False), so a
-    check holds one copy of its draws; a caller's array is never changed.
+    ``y`` holds the effective realizations w, in the caller's order, which
+    per-row evaluation pairs with row i; ``sweep`` the sorted statistics of
+    :func:`sorted_stats`, which sorts a copy: a caller's array is never
+    changed.
     """
 
-    __slots__ = ("y", "owned", "in_draw_order", "sweep")
+    __slots__ = ("y", "sweep")
 
-    def __init__(self, transform: TransformMode, y, owned: bool = False):
+    def __init__(self, transform: TransformMode, y):
         self.y = transform.realization(y)
-        self.owned = owned if self.y is y else \
-            isinstance(transform.g, Bijection) and not np.may_share_memory(self.y, y)
-        self.in_draw_order = True
         self.sweep = None
-
-    def rows(self):
-        """``y`` for per-row evaluation, which pairs row i with draw i."""
-        if not self.in_draw_order:
-            raise ParameterError("per-row values need the realizations in draw order; "
-                                 "a sweep has sorted these owned draws in place")
-        return self.y
 
 
 def _basis(spec: ScoreSpec):
@@ -221,10 +209,9 @@ def _basis(spec: ScoreSpec):
     return "quad" if spec.family in ("se", "mv", "expectile", "bregman") else "lin"
 
 
-def prepare_realizations(spec: ScoreSpec, y, owned: bool = False) -> PreparedRealizations:
-    """Pre-transform realizations once; reuse across many prediction values.
-    ``owned`` draws, which no caller holds, may be sorted in place."""
-    return PreparedRealizations(spec.transform, y, owned)
+def prepare_realizations(spec: ScoreSpec, y) -> PreparedRealizations:
+    """Pre-transform realizations once; reuse across many prediction values."""
+    return PreparedRealizations(spec.transform, y)
 
 
 @contextlib.contextmanager
@@ -293,31 +280,31 @@ def sorted_stats(p: PreparedRealizations, basis, ordered: bool) -> SortedStats:
     generator phi {1, t, phi(w)} or an inner transformation g_in
     {1, g_in(w)}, with t = w - mean(w) and phi/g_in centred at their mean.
     Families without a breakpoint pass ``ordered=False``: their draws are
-    neither sorted nor copied. Owned draws are sorted in place, after the
-    centres, the one reduction that reads them in draw order.
+    neither sorted nor copied.
     """
     key = (basis, ordered)
     if p.sweep is not None and p.sweep.key == key:
         return p.sweep
     centre = _centre(basis, p.y)
-    in_place = ordered and p.owned
-    p.sweep = SortedStats(p.y, _columns(basis, centre), key, centre, ordered, in_place)
-    p.in_draw_order = p.in_draw_order and not in_place
+    w = np.sort(p.y, axis=None) if ordered else p.y
+    p.sweep = SortedStats(w, _columns(basis, centre), key, centre)
     return p.sweep
 
 
-def _effective(transform: TransformMode, chunks):
+def effective_chunks(transform: TransformMode, chunks):
     """Chunks of draws no caller holds, each made effective by ``transform``
     as it comes; an error of the transform carries its position among all
     the draws. A raw chunk goes once its transform exists."""
     start = 0
     for chunk in chunks:
         with _from(start):
-            p = PreparedRealizations(transform, chunk, owned=True)
+            w = transform.realization(chunk)
         start += chunk.size
+        # a bare callable's values may be an array it holds, which must not be sorted
+        w = w if w is chunk or isinstance(transform.g, Bijection) else w.copy()
         del chunk  # the raw draws go once transformed
-        yield p.y if p.owned else p.y.copy()  # a bare callable's values may be its own
-        del p  # and the effective ones before the next chunk is drawn
+        yield w
+        del w  # and the effective ones before the next chunk is drawn
 
 
 def streamed_stats(transform: TransformMode, chunks, basis, u=(), hold=None) -> StreamedStats:
@@ -331,7 +318,7 @@ def streamed_stats(transform: TransformMode, chunks, basis, u=(), hold=None) -> 
         centre = _centre(basis, first)
         return _columns(basis, centre), centre
 
-    return StreamedStats(_effective(transform, chunks), centred, u, hold)
+    return StreamedStats(effective_chunks(transform, chunks), centred, u, hold)
 
 
 def streamed_moments(transform: TransformMode, chunks) -> StreamedStats:
@@ -400,7 +387,7 @@ def _coefficients(spec: ScoreSpec, u, centre):
 
 def _rows(spec: ScoreSpec, u, p: PreparedRealizations):
     """S(u_i, w_i) per row: the table entry centred at each row's own w."""
-    y = p.rows()
+    y = p.y
     own = _centre(_basis(spec), y, of=lambda f, v: v if f is None else f(v))
     entry = _coefficients(spec, u, own)
     return per_row(u, y, entry, spec.family not in _FLAT)
@@ -519,11 +506,11 @@ def streamed_score_stats(spec: ScoreSpec, zs, chunks):
     return expected_score_stats(spec, zs, st)
 
 
-def _span(u: np.ndarray, a: int, b: int) -> tuple[float, float]:
-    """The effective interval [lo, hi] of grid points a..b of the effective
-    grid u (decreasing under a decreasing g); an end beyond the grid is
-    unbounded."""
-    up = u[-1] > u[0]
+def span(u: np.ndarray, a: int, b: int) -> tuple[float, float]:
+    """The effective interval [lo, hi] of points a..b of the effective grid
+    u (decreasing under a decreasing g) or of sorted points; an end beyond
+    them is unbounded."""
+    up = u[-1] >= u[0]
     ends = [u[j] if 0 <= j < u.size else (-np.inf if (j < 0) == up else np.inf) for j in (a, b)]
     return float(min(ends)), float(max(ends))
 
@@ -541,36 +528,37 @@ def grid_pass(spec: ScoreSpec, draws: Callable, n: int, zs, fixed=()) -> Stats:
         return streamed_stats(spec.transform, draws(), basis)
     u = spec.transform.prediction(np.asarray(zs, dtype=float))
 
-    def hold(st, first):  # st's sums are the first chunk's
-        if n <= first.size:
-            return Held(-np.inf, np.inf, n)
+    def hold(st):  # st's sums are the first chunk's
         i = int(np.argmin(expected_score_curve(spec, zs, st)))
-        lo, hi = _span(u, i - WINDOW, i + WINDOW)
-        # room for the first chunk's share of the n draws, plus four of its standard errors
-        k = np.diff(np.searchsorted(first, (lo, hi), side="right"))[0]
-        return Held(lo, hi, int(n / first.size * (k + 4.0 * k ** 0.5 + 1.0)))
+        return Held(*span(u, i - WINDOW, i + WINDOW))
 
     points = np.concatenate((u, spec.transform.prediction(np.asarray(fixed, dtype=float))))
     return streamed_stats(spec.transform, draws(), basis, points, hold)
 
 
+def held_window(st: StreamedStats, lo: float, hi: float, chunks: Callable) -> WindowStats:
+    """The sums of the pass ``st`` at its points and at every point of the
+    window (lo, hi], each end a point of the pass or unbounded: the draws
+    its ``hold`` kept when they cover the window, else those of one more
+    pass over ``chunks()``, the same effective draws, which holds exactly
+    them."""
+    held, st.held = st.held, None
+    if not (held.lo <= lo and hi <= held.hi):
+        held = Held(lo, hi)
+        for w in chunks():
+            w.sort()
+            held.add(w)
+    return WindowStats(st, held.draws(), held.lo, held.hi)
+
+
 def argmin_window(spec: ScoreSpec, st: Stats, zs, i: int, draws: Callable) -> Stats:
     """The sums of :func:`grid_pass` ``st`` for the polish of the grid
     argmin zs[i]: they serve its points and every point within two grid
-    steps of zs[i]. Those lie in the held window, or one more pass over
-    ``draws()``, the same draws, holds exactly them."""
+    steps of zs[i] (:func:`held_window` over ``draws()``)."""
     if spec.family in _FLAT:
         return st
-    lo, hi = _span(spec.transform.prediction(np.asarray(zs, dtype=float)), i - 2, i + 2)
-    held, st.held = st.held, None
-    if not (held.lo <= lo and hi <= held.hi):
-        def below(v):  # draws <= v, v a point of the pass or unbounded
-            return 0 if v == -np.inf else st.n if v == np.inf else int(st.s1[st.cut([v])[0], 0])
-
-        held = Held(lo, hi, below(hi) - below(lo))
-        for w in _effective(spec.transform, draws()):
-            held.add(w)
-    return WindowStats(st, held.draws(), held.lo, held.hi)
+    lo, hi = span(spec.transform.prediction(np.asarray(zs, dtype=float)), i - 2, i + 2)
+    return held_window(st, lo, hi, lambda: effective_chunks(spec.transform, draws()))
 
 
 def mv_vertex(spec: ScoreSpec, st: StreamedStats) -> tuple[float, float]:

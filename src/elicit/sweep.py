@@ -97,20 +97,15 @@ class SortedStats(Stats):
 
     ``basis(w, out=None)`` returns the non-constant basis columns of an
     array of draws, one row each (in ``out`` when given); a constant column
-    of ones is always prepended. With
-    ``ordered=False`` the draws are neither sorted nor copied: families
-    without a breakpoint only ever sum the whole range. ``in_place`` sorts
-    draws that no caller holds where they are, instead of a sorted copy.
+    of ones is always prepended. The draws w are kept as given, neither
+    sorted nor copied: sorted, for a sweep that cuts them, or in any order
+    for families without a breakpoint, which only ever sum the whole range.
     ``key`` identifies the basis and ``centre`` holds its centring
     constants. A key of :meth:`cut` is the number of draws below.
     """
 
-    def __init__(self, w, basis: Callable, key, centre: tuple, ordered: bool, in_place: bool):
-        w = np.ravel(np.asarray(w, dtype=float))
-        if ordered:
-            w = w if in_place else w.copy()
-            w.sort()
-        self.w = w
+    def __init__(self, w, basis: Callable, key, centre: tuple):
+        self.w = np.ravel(np.asarray(w, dtype=float))
         self.n = self.w.size
         self.basis = basis
         self.key = key
@@ -186,20 +181,17 @@ def _sums_below(w: np.ndarray, cut: np.ndarray, basis: Callable, pairs: list) ->
 
 
 class Held:
-    """The draws w in (lo, hi] of a pass, gathered into one array of
-    ``size`` draws, which grows in place (``ndarray.resize``) if they are
-    more, so no list of pieces or second copy stands beside it."""
+    """The draws w in (lo, hi] of a pass, gathered into one array, which
+    grows in place (``ndarray.resize``) by an eighth or more as they come,
+    so no list of pieces or second copy stands beside it."""
 
-    def __init__(self, lo: float, hi: float, size: int = 0):
+    def __init__(self, lo: float, hi: float):
         self.lo, self.hi = lo, hi
-        self.w, self.size = np.empty(size), 0
+        self.w, self.size = np.empty(0), 0
 
-    def add(self, w: np.ndarray, ordered: bool = False) -> None:
-        """Keep the draws of w in (lo, hi]; ``ordered`` w is sorted."""
-        if ordered:
-            part = w[slice(*np.searchsorted(w, (self.lo, self.hi), side="right"))]
-        else:
-            part = w[(w > self.lo) & (w <= self.hi)]
+    def add(self, w: np.ndarray) -> None:
+        """Keep the draws of the sorted w in (lo, hi]."""
+        part = w[slice(*np.searchsorted(w, (self.lo, self.hi), side="right"))]
         end = self.size + part.size
         if end > self.w.size:
             self.w.resize(max(end, self.w.size + self.w.size // 8), refcheck=False)
@@ -222,9 +214,9 @@ class StreamedStats(Stats):
     the rest of the pass. ``lo`` and ``hi`` are the least and greatest
     draw. :meth:`cut` takes only the points.
 
-    ``hold(self, first chunk)``, if given, is called once the first chunk
-    is summed, so that the sums read so far are that chunk's. It returns
-    the :class:`Held` in which the pass also keeps the draws of an interval
+    ``hold(self)``, given with points, is called once the first chunk is
+    summed, so that the sums read so far are that chunk's. It returns the
+    :class:`Held` in which the pass also keeps the draws of an interval
     (lo, hi], as ``held``; :class:`WindowStats` serves any point there."""
 
     def __init__(self, chunks, centred: Callable, points=(), hold: Callable | None = None):
@@ -273,9 +265,9 @@ class StreamedStats(Stats):
                                                np.einsum("ik,jk->ij", x, x)[self.upper]))
         if first and self.hold is not None:
             self._finish()
-            self.held = self.hold(self, w)
+            self.held = self.hold(self)
         if self.held is not None:
-            self.held.add(w, ordered=self.points.size > 0)
+            self.held.add(w)
 
     def cut(self, u):
         """The key of each u, which must be one of the points: 1 + its rank
@@ -303,7 +295,8 @@ class WindowStats(Stats):
         self.counts = st.s1[:, 0].astype(np.intp)
         k = int(st.cut([lo])[0]) if lo > -np.inf else 0
         self.below, self.below1, self.below2 = self.counts[k], st.s1[k], st.s2[k]
-        self.sorted = SortedStats(w, st.basis, None, st.centre, ordered=True, in_place=True)
+        w.sort()  # the held draws are the window's own
+        self.sorted = SortedStats(w, st.basis, None, st.centre)
 
     def cut(self, u):
         u = np.asarray(u, dtype=float)

@@ -37,10 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import DistributionSpec, sample_chunks, sample_iid
+from .distributions import DistributionSpec, sample_chunks
 from .errors import BracketingError, ElicitError, ParameterError, SpecParseError
-from .functionals import (FunctionalSpec, FunctionalValue, functional_from_draws,
-                          functional_value, pushforward_law, sample_mv_pair, scalar_value)
+from .functionals import (FunctionalSpec, FunctionalValue, functional_value, pushforward_law,
+                          sample_mv_pair, scalar_value, streamed_functional)
 from .identification import IdentSpec, mv_ident_stats, streamed_ident_curve
 from .intervals import Interval
 from .numerics import Bracket, Seed, check_seed, derive_seed, minimize1d
@@ -51,24 +51,25 @@ from .specs import (parse_bijection, parse_bracket, parse_dist, parse_functional
                     parse_score, parse_suite_line)
 from .transforms import Bijection
 
-# Each kind, and which of the CheckConfig fields in _FIELDS it requires;
-# setting another of them is an error.
-CHECK_KINDS = {"consistency": "score", "strictness": "score", "identification": "ident",
-               "pair": "score bracket2", "revelation": "score g", "realization": "score g"}
+# Each kind: the arity of its score or identification function, functional
+# and given target (2 for the mean-variance pair), and which of the
+# CheckConfig fields in _FIELDS it requires; setting another is an error.
+CHECK_KINDS = {"consistency": (1, "score"), "strictness": (1, "score"),
+               "identification": (1, "ident"), "pair": (2, "score bracket2"),
+               "revelation": (1, "score g"), "realization": (1, "score g")}
 _FIELDS = {"score": "a score spec", "ident": "an ident spec",
            "bracket2": "a variance bracket (bracket2)", "g": "a transformation g"}
 
 MIN_N = 10**4
 
 # The n-long float arrays a check of each kind holds at once, at most. Every
-# kind streams its draws, CHUNK at a time. An argmin check (consistency,
-# strictness, revelation, realization) also holds the draws of its window,
-# at worst all of them (an atom beside the argmin): 1. A Monte Carlo target
-# that holds its draws holds them and their transform: 2, and so does the
-# identification's expectile root. The pair, its Monte Carlo target
-# included, holds none.
-LIVE_ARRAYS = {"consistency": 2, "strictness": 2, "identification": 2, "pair": 0,
-               "revelation": 2, "realization": 2}
+# kind streams its draws, CHUNK at a time, its Monte Carlo target's too. An
+# argmin check (consistency, strictness, revelation, realization) also
+# holds the draws of its window, and a quantile or expectile target those
+# of its cells, one after the other: at worst all n draws (an atom): 1. The
+# pair holds none.
+LIVE_ARRAYS = {"consistency": 1, "strictness": 1, "identification": 1, "pair": 0,
+               "revelation": 1, "realization": 1}
 # Bytes of draws a run may hold at once, estimated as n x 8 x LIVE_ARRAYS[kind]
 # per check, summed over the checks that --jobs threads run together. The
 # largest builtin check (n = 4e6) needs 64 MB; 2 GiB stops a mistyped n or
@@ -134,22 +135,23 @@ class CheckConfig:
         for name, tol in (("tol_abs", self.tol_abs), ("tol_rel", self.tol_rel)):
             if not 0.0 <= tol < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0, got {tol}")
-        requires = CHECK_KINDS[self.kind].split()
+        arity, requires = CHECK_KINDS[self.kind]
         for name, text in _FIELDS.items():
             if (getattr(self, name) is None) == (name in requires):
                 raise ParameterError(f"{self.kind} check requires {text}" if name in requires
                                      else f"{self.kind} check takes no {name}")
-        if self.kind == "identification" and self.ident.family == "mv":
-            raise ParameterError("identification check sweeps scalar predictions; "
-                                 "the mean-variance pair is checked by kind=pair")
-        if self.kind == "pair":
-            if self.score.family != "mv":
-                raise ParameterError("pair check requires the mean-variance score")
-            if self.bracket2.lo <= 0:
-                raise ParameterError("variance bracket must be positive")
-        elif self.score is not None and self.score.family == "mv":
-            raise ParameterError(f"{self.kind} check sweeps scalar predictions; mean-variance "
-                                 "predictions are (x1, x2) pairs, checked by kind=pair")
+        if self.kind == "pair" and self.bracket2.lo <= 0:
+            raise ParameterError("variance bracket must be positive")
+        pairs = {"score": self.score is not None and self.score.family == "mv",
+                 "ident": self.ident is not None and self.ident.family == "mv",
+                 "functional": self.functional.kind == "mvpair",
+                 "target": isinstance(self.target, (tuple, list))}
+        for name, pair in pairs.items():
+            if getattr(self, name) is not None and pair != (arity == 2):
+                raise ParameterError(
+                    f"pair check needs a mean-variance {name}" if arity == 2 else
+                    f"{self.kind} check sweeps scalar predictions, so its {name} cannot be "
+                    f"mean-variance: (x1, x2) pairs are checked by kind=pair")
         if self.g is not None and self.score.transform.mode != "none":
             raise ParameterError(f"{self.kind} check starts from an untransformed score")
         if self.kind == "revelation" and not isinstance(self.g, Bijection):
@@ -448,8 +450,8 @@ def _transformed_functional(cfg: CheckConfig, transform: TransformMode) -> Funct
         law = pushforward_law(cfg.dist, cfg.g)
         if law is not None:
             return functional_value(cfg.functional, law, n=cfg.n, seed=derive_seed(cfg.seed, 7919))
-    return functional_from_draws(cfg.functional, transform.realization(
-        sample_iid(cfg.dist, cfg.n, derive_seed(cfg.seed, 7919))), owned=True)
+    draws = functools.partial(sample_chunks, cfg.dist, cfg.n, derive_seed(cfg.seed, 7919))
+    return streamed_functional(cfg.functional, draws, cfg.n, transform)
 
 
 @_timed

@@ -28,7 +28,8 @@ Identification functions:
 * ``mv``        (x1 - y, x2 + x1^2 - y^2)
 
 Also: ``mc_mean``, a Monte Carlo expectation read through the package's own
-sampler and mean functional, ``pinball_argmin``, the brute-force
+sampler and mean functional, ``chunked``, held draws as that functional
+streams them, ``pinball_argmin``, the brute-force
 tau-quantile set of a finite sample, and ``average_score``, the realized
 average score evaluated one row at a time, which names the first row that
 fails.
@@ -40,7 +41,8 @@ from fractions import Fraction
 import numpy as np
 
 from elicit import DomainError, EvaluationError, FunctionalSpec, evaluate_score, sample_iid
-from elicit.functionals import functional_from_draws
+from elicit.distributions import CHUNK
+from elicit.functionals import streamed_functional
 
 
 def score(spec, z, y):
@@ -85,9 +87,17 @@ def ident(spec, z, y):
     return 2.0 * np.abs(ind - spec.tau) * np.subtract(z, y)
 
 
+def chunked(w):
+    """The held draws w as ``streamed_functional`` takes draws: a callable
+    that yields copies of their CHUNK slices, since a streamed pass sorts
+    each chunk in place."""
+    w = np.ravel(np.asarray(w, dtype=float))
+    return lambda: (w[i:i + CHUNK].copy() for i in range(0, w.size, CHUNK))
+
+
 def mc_mean(h, dist, n, seed):
     """E[h(Y)] as a FunctionalValue: the mean of h over ``sample_iid`` draws, and its stderr."""
-    return functional_from_draws(FunctionalSpec("mean"), h(sample_iid(dist, n, seed)))
+    return streamed_functional(FunctionalSpec("mean"), chunked(h(sample_iid(dist, n, seed))), n)
 
 
 def average_score(spec, z, y) -> float:
@@ -182,3 +192,20 @@ def transform(name, params=()):
     return (lambda t: (np.power(np.asarray(t, float), a) - 1.0) / a,
             lambda v: np.power(a * np.asarray(v, float) + 1.0, 1.0 / a),
             lambda t: np.power(np.asarray(t, float), a - 1.0))
+
+
+def expectile_root(values, tau):
+    """The root z of tau E(y - z)^+ = (1 - tau) E(z - y)^+ over the sample,
+    segment by segment: the balance psi(z) falls, linearly between
+    consecutive sorted values, so the root is on the last value where
+    psi >= 0 plus psi / |slope| there, the slope counting the values <= it.
+    Cumulative sums find that value; psi there is summed exactly (fsum)."""
+    y = np.sort(np.asarray(values, dtype=float))
+    n = y.size
+    k = np.searchsorted(y, y, side="right")  # values <= each value
+    cum = np.concatenate(([0.0], np.cumsum(y)))
+    psi = (tau * (cum[-1] - cum[k] - (n - k) * y) - (1.0 - tau) * (k * y - cum[k])) / n
+    j = np.flatnonzero(psi >= 0.0)[-1]
+    a = y[j]
+    psi_a = math.fsum(tau * np.maximum(y - a, 0.0) - (1.0 - tau) * np.maximum(a - y, 0.0)) / n
+    return float(a + psi_a * n / (tau * (n - k[j]) + (1.0 - tau) * k[j]))

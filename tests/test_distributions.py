@@ -10,9 +10,9 @@ from scipy.stats import expon, lognorm, norm, uniform
 
 import oracle
 from elicit import (Empirical, Exponential, Interval, Lognormal, Normal,
-                    ParameterError, Uniform, sample_iid)
+                    ParameterError, SpecParseError, Uniform, sample_iid)
 from elicit.distributions import CHUNK, ndtr, ndtri, sample_chunks, sorted_quantile
-from elicit.functionals import FunctionalSpec, expectile_exact, functional_from_draws
+from elicit.functionals import FunctionalSpec, expectile_exact, streamed_functional
 
 CONTINUOUS = [
     Normal(0.0, 1.0),
@@ -132,7 +132,8 @@ def test_quantile_set_is_the_pinball_argmin(values, data):
     assert (iv.lo, iv.hi) == oracle.pinball_argmin(values, level)
     assert iv.lo_closed and iv.hi_closed
     assert Empirical(tuple(values)).quantile(tau) == iv
-    from_draws = functional_from_draws(FunctionalSpec("quantile", tau=tau), values)
+    from_draws = streamed_functional(FunctionalSpec("quantile", tau=tau),
+                                     oracle.chunked(values), n)
     assert from_draws.value == iv
 
 
@@ -191,6 +192,31 @@ def test_parameter_validation():
         Empirical(())
     with pytest.raises(ParameterError):
         Empirical((1.0, math.nan))
+
+
+# Laws whose mean or variance is not a finite float: their samplers or
+# moments overflowed inside a check (OverflowError, ZeroDivisionError).
+BEYOND_FLOATS = ["uniform(-1e308,1e308)", "uniform(0,1e308)", "uniform(-inf,0)",
+                 "normal(0,1e308)", "normal(inf,1)", "normal(nan,1)", "normal(0,inf)",
+                 "lognormal(700,1)", "lognormal(0,1000)", "lognormal(1e308,1)",
+                 "lognormal(0,inf)", "exponential(1e-320)", "exponential(1e308)",
+                 "empirical(1e308,-1e308)"]
+
+
+@pytest.mark.parametrize("law", BEYOND_FLOATS)
+def test_a_law_beyond_the_float_range_is_rejected_at_construction(law):
+    from elicit.specs import parse_dist
+    with pytest.raises(SpecParseError, match="mean or variance beyond the float range"):
+        parse_dist(law)
+
+
+def test_a_suite_line_on_a_law_beyond_the_float_range_exits_2(tmp_path, capsys):
+    from elicit import cli
+    path = tmp_path / "suite.txt"
+    path.write_text("kind=consistency dist=uniform(-1e308,1e308) score=se functional=mean "
+                    "bracket=-1,1 n=10000\n")
+    assert cli.main(["verify", "--suite", str(path)]) == 2
+    assert "suite.txt:1: " in capsys.readouterr().err
 
 
 class TestEmpiricalFromDraws:

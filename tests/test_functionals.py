@@ -1,13 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from elicit import (DomainError, Empirical, Exponential, FunctionalSpec, Interval,
-                    Lognormal, Normal, ParameterError, Uniform, analytic_functional,
-                    catalog, expectile_exact, functional_value, pushforward_law, scalar_value)
-from elicit.functionals import functional_from_draws
+                    Lognormal, Normal, ParameterError, TransformMode, Uniform,
+                    analytic_functional, catalog, expectile_exact, functional_value,
+                    pushforward_law, sample_iid, scalar_value)
+from elicit import functionals
+from elicit.distributions import CHUNK, sample_chunks, sorted_quantile
+from elicit.functionals import _quantile_stderr, streamed_functional
+from elicit.sweep import Held
 
 
 class TestAnalyticPaths:
@@ -115,7 +121,8 @@ class TestFunctionalValue:
         exact = expectile_exact(d, 0.8)
         # the Monte Carlo root on draws (an Empirical law is solved exactly)
         draws = d.sample(2 * 10**5, np.random.default_rng(7))
-        fv = functional_from_draws(FunctionalSpec("expectile", tau=0.8), draws)
+        fv = streamed_functional(FunctionalSpec("expectile", tau=0.8), oracle.chunked(draws),
+                                 draws.size)
         assert fv.method == "mc" and fv.stderr > 0.0
         assert fv.value == pytest.approx(exact, abs=0.01)
 
@@ -147,15 +154,15 @@ class TestFunctionalValue:
 
 
     def test_mc_expectile_matches_direct_balance(self):
-        """The sorted-sweep root and stderr equal those of the direct
-        n-long asymmetric-deviation balance."""
-        from elicit.functionals import _mc_expectile
-        from elicit.numerics import Bracket, mean_stderr, root1d
+        """The streamed root and stderr equal those of the direct n-long
+        asymmetric-deviation balance."""
+        from elicit.numerics import Bracket, root1d
 
         tau = 0.75
         draws = Lognormal(0.0, 0.5).sample(10**5, np.random.default_rng(3))
         w = catalog("box-cox", [0.5]).apply(draws)
-        root, se = _mc_expectile(w, tau)
+        fv = streamed_functional(FunctionalSpec("expectile", tau=tau), oracle.chunked(w), w.size)
+        root, se = fv.value, fv.stderr
 
         def psi(z):
             return (tau * np.mean(np.maximum(w - z, 0.0))
@@ -167,7 +174,8 @@ class TestFunctionalValue:
         assert root == pytest.approx(direct, abs=1e-9)
         term = tau * np.maximum(w - root, 0.0) - (1 - tau) * np.maximum(root - w, 0.0)
         f = np.mean(w <= root)
-        assert se == pytest.approx(mean_stderr(term) / (tau * (1 - f) + (1 - tau) * f), rel=1e-9)
+        se_term = np.std(term, ddof=1) / math.sqrt(term.size)
+        assert se == pytest.approx(se_term / (tau * (1 - f) + (1 - tau) * f), rel=1e-9)
 
 
 class TestExpectileBalance:
@@ -252,3 +260,78 @@ def test_scalar_value_rules():
     assert scalar_value(3.5) == 3.5
     with pytest.raises(ParameterError):
         scalar_value((1.0, 2.0))
+
+
+# Streamed Monte Carlo targets: draws of a law (ties from an Empirical law
+# or rounding), n on both sides of a CHUNK boundary, and an increasing, a
+# decreasing or no map as the ``transform`` (g is the second-pass test's).
+SIZES = [2, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
+LAWS = [Lognormal(0.0, 0.5), Empirical((0.5, 1.0, 1.0, 2.0, 3.5)), Exponential(1.0)]
+MAPS = [None, catalog("box-cox", [0.5]), catalog("shifted-log", [1.0]), catalog("negate")]
+
+
+@st.composite
+def streamed_targets(draw):
+    """(draws callable, n, transform, effective draws sorted, tau)."""
+    n = draw(st.sampled_from(SIZES), label="n")
+    law = draw(st.sampled_from(LAWS), label="law")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    g = draw(st.sampled_from(MAPS), label="map")
+    transform = TransformMode.none() if g is None else TransformMode.realization_only(g)
+    y = sample_iid(law, n, seed)
+    if draw(st.booleans(), label="rounded"):
+        y = np.round(y, 1) + 0.05
+        draws = oracle.chunked(y)
+    else:
+        draws = functools.partial(sample_chunks, law, n, seed)
+    w = np.sort(transform.realization(y))
+    return draws, n, transform, w, draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]), label="tau")
+
+
+def _bytes(fv):
+    value = fv.value
+    return repr((value.lo, value.hi) if isinstance(value, Interval) else value), repr(fv.stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=streamed_targets())
+def test_a_streamed_quantile_is_the_sorted_draws_order_statistic(case):
+    draws, n, transform, w, tau = case
+    fv = streamed_functional(FunctionalSpec("quantile", tau=tau), draws, n, transform)
+    assert fv.value == sorted_quantile(w, tau)
+    assert fv.stderr == _quantile_stderr(w, tau)
+    assert type(fv.stderr) is float
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=streamed_targets())
+def test_a_streamed_expectile_is_the_brute_force_root(case):
+    """To 1e-12 of the draws' scale (the root, or the largest |w| when the
+    root is near 0): the balance's sums round at that scale."""
+    draws, n, transform, w, tau = case
+    fv = streamed_functional(FunctionalSpec("expectile", tau=tau), draws, n, transform)
+    want = oracle.expectile_root(w, tau)
+    assert abs(fv.value - want) <= 1e-12 * max(abs(want), float(np.max(np.abs(w))))
+
+
+@pytest.mark.parametrize("spec, g", [
+    (FunctionalSpec("quantile", tau=0.9), catalog("box-cox", [0.5])),
+    (FunctionalSpec("quantile", tau=0.3), catalog("negate")),
+    (FunctionalSpec("expectile", tau=0.75), catalog("box-cox", [0.5])),
+    (FunctionalSpec("gexpectile", tau=0.2, g=catalog("shifted-log", [1.0])), None)])
+def test_a_second_pass_gives_the_same_bytes(spec, g, monkeypatch):
+    """With the held window empty, the root's cells come from one more pass
+    over the same draws, and the value and stderr are the same bytes."""
+    calls = []
+
+    def draws():
+        calls.append(1)
+        return sample_chunks(Lognormal(0.0, 0.5), 3 * CHUNK + 11, 5)
+
+    transform = TransformMode.none() if g is None else TransformMode.realization_only(g)
+    want = streamed_functional(spec, draws, 3 * CHUNK + 11, transform)
+    assert len(calls) == 1
+    monkeypatch.setattr(functionals, "Held", lambda lo, hi: Held(np.inf, np.inf))
+    got = streamed_functional(spec, draws, 3 * CHUNK + 11, transform)
+    assert len(calls) == 3
+    assert _bytes(got) == _bytes(want)

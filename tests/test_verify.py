@@ -374,7 +374,6 @@ def test_transformed_draw_quantile_target_has_quantile_stderr():
     and a quantile target carries the quantile's stderr, not the mean's."""
     from elicit import TransformMode, sample_iid
     from elicit.functionals import _quantile_stderr
-    from elicit.numerics import mean_stderr
     from elicit.verify import _transformed_functional
 
     g = catalog("box-cox", [0.5])
@@ -383,7 +382,61 @@ def test_transformed_draw_quantile_target_has_quantile_stderr():
     fv = _transformed_functional(c, TransformMode.realization_only(g))
     w = g.apply(sample_iid(c.dist, c.n, derive_seed(c.seed, 7919)))
     assert fv.stderr == _quantile_stderr(np.sort(w), 0.9)
-    assert fv.stderr != mean_stderr(w)
+    assert fv.stderr != np.std(w, ddof=1) / math.sqrt(w.size)
+
+
+# Lines whose functional or target has the wrong arity for the kind: each
+# exits 2 at parse, naming its line and the field.
+ARITY_LINES = [
+    ("kind=pair dist=normal(0,1) score=mv functional=quantile:tau=0.5 bracket=-1,1 "
+     "bracket2=0.5,2", "pair check needs a mean-variance functional"),
+    ("kind=pair dist=normal(0,1) score=mv functional=mvpair target=1 bracket=-1,1 "
+     "bracket2=0.5,2", "pair check needs a mean-variance target"),
+    ("kind=consistency dist=normal(0,1) score=se functional=mvpair bracket=-1,1",
+     "consistency check sweeps scalar predictions, so its functional cannot be "
+     "mean-variance"),
+]
+
+
+@pytest.mark.parametrize("line, message", ARITY_LINES)
+def test_a_line_of_the_wrong_arity_exits_2_at_parse(line, message, tmp_path, capsys):
+    from elicit import cli
+    path = tmp_path / "suite.txt"
+    path.write_text(f"# arity\n{line} n=10000\n")
+    assert cli.main(["verify", "--suite", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"suite.txt:2: {message}" in err
+
+
+def test_a_given_target_of_the_wrong_arity_is_rejected():
+    with pytest.raises(ParameterError, match="its target cannot be mean-variance"):
+        cfg(score="se", target=(0.0, 1.0))
+    with pytest.raises(ParameterError, match="needs a mean-variance target"):
+        cfg(kind="pair", score="mv", functional="mvpair", bracket2=(0.5, 2.0), target=0.0)
+
+
+def test_verify_mc_targets_take_one_pass_at_seed_42(monkeypatch):
+    """Every Monte Carlo target of the benchmark's verify-mc lines finds its
+    root in the cells the first pass held: its draws are sampled once."""
+    from elicit import functionals, verify
+    from test_golden import _mc_lines
+
+    passes = {}
+
+    def counted(dist, n, seed):
+        passes[seed] = passes.get(seed, 0) + 1
+        return sample_chunks(dist, n, seed)
+
+    monkeypatch.setattr(functionals, "sample_chunks", counted)
+    monkeypatch.setattr(verify, "sample_chunks", counted)
+    configs = verify._parse_suite(_mc_lines(), 42, "verify-mc")
+    for c in configs:
+        if c.kind == "realization":
+            verify._transformed_functional(c, TransformMode.realization_only(c.g))
+        else:
+            assert verify._resolve_target(c).method == "mc"
+    assert len(passes) == len(configs) == 6
+    assert set(passes.values()) == {1}, passes
 
 
 def test_suite_file_error_carries_line(tmp_path):
