@@ -58,6 +58,15 @@ def _check_moments(law) -> None:
                              f"beyond the float range")
 
 
+def _check_spread(law, mu: float, sigma: float) -> None:
+    """Reject a sigma that vanishes against mu (mu + sigma == mu): the
+    draws mu + sigma Z would round to a few floats around mu, where every
+    check needs their spread."""
+    if mu + sigma == mu:
+        raise ParameterError(f"{type(law).__name__} sigma {sigma!r} vanishes against "
+                             f"mu {mu!r}: the draws would have no spread")
+
+
 def _check_tau(tau: float) -> float:
     tau = float(tau)
     if not 0.0 < tau < 1.0:
@@ -78,6 +87,7 @@ class Normal:
         if not self.sigma > 0:
             raise ParameterError(f"Normal requires sigma > 0, got {self.sigma}")
         _check_moments(self)
+        _check_spread(self, self.mu, self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, int(n))
@@ -119,6 +129,7 @@ class Lognormal:
         if not self.sigma > 0:
             raise ParameterError(f"Lognormal requires sigma > 0, got {self.sigma}")
         _check_moments(self)
+        _check_spread(self, self.mu, self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         x = rng.normal(self.mu, self.sigma, int(n))

@@ -4,15 +4,17 @@ Three model classes: a constant (the prediction is a single parameter), a
 line theta0 + theta1 x, and a constant (mean, variance) pair. The constant
 models score one prediction against all data with the sweep of
 :func:`~elicit.scoring.expected_score`; the line scores paired rows with
-:func:`~elicit.scoring.score_values`. The data are checked once, before the
-search, and a bad row raises there, naming its observation index. The
-constant fit uses the bracketed one-dimensional minimizer, which tolerates
-the kinks of pinball-type objectives. The pair fit takes the exact vertex of the mean-variance
-expected score (:func:`~elicit.scoring.mv_vertex`), which data of zero
-spread do not have. The line uses a derivative-free simplex search from a
-least-squares start, or from the constant at the data's median where that
-line leaves g's domain, restarted once from its end on non-convergence; its
-x values must not all be equal."""
+:func:`~elicit.scoring.score_values`, :data:`BLOCK` rows at a time, and adds
+up the block sums. The data are checked once, before the search, and a bad
+row raises there, naming its observation index. The constant fit uses the
+bracketed one-dimensional minimizer, which tolerates the kinks of
+pinball-type objectives. The pair fit takes the exact vertex of the
+mean-variance expected score (:func:`~elicit.scoring.mv_vertex`), which data
+of zero spread do not have. The line uses the Nelder–Mead simplex search of
+:func:`~elicit.numerics.nelder_mead` from a least-squares start, or from the
+constant at the data's median where that line leaves g's domain, restarted
+once from its end on non-convergence; its x values must not all be equal.
+Nothing here needs scipy."""
 
 from __future__ import annotations
 
@@ -23,13 +25,20 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError, naming_observations
 from .intervals import Interval
-from .numerics import Bracket, minimize1d
-from .scoring import (MV_VERTEX_POINTS, ScoreSpec, expected_score, held_moments, mv_vertex,
-                      prepare_realizations, score_values)
+from .numerics import Bracket, minimize1d, nelder_mead
+from .scoring import (MV_VERTEX_POINTS, PreparedRealizations, ScoreSpec, TransformMode,
+                      expected_score, held_moments, mv_vertex, prepare_realizations, score_values)
 
 _FINITE = Interval.open(-math.inf, math.inf)
 
 MODEL_KINDS = ("constant", "linear", "constant_pair")
+
+# Rows per block of the line's objective: a block of x, w and the kernel's
+# temporaries stays in a core's cache, where whole 1e6-row arrays stream
+# from memory on every evaluation.
+BLOCK = 2**14
+# The line's simplex search stops at these, or at x within the fit's tol.
+SIMPLEX_OPTIONS = {"fatol": 1e-14, "maxiter": 2000, "maxfev": 4000}
 
 
 @dataclass(frozen=True)
@@ -154,12 +163,18 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, prepared, init,
                 tol: float) -> FitResult:
     if np.all(x == x[0]):
         raise ParameterError(f"the linear model needs two distinct x values, not only {x[0]:g}")
+    # Views of x and of the prepared w, BLOCK rows each: w is not mapped again.
+    blocks = [(x[i:i + BLOCK], PreparedRealizations(TransformMode.none(), prepared.y[i:i + BLOCK]))
+              for i in range(0, len(x), BLOCK)]
 
     def obj(theta):
+        total = 0.0
         try:
-            return float(np.mean(score_values(score, theta[0] + theta[1] * x, prepared)))
+            for xb, wb in blocks:
+                total += float(np.sum(score_values(score, theta[0] + theta[1] * xb, wb)))
         except DomainError:
             return math.inf
+        return total / len(x)
 
     if init is None:
         try:
@@ -175,19 +190,13 @@ def _fit_linear(score: ScoreSpec, x: np.ndarray, y: np.ndarray, prepared, init,
         if x0.shape != (2,):
             raise ParameterError("linear init must have two components")
 
-    # Imported here, not at module level: no other code path needs scipy,
-    # and importing it costs every CLI process about half a second.
-    from scipy.optimize import minimize
-
     def run(start):
-        return minimize(obj, start, method="Nelder-Mead",
-                        options={"xatol": tol, "fatol": 1e-14, "maxiter": 2000, "maxfev": 4000})
+        return nelder_mead(obj, start, xatol=tol, **SIMPLEX_OPTIONS)
 
     res = run(x0)
     if not res.success:  # restart once from the end: a fresh simplex
         res2 = run(res.x)
         if res2.fun <= res.fun:
             res = res2
-    return FitResult(theta=tuple(float(t) for t in res.x), objective=float(res.fun),
-                     iterations=int(res.nfev), converged=bool(res.success))
-
+    return FitResult(theta=tuple(float(t) for t in res.x), objective=res.fun,
+                     iterations=res.nfev, converged=res.success)

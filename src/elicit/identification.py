@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .distributions import sample_chunks
 from .errors import ParameterError
 from .numerics import Seed, central_diff, default_diff_step
 from .scoring import (PreparedRealizations, ScoreSpec, TransformMode, check_options,
@@ -154,18 +155,15 @@ def orientation_probe(spec: IdentSpec, dist, functional_value: float,
 
     Passes when every offset produces an estimate of the matching sign whose
     magnitude exceeds three standard errors. One-dimensional families only.
+    The n draws stream through :func:`streamed_ident_curve`, a chunk at a time.
     """
     if spec.family == "mv":
         raise ParameterError("orientation is defined for scalar predictions only")
     offsets = tuple(float(d) for d in offsets)
     if any(d == 0.0 for d in offsets):
         raise ParameterError("offsets must exclude zero")
-    from .distributions import sample_iid
-
-    draws = sample_iid(dist, n, seed)
-    prepared = prepare_ident_realizations(spec, draws)
-    estimates, stderrs = (tuple(float(x) for x in a) for a in expected_ident_curve(
-        spec, [functional_value + d for d in offsets], prepared))
+    estimates, stderrs = (tuple(float(x) for x in a) for a in streamed_ident_curve(
+        spec, [functional_value + d for d in offsets], sample_chunks(dist, n, seed)))
     ok = all(math.copysign(1.0, est) == math.copysign(1.0, d) and abs(est) > 3.0 * se
              for d, est, se in zip(offsets, estimates, stderrs))
     return OrientationReport(passed=ok, offsets=offsets, estimates=estimates, stderrs=stderrs)

@@ -1,7 +1,8 @@
 """Deterministic low-level numerics.
 
-Derivative-free one-dimensional minimization and root finding, seeded random
-streams, and central finite differences. Everything here is pure
+Derivative-free minimization (one-dimensional, and the Nelder–Mead simplex
+search in several dimensions) and root finding, seeded random streams, and
+central finite differences. Everything here is pure
 given an explicit seed; concurrent callers derive independent streams with
 :func:`derive_seed` so results never depend on scheduling order.
 """
@@ -114,6 +115,109 @@ def minimize1d(f: Callable[[float], float], bracket: Bracket, tol: float) -> flo
                 if fv <= fm + slack:
                     xm = v
     return float(xm)
+
+
+# Nelder–Mead's reflection, expansion, contraction and shrink coefficients,
+# and its initial simplex: each coordinate of the start moved by 5%, or to
+# 0.00025 where it is zero.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+@dataclass(frozen=True)
+class SimplexResult:
+    """Where :func:`nelder_mead` stopped: the best vertex and its value, the
+    function evaluations it took, and whether the simplex converged (not
+    stopped by ``maxiter`` or ``maxfev``)."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _Spent(Exception):
+    """The evaluation budget ``maxfev`` is spent."""
+
+
+def nelder_mead(f: Callable[[np.ndarray], float], x0, xatol: float, fatol: float,
+                maxiter: int, maxfev: int) -> SimplexResult:
+    """Minimize f over R^N by the Nelder–Mead simplex search (Nelder & Mead,
+    Computer Journal 7(4), 1965), derivative-free.
+
+    The unbounded, non-adaptive search of ``scipy.optimize.minimize(method=
+    "Nelder-Mead")``, step for step: the same initial simplex, coefficients,
+    evaluation order and stopping rule, so the same x, value and evaluation
+    count. It stops when every vertex lies within ``xatol`` of the best in
+    every coordinate and every value within ``fatol`` of the best, or after
+    ``maxiter`` iterations or ``maxfev`` evaluations. f may return inf where
+    it is undefined; f gets a copy of each point.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = (1 + _NONZDELT) * x0[k] if x0[k] != 0 else _ZDELT
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return f(np.copy(x))
+
+    def by_value():
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Spent:
+        pass
+    sim, fsim = by_value()
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf: not converged
+                done = (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol)
+            if done:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:  # expand
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract, outside or inside; shrink if that fails
+                if fxr < fsim[-1]:
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _Spent:
+            pass
+        sim, fsim = by_value()
+    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nfev=nfev,
+                         success=nfev < maxfev and iterations < maxiter)
 
 
 def root1d(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:

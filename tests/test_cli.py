@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -273,6 +275,31 @@ class TestCsvInput:
         assert main(["fit", "--model", "constant", "--score", "se", "--data", path]) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", cli._COMPRESSED)
+    def test_a_compressed_suffix_is_only_a_name(self, tmp_path, suffix):
+        # numpy decompresses a file it is given by such a name
+        data = _read_csv(write_text(tmp_path / f"f{suffix}", 'y,"z\nq"\n1,2\n'), ["y", "z\nq"])
+        assert (data["y"].tolist(), data["z\nq"].tolist()) == ([1.0], [2.0])
+
+    def test_the_compressed_suffixes_are_numpys(self):
+        from numpy.lib import _datasource
+        assert set(cli._COMPRESSED) == set(_datasource._file_openers.keys()) - {None}
+
+    def test_a_pipe_reads_as_the_file_does(self, tmp_path):
+        # the header's read takes a whole buffer from a pipe, well into the
+        # body; a second open of the pipe would start past it
+        text = 'y,"z\nq"\n' + "".join(f"{i},{i / 4}\n" for i in range(3000))
+        want = _read_csv(write_text(tmp_path / "f.csv", text), ["y", "z\nq"])
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())  # under the pipe's 64 KiB capacity
+            os.close(w)
+            got = _read_csv(f"/dev/fd/{r}", ["y", "z\nq"])
+        finally:
+            os.close(r)
+        assert [got[c].tobytes() for c in want] == [want[c].tobytes() for c in want]
+        assert len(want["y"]) == 3000
+
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_not_utf8_is_a_data_error(self, tmp_path, capsys, rows):
         # with 5000 rows the bad byte lies past the first block read
@@ -291,6 +318,39 @@ class TestCsvInput:
         text = "y,z\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs)
         data = _read_csv(write_text(tmp_path_factory.mktemp("rt") / "f.csv", text), ["y", "z"])
         assert data["y"].tobytes() == y.tobytes() and data["z"].tobytes() == z.tobytes()
+
+
+NUMBER_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.integers(-10**18, 10**18).map(str),
+                         st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-300, 300)))
+
+
+@st.composite
+def csv_files(draw):
+    """Files with columns y and z, maybe a third, in any order: quoted or
+    bare names (the third may hold a line break), one line ending, blank
+    lines, quoted or bare number cells, and a final line ending or not."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    names = draw(st.permutations(["y", "z", *draw(st.sampled_from([[], ["w"],
+                                                                  [f"note{eol}here"]]))]))
+    quote = st.booleans()
+    cell = lambda text: f'"{text}"' if draw(quote) or eol in text else text  # noqa: E731
+    lines = [",".join(cell(name) for name in names)]
+    for _ in range(draw(st.integers(1, 20))):
+        lines.append(",".join(cell(draw(NUMBER_CELLS)) for _ in names))
+        lines += [""] * draw(st.integers(0, 2))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@given(csv_files())
+def test_the_block_reader_gives_the_arrays_float_gives(tmp_path_factory, text):
+    path = write_text(tmp_path_factory.mktemp("blocks") / "f.csv", text)
+    with mock.patch.object(cli, "_read_rows", side_effect=AssertionError("fell back")):
+        got = _read_csv(path, ["y", "z"])
+    with open(path, encoding="utf-8", newline="") as fh:
+        positions, _ = cli._read_header(fh, path, ["y", "z"])
+        want = cli._read_rows(fh, path, ["y", "z"], positions)
+    assert [got["y"].tobytes(), got["z"].tobytes()] == [w.tobytes() for w in want]
 
 
 class TestFitCommand:
@@ -565,9 +625,15 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
 
 
-def test_cli_start_up_imports_no_scipy():
-    # scipy's import costs every process about half a second; only the
-    # linear fit's optimiser needs it, and it imports scipy where it runs
-    code = "import sys, elicit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def test_cli_start_up_imports_no_scipy(tmp_path):
+    # scipy's import costs a process about half a second, and no command
+    # needs it: not at start-up, and not in the linear fit's simplex search
+    path = write_csv(tmp_path / "xy.csv", [[1.0 + 0.5 * v + (-1) ** v, v] for v in range(20)],
+                     ["y", "x"])
+    scipy = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (f"import sys, elicit.cli; {scipy}; "
+            f"code = elicit.cli.main(['fit', '--model', 'linear', '--score', 'apl:tau=0.5', "
+            f"'--data', {path!r}, '--out', {str(tmp_path / 'fit.json')!r}]); {scipy}; print(code)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", "0", ""]
+    assert json.loads((tmp_path / "fit.json").read_text())["converged"]

@@ -219,6 +219,31 @@ def test_a_suite_line_on_a_law_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "suite.txt:1: " in capsys.readouterr().err
 
 
+# Laws whose sigma vanishes against mu: every draw rounded to about mu, and
+# normal(1e308,1) failed inside a check (exit 1, numpy's overflow warning
+# on stderr).
+NO_SPREAD = ["normal(1e308,1)", "normal(1e16,1)", "normal(-1e20,1000)", "lognormal(100,1e-15)"]
+
+
+@pytest.mark.parametrize("law", NO_SPREAD)
+def test_a_law_with_no_spread_is_rejected_at_construction(law):
+    from elicit.specs import parse_dist
+    with pytest.raises(SpecParseError, match="vanishes against mu"):
+        parse_dist(law)
+
+
+@pytest.mark.parametrize("kind", ["kind=pair score=mv functional=mvpair bracket2=1,2",
+                                  "kind=consistency score=se functional=mean"])
+def test_a_suite_line_on_a_law_with_no_spread_exits_2(tmp_path, capsys, kind):
+    from elicit import cli
+    path = tmp_path / "suite.txt"
+    path.write_text(f"{kind} dist=normal(1e308,1) bracket=-1,1 n=10000\n")
+    assert cli.main(["verify", "--suite", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}:1: bad distribution spec "
+                                       "'normal(1e308,1)': Normal sigma 1.0 vanishes against "
+                                       "mu 1e+308: the draws would have no spread\n")
+
+
 class TestEmpiricalFromDraws:
     def test_array_law_matches_tuple_law(self):
         draws = np.random.default_rng(5).normal(size=1001)

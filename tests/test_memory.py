@@ -7,11 +7,11 @@ The guard runs one line per check kind under ``tracemalloc``, which numpy
 reports its buffers to, at two sizes: the slope of the traced peak is the
 bytes each check holds per draw, 8 per n-long array of doubles. Each kind
 stays within ``verify.LIVE_ARRAYS``, the table the cap reads, plus one byte
-for boolean masks. Every kind streams its draws, and so does every Monte
-Carlo target, which holds under one byte per draw: identification and pair
-lines hold a chunk and a target's cells, and the argmin kinds' lines on a
-continuous law with an exact target, which also hold the draws beside
-their argmin, stay under 4 MB at n = 4e6.
+for boolean masks. Every kind streams its draws, and so do every Monte
+Carlo target and the orientation probe, which hold under one byte per
+draw: identification and pair lines hold a chunk and a target's cells, and
+the argmin kinds' lines on a continuous law with an exact target, which
+also hold the draws beside their argmin, stay under 4 MB at n = 4e6.
 """
 
 import tracemalloc
@@ -239,6 +239,28 @@ def test_monte_carlo_targets_hold_under_a_byte_per_draw():
     assert len(slopes) == 5
     over = {line: round(b, 2) for line, b in slopes.items() if b >= 1.0}
     assert not over, over
+
+
+def test_the_orientation_probe_holds_under_a_byte_per_draw():
+    """Acceptance criterion 06's probe streams its draws: a chunk, not n
+    draws and a sorted copy (16.25 bytes a draw when it held them)."""
+    from elicit.distributions import Lognormal
+    from elicit.identification import orientation_probe
+    spec = parse_ident("quantile:tau=0.5")
+
+    def peak(n):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert orientation_probe(spec, Lognormal(0.0, 1.0), 1.0, (-0.25, 0.25), n, 7).passed
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        peak(MIN_N)
+        slope = (peak(LARGE) - peak(SMALL)) / (LARGE - SMALL)
+    finally:
+        tracemalloc.stop()
+    assert slope < 1.0, slope
 
 
 # The argmin kinds' lines on a continuous law whose target is exact: they

@@ -6,6 +6,10 @@ import pytest
 import oracle
 from elicit import (Bracket, EvaluationError, BracketingError, Normal, ParameterError,
                     central_diff, derive_seed, minimize1d, root1d)
+from elicit.estimation import SIMPLEX_OPTIONS
+from elicit.numerics import nelder_mead
+from elicit.scoring import prepare_realizations, score_values
+from elicit.specs import parse_score
 
 
 class TestMinimize1d:
@@ -70,6 +74,67 @@ class TestRoot1d:
 
     def test_endpoint_root(self):
         assert root1d(lambda z: z, Bracket(0.0, 1.0), 1e-8) == 0.0
+
+
+class TestNelderMead:
+    """The port gives scipy's Nelder-Mead search bit for bit, under the
+    options the linear fit passes (xatol is fit's default tol)."""
+
+    @staticmethod
+    def same_as_scipy(f, x0):
+        from scipy.optimize import minimize
+        want = minimize(f, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-9, **SIMPLEX_OPTIONS})
+        got = nelder_mead(f, x0, xatol=1e-9, **SIMPLEX_OPTIONS)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun
+        assert (got.nfev, got.success) == (want.nfev, want.success)
+        return got
+
+    def test_smooth_quadratic(self):
+        got = self.same_as_scipy(lambda t: (t[0] - 1) ** 2 + 3 * (t[1] + 2) ** 2 + t[0] * t[1],
+                                 np.array([0.3, 0.0]))
+        assert got.success and got.x == pytest.approx([24 / 11, -26 / 11], abs=1e-6)
+
+    def test_apl_line_on_200_rows(self):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 10.0, 200)
+        spec = parse_score("apl:tau=0.5")
+        prepared = prepare_realizations(spec, 1.0 + 0.5 * x + rng.normal(size=200))
+        got = self.same_as_scipy(
+            lambda t: float(np.mean(score_values(spec, t[0] + t[1] * x, prepared))),
+            np.array([0.5, 0.4]))
+        assert got.success
+
+    def test_off_the_domain_and_the_restart_from_the_end(self):
+        """A valley too steep for the first search, which spends maxiter;
+        the restart's simplex puts a vertex at t0 = 1.05, off the domain
+        0 < t0 < 1.05 of log(t0) + log(1.05 - t0), where f is inf."""
+        offside = []
+
+        def f(t):
+            if not 0.0 < t[0] < 1.05:
+                offside.append(t)
+                return math.inf
+            return math.log(t[0]) ** 2 + 1e6 * (t[1] - math.log(t[0]) ** 2) ** 2
+
+        first = self.same_as_scipy(f, np.array([0.05, 3.0]))
+        assert not first.success and not offside
+        again = self.same_as_scipy(f, first.x)
+        assert again.success and offside
+        assert again.x == pytest.approx([1.0, 0.0], abs=1e-6)
+
+    def test_a_spent_budget_stops_where_scipy_stops(self):
+        from scipy.optimize import minimize
+        f = lambda t: abs(t[0] - 2.0) + (t[1] + 1.0) ** 2  # noqa: E731
+        for maxfev, maxiter in ((1, 10), (2, 10), (7, 2000), (60, 2000), (4000, 9)):
+            want = minimize(f, np.array([1.0, 0.0]), method="Nelder-Mead",
+                            options={"xatol": 1e-9, "fatol": 1e-14, "maxiter": maxiter,
+                                     "maxfev": maxfev})
+            got = nelder_mead(f, np.array([1.0, 0.0]), xatol=1e-9, fatol=1e-14,
+                              maxiter=maxiter, maxfev=maxfev)
+            assert got.x.tobytes() == want.x.tobytes() and got.fun == want.fun
+            assert (got.nfev, got.success) == (want.nfev, want.success) == (got.nfev, False)
 
 
 class TestMcExpectation:

@@ -23,6 +23,10 @@ KEPT = {
                     "as the parser's inverse",
     "format_functional": "the spec grammar's printer (round-trip properties)",
     "format_dist": "the spec grammar's printer (round-trip properties)",
+    "sample_iid": "the n draws as one array, for callers that hold them; the benchmark "
+                  "traces it, and sample_chunks is defined as its stream",
+    "expected_ident_curve": "the identification curve of held draws, the streamed curve's "
+                            "reference; the benchmark traces it",
 }
 
 
