@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -125,11 +126,12 @@ def _read_csv(path: str, columns):
     large blocks, from a handle it pulls one line at a time through Python,
     which takes 13-37% more time on a 1e6-row file. The path is made
     absolute, so numpy never takes it for a URL. A pipe, or a name with a
-    suffix numpy would decompress by, goes as the handle, which numpy reads
-    on from the header's end (``_numpy_reads_by_path``). A body numpy
-    rejects is parsed again by ``_read_rows``, which also accepts the few
-    forms only ``float`` takes (such as ``1_000``), so every file gives the
-    arrays ``float`` gives.
+    suffix numpy would decompress by, goes as a handle, which numpy reads
+    on from the header's end (``_numpy_reads_by_path``); a pipe's bytes are
+    read once and held, a byte a character, since a pipe cannot be read
+    again. A body numpy rejects is parsed again by ``_read_rows``, which
+    also accepts the few forms only ``float`` takes (such as ``1_000``), so
+    every file gives the arrays ``float`` gives.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -137,10 +139,14 @@ def _read_csv(path: str, columns):
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
         try:
-            positions, skip = _read_header(fh, path, columns)
-            source = os.path.abspath(path)
-            if not _numpy_reads_by_path(fh, path):
-                source, skip = fh, 0
+            source = os.path.abspath(path) if _numpy_reads_by_path(fh, path) else None
+            body = fh
+            if not fh.seekable():  # a pipe reads once: its bytes are held for the fallback
+                body = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8",
+                                        newline="")
+            positions, skip = _read_header(body, path, columns)
+            if source is None:
+                source, skip = body, 0
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -149,8 +155,8 @@ def _read_csv(path: str, columns):
                                        comments=None, ndmin=2, dtype=float)
                 values = [np.ascontiguousarray(col) for col in table.T]
             except ValueError:
-                fh.seek(0)
-                values = _read_rows(fh, path, columns, _read_header(fh, path, columns)[0])
+                body.seek(0)
+                values = _read_rows(body, path, columns, _read_header(body, path, columns)[0])
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:

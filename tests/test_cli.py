@@ -300,6 +300,18 @@ class TestCsvInput:
         assert [got[c].tobytes() for c in want] == [want[c].tobytes() for c in want]
         assert len(want["y"]) == 3000
 
+    @pytest.mark.parametrize("cell, code, message", [
+        ("1_000", 0, '"average_score": 497005.0'),
+        ("abc", 2, "/dev/stdin: row 3: cannot parse y='abc'")])
+    def test_a_piped_body_numpy_rejects_is_read_again(self, cell, code, message):
+        # the fallback parses the body a second time, which a pipe cannot give
+        proc = subprocess.run([sys.executable, "-m", "elicit", "score", "--score", "se",
+                               "--data", "/dev/stdin"], input=f"y,z\n1,2\n{cell},3\n",
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert message in (proc.stdout if code == 0 else proc.stderr)
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("rows", [1, 5000])
     def test_not_utf8_is_a_data_error(self, tmp_path, capsys, rows):
         # with 5000 rows the bad byte lies past the first block read
