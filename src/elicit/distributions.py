@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .intervals import Interval
-from .numerics import Seed, make_rng
-
-CHUNK = 2**16  # draws a streamed pass holds at once (see sample_chunks)
+from .numerics import CHUNK, Seed, make_rng
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)

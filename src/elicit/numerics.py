@@ -20,6 +20,7 @@ from .errors import BracketingError, EvaluationError, ParameterError
 # Seeds are plain nonnegative integers fed to numpy's SeedSequence; equal
 # seed + equal inputs gives a bit-identical draw stream.
 Seed = int
+CHUNK = 2**16  # draws a streamed pass holds at once (see distributions.sample_chunks)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 400

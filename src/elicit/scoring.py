@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import CHUNK
 from .errors import DomainError, ElicitError, EvaluationError, ParameterError
+from .numerics import CHUNK
 from .sweep import (Held, Piecewise, SortedStats, Stats, StreamedStats, WindowStats, per_row,
                     piece)
 from .transforms import Bijection

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import shlex
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, SpecParseError
-from .functionals import KINDS, FunctionalSpec
-from .identification import IDENT_FAMILIES, IdentSpec
 from .numerics import Bracket
 from .scoring import FAMILIES, ScoreSpec, TransformMode, convex_generator, family_options
 from .transforms import Bijection, catalog, format_number
-from . import distributions as dist_mod
+
+if TYPE_CHECKING:  # the parsers import these when they run, not at start-up
+    from .functionals import FunctionalSpec
+    from .identification import IdentSpec
 
 
 def _numbers(args: str, what: str, text: str) -> list:
@@ -124,26 +126,36 @@ def format_score(spec: ScoreSpec) -> str:
 
 
 def parse_ident(text: str) -> IdentSpec:
+    from .identification import IDENT_FAMILIES, IdentSpec
+
     return _parse(text, "identification", IDENT_FAMILIES,
                   lambda family, mode, **kw: IdentSpec(family, transform=mode, **kw))
 
 
 def format_ident(spec: IdentSpec) -> str:
+    from .identification import IDENT_FAMILIES
+
     return _format(spec.family, IDENT_FAMILIES, dict(tau=spec.tau), spec.transform)
 
 
 def parse_functional(text: str) -> FunctionalSpec:
+    from .functionals import KINDS, FunctionalSpec
+
     return _parse(text, "functional", KINDS, lambda kind, mode, **kw: FunctionalSpec(kind, **kw),
                   modes=False)
 
 
 def format_functional(spec: FunctionalSpec) -> str:
+    from .functionals import KINDS
+
     return _format(spec.kind, KINDS, dict(tau=spec.tau, g=spec.g))
 
 
-_DISTS = {"normal": dist_mod.Normal, "lognormal": dist_mod.Lognormal,
-          "exponential": dist_mod.Exponential, "uniform": dist_mod.Uniform,
-          "empirical": dist_mod.Empirical}
+def _dists() -> dict:
+    from . import distributions as d
+
+    return {"normal": d.Normal, "lognormal": d.Lognormal, "exponential": d.Exponential,
+            "uniform": d.Uniform, "empirical": d.Empirical}
 
 
 def parse_dist(text: str):
@@ -151,12 +163,13 @@ def parse_dist(text: str):
     if "(" not in text or not text.endswith(")"):
         raise SpecParseError(f"distribution spec needs parameters: {text!r}")
     name, args = text[:-1].split("(", 1)
-    cls = _DISTS.get(name.strip().lower())
+    key = name.strip().lower()
+    cls = _dists().get(key)
     if cls is None:
         raise SpecParseError(f"unknown distribution {name.strip()!r}")
     params = _numbers(args, "distribution parameters", text)
     try:
-        return cls(tuple(params)) if cls is dist_mod.Empirical else cls(*params)
+        return cls(tuple(params)) if key == "empirical" else cls(*params)
     except TypeError as exc:
         raise SpecParseError(f"{text!r}: expects {len(dataclasses.fields(cls))} "
                              f"parameter(s): {exc}") from exc
@@ -165,7 +178,7 @@ def parse_dist(text: str):
 
 
 def format_dist(dist) -> str:
-    name = next((k for k, cls in _DISTS.items() if type(dist) is cls), None)
+    name = next((k for k, cls in _dists().items() if type(dist) is cls), None)
     if name is None:
         raise SpecParseError(f"unknown distribution object {dist!r}")
     params = dist.values if name == "empirical" else \

@@ -32,6 +32,15 @@ _CHUNK = 64 * BLOCK  # draws per basis evaluation, so its columns and products s
 _SCRATCH = 5 * _CHUNK  # values of a streamed chunk's columns and products at once: quad's 5 rows
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted ``a``, in order: ``np.unique(a)``,
+    whose first call imports ``numpy.ma``."""
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class Piecewise(NamedTuple):
     """P functions of the draws: row p takes coefficients ``lo[p]`` on sorted
     positions below ``cut[p]`` and ``hi[p]`` on the rest. Families without a
@@ -163,7 +172,7 @@ def _sums_below(w: np.ndarray, cut: np.ndarray, basis: Callable, pairs: list) ->
     d = len(basis(w[:1]))
     rows = d + len(pairs)
     y = np.empty((rows, min(w.size, _SCRATCH // max(rows, 1))))
-    starts = np.unique(np.concatenate(([0], cut[cut < w.size])))  # of the segments
+    starts = _distinct(np.concatenate(([0], cut[cut < w.size])))  # of the segments
     seg = np.zeros((starts.size, rows))
     for s in range(0, w.size if d else 0, y.shape[1]):
         part = w[s:s + y.shape[1]]
@@ -220,7 +229,7 @@ class StreamedStats(Stats):
     (lo, hi], as ``held``; :class:`WindowStats` serves any point there."""
 
     def __init__(self, chunks, centred: Callable, points=(), hold: Callable | None = None):
-        self.points = np.unique(np.asarray(points, dtype=float))
+        self.points = _distinct(np.sort(np.asarray(points, dtype=float), axis=None))
         self.centred, self.hold = centred, hold
         self.n, self.lo, self.hi, self.held = 0, np.inf, -np.inf, None
         for w in chunks:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -526,6 +525,8 @@ def run_suite(configs, parallelism: int = 1):
     configs = list(configs)
     if parallelism <= 1 or len(configs) <= 1:
         return [_run_guarded(cfg) for cfg in configs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
         return list(pool.map(_run_guarded, configs))
 

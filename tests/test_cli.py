@@ -649,3 +649,40 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split("\n") == ["[]", "[]", "0", ""]
     assert json.loads((tmp_path / "fit.json").read_text())["converged"]
+    # nor do score and fit run the modules of the other commands, or compile
+    # them: the package holds each submodule in sys.modules unexecuted until
+    # it is first read, so a module ran once it is a plain module
+    zy = write_csv(tmp_path / "zy.csv", [[1.0 + v, 1.5 + v] for v in range(5)], ["y", "z"])
+    calls = [["fit", "--model", "constant", "--score", "se@both:log", "--data", zy],
+             ["score", "--score", "se@both:log", "--skill", "g-climatology", "--data", zy],
+             ["score", "--score", "apl:tau=0.9", "--skill", "climatology", "--data", zy]]
+    assert _modules_run(calls, tmp_path, NOT_RUN_BY_SCORE_OR_FIT) == []
+
+
+# Modules that score and fit do not run: each costs a process its import.
+NOT_RUN_BY_SCORE_OR_FIT = ("elicit.verify", "elicit.functionals", "elicit.identification",
+                           "elicit.distributions", "concurrent.futures", "numpy.random",
+                           "numpy.ma")
+
+
+def _modules_run(calls, tmp_path, watched) -> list:
+    """The modules of ``watched`` that ran in one fresh process making the
+    CLI calls ``calls``, each of which must exit 0."""
+    out = str(tmp_path / "out.json")
+    code = (f"import sys, types, elicit.cli\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert elicit.cli.main([*argv, '--out', {out!r}]) == 0, argv\n"
+            f"print([m for m in {watched!r} if type(sys.modules.get(m)) is types.ModuleType])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.replace("'", '"'))
+
+
+def test_a_serial_verify_run_starts_no_pool_and_imports_no_masked_arrays(tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("kind=consistency dist=normal(0,1) score=se functional=mean bracket=-2,2 "
+                     "n=10000\n"
+                     "kind=consistency dist=normal(0,1) score=ae functional=quantile:tau=0.5 bracket=-2,2 "
+                     "n=10000\n")
+    calls = [["verify", "--suite", str(suite), "--jobs", "1"]]
+    assert _modules_run(calls, tmp_path, ("numpy.ma", "concurrent.futures")) == []

@@ -354,7 +354,7 @@ def test_jobs_over_the_cap_exit_2_before_anything_runs(tmp_path, capsys, monkeyp
     def never(*args, **kwargs):
         raise AssertionError("the cap must stop the run before it samples")
 
-    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr("elicit.verify.run_suite", never)  # the command imports it as it runs
     n = _over_cap_n("consistency") // 2 + 1  # one line fits, two together do not
     suite = tmp_path / "suite.txt"
     suite.write_text("".join(f"kind=consistency dist=normal(0,1) score=se functional=mean "
@@ -372,7 +372,7 @@ def test_curve_streams_so_its_n_has_no_cap(monkeypatch):
     def sampled(dist, n, seed):
         raise Sampled(n)
 
-    monkeypatch.setattr(cli, "sample_chunks", sampled)
+    monkeypatch.setattr("elicit.distributions.sample_chunks", sampled)
     n = _over_cap_n("consistency")
     with pytest.raises(Sampled, match=str(n)):
         cli.main(["curve", "--score", "apl:tau=0.9", "--dist", "normal(0,1)", "--bracket=-1,1",

@@ -1,7 +1,8 @@
 """Nothing sits in the package that nothing uses.
 
 Every top-level function and class of ``src/elicit/`` and every name that
-``elicit/__init__.py`` exports must be referenced (read as a name or an
+``elicit/__init__.py`` exports (its ``_EXPORTS`` table, which the package
+resolves on first read) must be referenced (read as a name or an
 attribute) somewhere in ``src/elicit/`` outside ``__init__.py`` and outside
 its own definition, or be listed in ``KEPT`` with the reason it stays. An
 import alone is not a reference. Names are matched by spelling, so a
@@ -32,14 +33,13 @@ KEPT = {
 
 def _surface():
     """(defined, exported, references): top-level definitions as name ->
-    (file, first line, last line), the names ``__init__`` imports, and every
-    (name, file, line) read outside ``__init__``."""
+    (file, first line, last line), the names of ``__init__``'s export
+    table, and every (name, file, line) read outside ``__init__``."""
     defined, exported, references = {}, set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name == "__init__.py":
-            exported |= {alias.asname or alias.name for node in tree.body
-                         if isinstance(node, ast.ImportFrom) for alias in node.names}
+            exported |= set(_export_table(tree))
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -49,6 +49,56 @@ def _surface():
                 name = node.id if isinstance(node, ast.Name) else node.attr
                 references.append((name, path.name, node.lineno))
     return defined, exported, references
+
+
+def _export_table(tree) -> dict:
+    """``__init__``'s ``_EXPORTS`` (module -> names), as name -> module."""
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"])
+    return {name: module for module, names in table.items() for name in names}
+
+
+# The names ``elicit`` exported when it imported them eagerly; none may go.
+EXPORTED_BEFORE_LAZY_INIT = {
+    "distributions": "DistributionSpec Empirical Exponential Lognormal Normal Uniform sample_iid",
+    "errors": "BracketingError DataError DegenerateReferenceError DomainError ElicitError "
+              "EvaluationError ParameterError SpecParseError",
+    "estimation": "FitResult ModelSpec fit",
+    "evaluation": "climatology_predictions nse skill_score transformed_climatology",
+    "functionals": "FunctionalSpec FunctionalValue analytic_functional expectile_exact "
+                   "functional_value pushforward_law scalar_value",
+    "identification": "IdentSpec OrientationReport builtin_osband_pairings "
+                      "evaluate_identification orientation_probe osband_residual",
+    "intervals": "Interval",
+    "numerics": "Bracket Seed central_diff derive_seed make_rng minimize1d root1d",
+    "scoring": "SQUARE ConvexGenerator ScoreSpec TransformMode average_score convex_generator "
+               "evaluate_score register_convex_generator",
+    "transforms": "Bijection catalog identity",
+    "verify": "CheckConfig VerificationReport builtin_suite check_consistency "
+              "check_identification check_pair_consistency check_realization_transform "
+              "check_revelation check_strictness load_suite_file run_check run_suite "
+              "suite_passed",
+}
+
+
+def test_the_export_set_has_not_shrunk():
+    table = _export_table(ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")))
+    before = {name: module for module, names in EXPORTED_BEFORE_LAZY_INIT.items()
+              for name in names.split()}
+    assert len(before) == 67
+    assert {name: table.get(name) for name in before} == before
+
+
+def test_every_export_resolves_to_its_module():
+    import importlib
+
+    import elicit
+
+    for name, module in _export_table(
+            ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))).items():
+        assert getattr(elicit, name) is getattr(importlib.import_module(f"elicit.{module}"), name)
+        assert name in dir(elicit) and name in elicit.__all__
 
 
 def _unreferenced():
