@@ -43,7 +43,7 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)
 __version__ = "0.1.0"
 
-for _name in (*_EXPORTS, "cli", "specs", "sweep"):
+for _name in (*_EXPORTS, "cli", "numparse", "specs", "sweep"):
     _spec = importlib.machinery.PathFinder.find_spec(f"{__name__}.{_name}", __path__)
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)

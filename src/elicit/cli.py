@@ -256,6 +256,34 @@ def _parse(source, skip: int, positions, parts: int = 1, rows=None) -> list:
                 os.waitpid(pid, 0)
 
 
+def _decode(fh, held, skip: int, positions):
+    """The body's columns as ``numparse.columns`` decodes them, from the
+    pipe's ``held`` bytes or else a read-only map of the regular file
+    ``fh``; or None where it declines the body, the platform fails its
+    rounding argument, or the header's ``skip`` lines hold a carriage
+    return (the line breaks ``csv`` and numpy count may differ there)."""
+    from . import numparse
+
+    if not numparse.supported():
+        return None
+    try:
+        data = held if held is not None else mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # no map of this file
+        return None
+    try:
+        start = 0
+        for _ in range(skip):
+            start = data.find(b"\n", start) + 1
+        if not start or data.find(b"\r", 0, start) >= 0:
+            return None
+        got = numparse.columns(data, start, len(data), positions)
+        return got and got[0]
+    finally:
+        if held is None:
+            with contextlib.suppress(BufferError):  # a view a traceback still holds
+                data.close()
+
+
 def _read_csv(path: str, columns):
     """Read required columns from a CSV file with a header row.
 
@@ -271,8 +299,16 @@ def _read_csv(path: str, columns):
     also accepts the few forms only ``float`` takes (such as ``1_000``), so
     every file gives the arrays ``float`` gives.
 
-    A regular file whose body is at least two parts of ``_PART_BYTES`` is
-    parsed in parts, one process per CPU this process may use, each part by
+    Before all that, a plain body (``numparse``: one width of comma-separated
+    fields, bytes ``0-9 . e E + - ,`` and line breaks only, each cell read
+    ``-?D+(.D+)?([eE][-+]?D+)?``) is decoded in bulk from a read-only map of
+    a regular file or from a pipe's held bytes, bit for bit what ``float``
+    gives; any other body, a compressed name, a header with a carriage
+    return, or a platform whose long double fails the rounding argument,
+    goes the way above, with the same arrays and errors.
+
+    A regular file whose body the decoder declines and is at least two
+    parts of ``_PART_BYTES`` is parsed in parts, one process per CPU this process may use, each part by
     the same numpy call with its own row range (``_parse``). A file with a
     quote in its body, a carriage return, an empty line or a header of more
     than one line, a pipe, a compressed name, a small file, one CPU or a
@@ -286,22 +322,24 @@ def _read_csv(path: str, columns):
     with fh:
         try:
             source = os.path.abspath(path) if _numpy_reads_by_path(fh, path) else None
-            body = fh
+            body, held = fh, None
             if not fh.seekable():  # a pipe reads once: its bytes are held for the fallback
-                body = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8",
-                                        newline="")
+                held = fh.buffer.read()
+                body = io.TextIOWrapper(io.BytesIO(held), encoding="utf-8", newline="")
             positions, skip = _read_header(body, path, columns)
-            parts = _parts(fh, skip) if source else (1, None)
-            if source is None:
-                source, skip = body, 0
-            try:
+            values = _decode(fh, held, skip, positions) if source or held else None
+            if values is None:
+                parts = _parts(fh, skip) if source else (1, None)
+                if source is None:
+                    source, skip = body, 0
                 try:
-                    values = _parse(source, skip, positions, *parts)
-                except ChildProcessError:  # a part was lost: this process parses them all
-                    values = _parse(source, skip, positions)
-            except ValueError:
-                body.seek(0)
-                values = _read_rows(body, path, columns, _read_header(body, path, columns)[0])
+                    try:
+                        values = _parse(source, skip, positions, *parts)
+                    except ChildProcessError:  # a part was lost: this process parses them all
+                        values = _parse(source, skip, positions)
+                except ValueError:
+                    body.seek(0)
+                    values = _read_rows(body, path, columns, _read_header(body, path, columns)[0])
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:

@@ -146,7 +146,9 @@ def test_unequal_line_lengths_lose_no_row(tmp_path_factory, short, long, cpus):
 
 
 def _big_file(tmp_path, rows=400):
-    text = "y,z\n" + "".join(f"{1 + i / 7!r},{1 + i * 1e-3!r}\n" for i in range(rows))
+    """A body that ``numparse`` declines (a cell opens with ``+``), so that
+    numpy parses it in parts."""
+    text = "y,z\n" + "".join(f"+{1 + i / 7!r},{1 + i * 1e-3!r}\n" for i in range(rows))
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
     return str(path)

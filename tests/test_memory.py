@@ -393,3 +393,42 @@ def test_the_appended_expectile_line_catches_swapped_expectile_weights(monkeypat
 
     monkeypatch.setattr(scoring, "_coefficients", swapped)
     assert not run_check(cfg).passed
+
+
+def _csv(path, rows: int, wide: bool) -> int:
+    """A plain CSV of ``rows`` rows of y and z, and with ``wide`` a third,
+    unread column of long cells; its size in bytes."""
+    rng = np.random.default_rng(rows)
+    pad = ",1234567890123456789012345678901234567890" if wide else ""
+    text = "y,z" + (",w" if wide else "") + "\n" + "".join(
+        f"{a!r},{b!r}{pad}\n" for a, b in zip(rng.lognormal(size=rows).tolist(),
+                                               rng.normal(size=rows).tolist()))
+    path.write_text(text, encoding="utf-8")
+    return len(text)
+
+
+def test_the_csv_reader_holds_its_columns_and_no_copy_of_the_body(tmp_path):
+    """A plain body is decoded block by block from a map of the file into
+    the final columns: 8 bytes a row per column read, and nothing that
+    grows with the file's bytes (an unread wide column adds none)."""
+    def peak(rows, wide):
+        path = tmp_path / f"{rows}-{wide}.csv"
+        size = _csv(path, rows, wide)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        data = cli._read_csv(str(path), ["y", "z"])
+        assert len(data["y"]) == rows
+        del data
+        return tracemalloc.get_traced_memory()[1] - start, size
+
+    small, large = 50_000, 200_000
+    tracemalloc.start()
+    try:
+        peak(small, False)
+        (p_small, _), (p_large, b_narrow) = peak(small, False), peak(large, False)
+        p_wide, b_wide = peak(large, True)
+    finally:
+        tracemalloc.stop()
+    slope = (p_large - p_small) / (large - small) / 2  # bytes a row per column read
+    assert slope <= 16, slope
+    assert p_wide - p_large < (b_wide - b_narrow) / 16, (p_wide, p_large, b_wide - b_narrow)
