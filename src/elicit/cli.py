@@ -189,33 +189,34 @@ def _read_into(fd: int, array: np.ndarray) -> None:
         view = view[got:]
 
 
-def _send_part(fd: int, source: str, skip: int, positions, rows) -> None:
-    """In a forked child: parse one part, and write to the pipe ``fd`` its
-    status (1 for a ValueError) and row count, then each column. The child
-    ends here: it never returns into the caller, runs no exit handler and
-    flushes no buffer it shares with its parent."""
+def _send_part(fd: int, work, i: int) -> None:
+    """In a forked child: parse part ``i`` (``work(i)``, its columns), and
+    write to the pipe ``fd`` its status (1 for a ValueError) and row count,
+    then each column. The child ends here: it never returns into the
+    caller, runs no exit handler and flushes no buffer it shares with its
+    parent."""
     try:
         warnings.simplefilter("ignore")
         with open(fd, "wb") as out:
             try:
-                table = _loadtxt(source, skip, positions, rows)
+                table = work(i)
             except ValueError:
                 out.write(np.array([1, 0], dtype=np.int64))
                 return
-            out.write(np.array([0, len(table)], dtype=np.int64))
-            for col in table.T:
+            out.write(np.array([0, len(table[0])], dtype=np.int64))
+            for col in table:
                 out.write(np.ascontiguousarray(col))
     finally:
         os._exit(0)
 
 
-def _parse(source, skip: int, positions, parts: int = 1, rows=None) -> list:
-    """The body's columns, as numpy parses them in ``parts`` parts of ``rows``
-    rows, the last to the end (``_parts``): part 0 in this process, each
-    later one in a forked child that sends its rows back through a pipe.
-    Each column is built once, from the parts in order. A ValueError of any
-    part is raised; a child that is lost raises ChildProcessError. Every
-    child is ended and reaped before this returns."""
+def _parse(work, parts: int = 1) -> list:
+    """The body's columns from ``parts`` parts, ``work(i)`` giving the
+    columns of part i: part 0 in this process, each later one in a forked
+    child that sends its rows back through a pipe. Each column is built
+    once, from the parts in order. A ValueError of any part is raised; a
+    child that is lost raises ChildProcessError. Every child is ended and
+    reaped before this returns."""
     children = []  # (pid, read end of its pipe), in part order
     try:
         for i in range(1, parts):
@@ -227,20 +228,20 @@ def _parse(source, skip: int, positions, parts: int = 1, rows=None) -> list:
                 os.close(w)
                 raise ChildProcessError(f"cannot start a part's process: {exc}") from exc
             if not pid:
-                _send_part(w, source, skip + i * rows, positions, rows if i < parts - 1 else None)
+                _send_part(w, work, i)
             os.close(w)
             children.append((pid, r))
-        first = _loadtxt(source, skip, positions, rows)
+        first = work(0)
         if not children:
-            return [np.ascontiguousarray(col) for col in first.T]
+            return [np.ascontiguousarray(col) for col in first]
         heads = [np.empty(2, dtype=np.int64) for _ in children]
         for (_, r), head in zip(children, heads):
             _read_into(r, head)
             if head[0]:
-                raise ValueError("a part of the body holds a row numpy rejects")
-        end = len(first)
-        columns = [np.empty(end + int(sum(head[1] for head in heads))) for _ in positions]
-        for col, values in zip(columns, first.T):
+                raise ValueError("a part of the body holds a row the parser rejects")
+        end = len(first[0])
+        columns = [np.empty(end + int(sum(head[1] for head in heads))) for _ in first]
+        for col, values in zip(columns, first):
             col[:end] = values
         del first
         for (_, r), head in zip(children, heads):
@@ -256,12 +257,39 @@ def _parse(source, skip: int, positions, parts: int = 1, rows=None) -> list:
                 os.waitpid(pid, 0)
 
 
+def _numpy_parts(source, skip: int, positions, parts: int = 1, rows=None):
+    """The ``work`` of ``_parse`` for numpy's reader: ``parts`` parts of
+    ``rows`` rows each (``_parts``), the last to the end."""
+    def work(i):
+        return _loadtxt(source, skip + i * (rows or 0), positions,
+                        rows if i < parts - 1 else None).T
+    return work
+
+
+def _cuts(data, start: int, parts: int) -> list:
+    """Byte offsets that cut ``data[start:]`` into at most ``parts`` parts of
+    about equal size, each starting after a line break."""
+    cuts = [start]
+    for i in range(1, parts):
+        at = data.find(b"\n", start + i * (len(data) - start) // parts) + 1
+        if not at or at >= len(data):
+            break
+        if at > cuts[-1]:
+            cuts.append(at)
+    return cuts + [len(data)]
+
+
 def _decode(fh, held, skip: int, positions):
     """The body's columns as ``numparse.columns`` decodes them, from the
     pipe's ``held`` bytes or else a read-only map of the regular file
     ``fh``; or None where it declines the body, the platform fails its
     rounding argument, or the header's ``skip`` lines hold a carriage
-    return (the line breaks ``csv`` and numpy count may differ there)."""
+    return (the line breaks ``csv`` and numpy count may differ there).
+
+    A body of at least two parts of ``_PART_BYTES`` is cut at line breaks
+    into one part per CPU this process may use, each decoded by ``_parse``
+    (the later ones in forked children); every part must have the first
+    line's number of fields."""
     from . import numparse
 
     if not numparse.supported():
@@ -276,8 +304,28 @@ def _decode(fh, held, skip: int, positions):
             start = data.find(b"\n", start) + 1
         if not start or data.find(b"\r", 0, start) >= 0:
             return None
-        got = numparse.columns(data, start, len(data), positions)
-        return got and got[0]
+        first_end = data.find(b"\n", start)
+        width = data[start:first_end if first_end >= 0 else len(data)].count(b",") + 1
+        parts = min(_cpus(), (len(data) - start) // _PART_BYTES) if hasattr(os, "fork") else 1
+
+        def decode(cuts):
+            def work(i):
+                got = numparse.columns(data, cuts[i], cuts[i + 1], positions, width)
+                if got is None:
+                    raise ValueError("a part of the body is not plain")
+                return got[0]
+            return _parse(work, len(cuts) - 1)
+
+        head = data.find(b"\n", min(start + _SAMPLE_BYTES, len(data))) + 1 or len(data)
+        if parts > 1 and numparse.columns(data, start, head, positions, width) is None:
+            return None  # no child is started for a body its first lines rule out
+        try:
+            try:
+                return decode(_cuts(data, start, max(parts, 1)))
+            except ChildProcessError:  # a part was lost: this process decodes them all
+                return decode([start, len(data)])
+        except ValueError:
+            return None
     finally:
         if held is None:
             with contextlib.suppress(BufferError):  # a view a traceback still holds
@@ -307,8 +355,9 @@ def _read_csv(path: str, columns):
     return, or a platform whose long double fails the rounding argument,
     goes the way above, with the same arrays and errors.
 
-    A regular file whose body the decoder declines and is at least two
-    parts of ``_PART_BYTES`` is parsed in parts, one process per CPU this process may use, each part by
+    A body of at least two parts of ``_PART_BYTES`` is decoded in parts cut
+    at line breaks (``_decode``). A regular file whose body the decoder
+    declines and is at least two parts of ``_PART_BYTES`` is parsed in parts, one process per CPU this process may use, each part by
     the same numpy call with its own row range (``_parse``). A file with a
     quote in its body, a carriage return, an empty line or a header of more
     than one line, a pipe, a compressed name, a small file, one CPU or a
@@ -334,9 +383,9 @@ def _read_csv(path: str, columns):
                     source, skip = body, 0
                 try:
                     try:
-                        values = _parse(source, skip, positions, *parts)
+                        values = _parse(_numpy_parts(source, skip, positions, *parts), parts[0])
                     except ChildProcessError:  # a part was lost: this process parses them all
-                        values = _parse(source, skip, positions)
+                        values = _parse(_numpy_parts(source, skip, positions))
                 except ValueError:
                     body.seek(0)
                     values = _read_rows(body, path, columns, _read_header(body, path, columns)[0])
