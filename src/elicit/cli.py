@@ -357,8 +357,9 @@ def _read_csv(path: str, columns):
 
     A body of at least two parts of ``_PART_BYTES`` is decoded in parts cut
     at line breaks (``_decode``). A regular file whose body the decoder
-    declines and is at least two parts of ``_PART_BYTES`` is parsed in parts, one process per CPU this process may use, each part by
-    the same numpy call with its own row range (``_parse``). A file with a
+    declines and is at least two parts of ``_PART_BYTES`` is parsed in
+    parts, one process per CPU this process may use, each part by the same
+    numpy call with its own row range (``_parse``). A file with a
     quote in its body, a carriage return, an empty line or a header of more
     than one line, a pipe, a compressed name, a small file, one CPU or a
     platform without ``os.fork`` is parsed in one process. Either way the
@@ -372,7 +373,7 @@ def _read_csv(path: str, columns):
         try:
             source = os.path.abspath(path) if _numpy_reads_by_path(fh, path) else None
             body, held = fh, None
-            if not fh.seekable():  # a pipe reads once: its bytes are held for the fallback
+            if not fh.seekable():  # a pipe reads once: its bytes are held
                 held = fh.buffer.read()
                 body = io.TextIOWrapper(io.BytesIO(held), encoding="utf-8", newline="")
             positions, skip = _read_header(body, path, columns)

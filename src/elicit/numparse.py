@@ -22,8 +22,9 @@ nearest v unless a midpoint of two doubles lies between r and v or equals
 r; a midpoint has 0x400 in the low 11 of the 64 significand bits, so a
 cell whose r has 0x3ff, 0x400 or 0x401 there is left to ``float``. With
 M < 10**19 and |e| <= 27 the value is 0 or between 1e-27 and 1e46, so no
-subnormal and no overflow. A cell with M of 10**19 or more, or |e| > 27,
-is also left to ``float``, which parses its bytes.
+subnormal and no overflow. A cell with M of 10**19 or more, a digit run of
+more than 24 digits, an exponent of more than 8 digits, or |e| > 27 is
+also left to ``float``, which parses its bytes.
 
 The argument needs a long double with a 64-bit significand whose
 operations round to it, and little-endian words: ``supported()``.
@@ -31,6 +32,7 @@ operations round to it, and little-endian words: ``supported()``.
 
 from __future__ import annotations
 
+import mmap
 import sys
 
 import numpy as np
@@ -234,6 +236,7 @@ def _block(data, lo: int, hi: int):
 
 
 def _count_lines(data, lo: int, hi: int) -> int:
+    """The lines of ``data[lo:hi]``, a last one without a line break included."""
     lines = 0
     for at in range(lo, hi, 2**20):
         lines += int(np.count_nonzero(data[at:min(at + 2**20, hi)] == _NEWLINE))
@@ -252,10 +255,16 @@ def columns(raw, lo: int, hi: int, positions, width=None):
     rows = _count_lines(data, lo, hi)
     out = [np.empty(rows) for _ in positions]
     row = 0
-    scratch = np.empty(min(BLOCK * 2, hi - lo + 1), np.uint8)
+    scratch = np.empty(min(BLOCK + 2**16, hi - lo + 1), np.uint8)
+    # A map's pages already decoded are let go, so that the process's
+    # resident memory holds about a block of the file, not all it read.
+    release = raw.madvise if isinstance(raw, mmap.mmap) else None
+    released = lo // mmap.PAGESIZE * mmap.PAGESIZE
     start = lo - 1  # each block starts at the line break before its first line
     while start < hi - 1:
-        stop = raw.find(b"\n", start + BLOCK, hi) + 1 or hi if start + BLOCK < hi else hi
+        stop = hi
+        if start + BLOCK < hi:
+            stop = raw.find(b"\n", start + BLOCK, hi) + 1 or hi
         block, base, offset = _block(data, start, stop)
         if block.size > scratch.size:
             scratch = np.empty(block.size, np.uint8)
@@ -279,4 +288,8 @@ def columns(raw, lo: int, hi: int, positions, width=None):
             col[row:row + count] = values
         row += count
         start = stop - 1
+        done = (start - 24) // mmap.PAGESIZE * mmap.PAGESIZE  # the next block reads from here
+        if release is not None and done > released:
+            release(mmap.MADV_DONTNEED, released, done - released)
+            released = done
     return out, width
