@@ -117,13 +117,13 @@ def _read_rows(fh, path: str, columns, positions) -> list:
 
 
 # Bytes of the body a part takes at least, so a body of fewer than two is
-# parsed in one process: in two parts, csv-eval's two-column rows took
-# 0.94-1.44x the one-part time on a 1 MiB body and 0.82-0.83x on 2 MiB
-# (medians of 21, two sets, a 2-core Xeon VM). A part's row count is sized
-# by the mean line of the body's first _SAMPLE_BYTES.
-_PART_BYTES = 2**20
+# decoded in one process: in two parts, csv-eval's two-column rows took
+# 1.05-1.85x the one-part time on a 2 MiB body, 0.91-1.51x on 4 MiB and
+# 0.78-0.80x on 6 MiB (medians of 21 interleaved, two sets, the second CPU
+# busy in part of the first; a 2-core Xeon VM). A body's first
+# _SAMPLE_BYTES are decoded before any part's process is started.
+_PART_BYTES = 3 * 2**20
 _SAMPLE_BYTES = 2**16
-_SCAN_BYTES = 2**18  # bytes searched for an empty line at once
 
 
 def _cpus() -> int:
@@ -134,136 +134,73 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _has_empty_line(data: np.ndarray) -> bool:
-    """Whether the bytes ``data`` hold two line breaks in a row."""
-    for start in range(0, data.size, _SCAN_BYTES):
-        breaks = data[start:start + _SCAN_BYTES + 1] == ord("\n")
-        if (breaks[1:] & breaks[:-1]).any():
-            return True
-    return False
-
-
-def _parts(fh, skip: int) -> tuple:
-    """(k, h): numpy may parse the body of the regular file ``fh`` in k
-    parts of h rows each, the last to the end. That is sound only when a
-    row count cuts every part at the line where the next one starts: a
-    one-line header, and a body in which each line is one row, that is,
-    no quote, no carriage return and no empty line (numpy skips an empty
-    line without counting it). The bytes are searched in place through a
-    map, without a copy; any other file is one part."""
-    size = os.fstat(fh.fileno()).st_size
-    parts = min(_cpus(), size // _PART_BYTES)
-    if skip != 1 or parts < 2 or not hasattr(os, "fork"):
-        return 1, None
-    try:
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except OSError:
-        return 1, None
-    start = data.find(b"\n") + 1
-    if (not start or data.find(b"\r") >= 0 or data.find(b'"', start) >= 0
-            or _has_empty_line(np.frombuffer(data, np.uint8, offset=start - 1))):
-        return 1, None
-    sample = data[start:start + _SAMPLE_BYTES]
-    parts = min(parts, (size - start) // _PART_BYTES)
-    lines = sample.count(b"\n")
-    if parts < 2 or not lines:
-        return 1, None
-    return parts, -(-(size - start) * lines // (len(sample) * parts))
-
-
-def _loadtxt(source, skip: int, positions, rows=None) -> np.ndarray:
+def _loadtxt(source, skip: int, positions) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(source, skiprows=skip, max_rows=rows, encoding="utf-8",
-                          delimiter=",", usecols=positions, quotechar='"', comments=None,
-                          ndmin=2, dtype=float)
+        return np.loadtxt(source, skiprows=skip, encoding="utf-8", delimiter=",",
+                          usecols=positions, quotechar='"', comments=None, ndmin=2,
+                          dtype=float)
 
 
-def _read_into(fd: int, array: np.ndarray) -> None:
-    """Fill the contiguous ``array`` from the pipe ``fd``."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise ChildProcessError("a part's process ended before it sent its rows")
-        view = view[got:]
-
-
-def _send_part(fd: int, work, i: int) -> None:
-    """In a forked child: parse part ``i`` (``work(i)``, its columns), and
-    write to the pipe ``fd`` its status (1 for a ValueError) and row count,
-    then each column. The child ends here: it never returns into the
-    caller, runs no exit handler and flushes no buffer it shares with its
-    parent."""
+def _decode_part(decode, i: int) -> None:
+    """In a forked child: decode part ``i`` and end with status 0, or 1 if
+    the part is not plain; any other end (an error, a signal) is a lost
+    part. The child never returns into the caller, runs no exit handler
+    and flushes no buffer it shares with its parent."""
+    status = 2
     try:
         warnings.simplefilter("ignore")
-        with open(fd, "wb") as out:
-            try:
-                table = work(i)
-            except ValueError:
-                out.write(np.array([1, 0], dtype=np.int64))
-                return
-            out.write(np.array([0, len(table[0])], dtype=np.int64))
-            for col in table:
-                out.write(np.ascontiguousarray(col))
+        status = 0 if decode(i) else 1
     finally:
-        os._exit(0)
+        os._exit(status)
 
 
-def _parse(work, parts: int = 1) -> list:
-    """The body's columns from ``parts`` parts, ``work(i)`` giving the
-    columns of part i: part 0 in this process, each later one in a forked
-    child that sends its rows back through a pipe. Each column is built
-    once, from the parts in order. A ValueError of any part is raised; a
-    child that is lost raises ChildProcessError. Every child is ended and
-    reaped before this returns."""
-    children = []  # (pid, read end of its pipe), in part order
+def _parse(data, cuts, positions, width: int) -> list:
+    """The columns ``numparse.columns`` decodes from the body
+    ``data[cuts[0]:cuts[-1]]``, in the parts between consecutive ``cuts``
+    (each after a line break): part 0 in this process, each later one in a
+    forked child. The columns are counted out first and made in a map
+    shared with the children, and each part is decoded into its own rows
+    of them, so no part is copied. A part that is not plain raises
+    ValueError; a child that is lost, or that cannot be started, raises
+    ChildProcessError. Every child is ended and reaped before this
+    returns."""
+    from . import numparse
+
+    ends = np.cumsum([0] + [numparse.lines(data, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+    size = int(ends[-1]) * len(positions)
+    shared = mmap.mmap(-1, 8 * size or 1)  # anonymous, shared with the children
+    table = np.frombuffer(shared, np.float64, size).reshape(len(positions), -1)
+
+    def decode(i):
+        rows = [col[ends[i]:ends[i + 1]] for col in table]
+        return numparse.columns(data, cuts[i], cuts[i + 1], positions, width, rows)
+
+    children = []  # in part order
     try:
-        for i in range(1, parts):
-            r, w = os.pipe()
+        for i in range(1, len(cuts) - 1):
             try:
                 pid = os.fork()
             except OSError as exc:
-                os.close(r)
-                os.close(w)
                 raise ChildProcessError(f"cannot start a part's process: {exc}") from exc
             if not pid:
-                _send_part(w, work, i)
-            os.close(w)
-            children.append((pid, r))
-        first = work(0)
-        if not children:
-            return [np.ascontiguousarray(col) for col in first]
-        heads = [np.empty(2, dtype=np.int64) for _ in children]
-        for (_, r), head in zip(children, heads):
-            _read_into(r, head)
-            if head[0]:
-                raise ValueError("a part of the body holds a row the parser rejects")
-        end = len(first[0])
-        columns = [np.empty(end + int(sum(head[1] for head in heads))) for _ in first]
-        for col, values in zip(columns, first):
-            col[:end] = values
-        del first
-        for (_, r), head in zip(children, heads):
-            for col in columns:
-                _read_into(r, col[end:end + head[1]])
-            end += head[1]
-        return columns
+                _decode_part(decode, i)
+            children.append(pid)
+        if not decode(0):
+            raise ValueError("a part of the body is not plain")
+        while children:
+            status = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            del children[0]
+            if status == 1:
+                raise ValueError("a part of the body is not plain")
+            if status:
+                raise ChildProcessError(f"a part's process ended with status {status}")
+        return list(table)
     finally:
-        for pid, r in children:
-            os.close(r)
+        for pid in children:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)  # one still parsing ends now
+                os.kill(pid, signal.SIGKILL)  # one still decoding ends now
                 os.waitpid(pid, 0)
-
-
-def _numpy_parts(source, skip: int, positions, parts: int = 1, rows=None):
-    """The ``work`` of ``_parse`` for numpy's reader: ``parts`` parts of
-    ``rows`` rows each (``_parts``), the last to the end."""
-    def work(i):
-        return _loadtxt(source, skip + i * (rows or 0), positions,
-                        rows if i < parts - 1 else None).T
-    return work
 
 
 def _cuts(data, start: int, parts: int) -> list:
@@ -288,8 +225,9 @@ def _decode(fh, held, skip: int, positions):
 
     A body of at least two parts of ``_PART_BYTES`` is cut at line breaks
     into one part per CPU this process may use, each decoded by ``_parse``
-    (the later ones in forked children); every part must have the first
-    line's number of fields."""
+    (the later ones in forked children), once its first ``_SAMPLE_BYTES``
+    are decoded; every part must have the first line's number of
+    fields."""
     from . import numparse
 
     if not numparse.supported():
@@ -307,25 +245,18 @@ def _decode(fh, held, skip: int, positions):
         first_end = data.find(b"\n", start)
         width = data[start:first_end if first_end >= 0 else len(data)].count(b",") + 1
         parts = min(_cpus(), (len(data) - start) // _PART_BYTES) if hasattr(os, "fork") else 1
-
-        def decode(cuts):
-            def work(i):
-                got = numparse.columns(data, cuts[i], cuts[i + 1], positions, width)
-                if got is None:
-                    raise ValueError("a part of the body is not plain")
-                return got[0]
-            return _parse(work, len(cuts) - 1)
-
-        head = data.find(b"\n", min(start + _SAMPLE_BYTES, len(data))) + 1 or len(data)
-        if parts > 1 and numparse.columns(data, start, head, positions, width) is None:
-            return None  # no child is started for a body its first lines rule out
-        try:
+        if parts > 1:
+            head = data.find(b"\n", min(start + _SAMPLE_BYTES, len(data))) + 1 or len(data)
+            if numparse.columns(data, start, head, positions, width) is None:
+                return None  # no child is started for a body its first lines rule out
             try:
-                return decode(_cuts(data, start, max(parts, 1)))
+                return _parse(data, _cuts(data, start, parts), positions, width)
+            except ValueError:
+                return None
             except ChildProcessError:  # a part was lost: this process decodes them all
-                return decode([start, len(data)])
-        except ValueError:
-            return None
+                pass
+        got = numparse.columns(data, start, len(data), positions, width)
+        return got and got[0]
     finally:
         if held is None:
             with contextlib.suppress(BufferError):  # a view a traceback still holds
@@ -353,17 +284,11 @@ def _read_csv(path: str, columns):
     a regular file or from a pipe's held bytes, bit for bit what ``float``
     gives; any other body, a compressed name, a header with a carriage
     return, or a platform whose long double fails the rounding argument,
-    goes the way above, with the same arrays and errors.
-
-    A body of at least two parts of ``_PART_BYTES`` is decoded in parts cut
-    at line breaks (``_decode``). A regular file whose body the decoder
-    declines and is at least two parts of ``_PART_BYTES`` is parsed in
-    parts, one process per CPU this process may use, each part by the same
-    numpy call with its own row range (``_parse``). A file with a
-    quote in its body, a carriage return, an empty line or a header of more
-    than one line, a pipe, a compressed name, a small file, one CPU or a
-    platform without ``os.fork`` is parsed in one process. Either way the
-    numbers come back bit for bit, and a bad row is named the same.
+    goes the way above, in one process, with the same arrays and errors.
+    A plain body of at least two parts of ``_PART_BYTES`` is decoded in
+    parts cut at line breaks, one process per CPU this process may use
+    (``_decode``); one CPU or a platform without ``os.fork`` decodes it in
+    one process.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -379,14 +304,11 @@ def _read_csv(path: str, columns):
             positions, skip = _read_header(body, path, columns)
             values = _decode(fh, held, skip, positions) if source or held else None
             if values is None:
-                parts = _parts(fh, skip) if source else (1, None)
                 if source is None:
                     source, skip = body, 0
                 try:
-                    try:
-                        values = _parse(_numpy_parts(source, skip, positions, *parts), parts[0])
-                    except ChildProcessError:  # a part was lost: this process parses them all
-                        values = _parse(_numpy_parts(source, skip, positions))
+                    values = [np.ascontiguousarray(col)
+                              for col in _loadtxt(source, skip, positions).T]
                 except ValueError:
                     body.seek(0)
                     values = _read_rows(body, path, columns, _read_header(body, path, columns)[0])

@@ -27,7 +27,8 @@ more than 24 digits, an exponent of more than 8 digits, or |e| > 27 is
 also left to ``float``, which parses its bytes.
 
 The argument needs a long double with a 64-bit significand whose
-operations round to it, and little-endian words: ``supported()``.
+operations round to it, stored in 16 bytes of little-endian words (the
+midpoint test reads its low word): ``supported()``.
 """
 
 from __future__ import annotations
@@ -85,10 +86,12 @@ _POW10_LD = np.array([10**k for k in range(28)], np.longdouble)  # exact: 5**27 
 
 def supported() -> bool:
     """Whether this platform's long double rounds to a 64-bit significand and
-    its words are little-endian, as the rounding argument needs."""
+    takes 16 bytes of little-endian words, as the rounding argument and the
+    midpoint test need (a 12-byte long double, as on 32-bit x86, is not
+    read as two words)."""
     one = np.longdouble(1)
-    return (np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
-            and one + np.longdouble(2.0**-63) != one)
+    return (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+            and sys.byteorder == "little" and one + np.longdouble(2.0**-63) != one)
 
 
 def _digits(base, ends, lengths):
@@ -235,25 +238,30 @@ def _block(data, lo: int, hi: int):
     return base[24:hi - lo + 24 + (data[hi - 1] != _NEWLINE)], base, 24
 
 
-def _count_lines(data, lo: int, hi: int) -> int:
-    """The lines of ``data[lo:hi]``, a last one without a line break included."""
-    lines = 0
+def lines(raw, lo: int, hi: int) -> int:
+    """The lines of ``raw[lo:hi]`` (``lo < hi``), a last one without a line
+    break included."""
+    data = np.frombuffer(raw, np.uint8)
+    count = 0
     for at in range(lo, hi, 2**20):
-        lines += int(np.count_nonzero(data[at:min(at + 2**20, hi)] == _NEWLINE))
-    return lines + (data[hi - 1] != _NEWLINE)
+        count += int(np.count_nonzero(data[at:min(at + 2**20, hi)] == _NEWLINE))
+    return count + (data[hi - 1] != _NEWLINE)
 
 
-def columns(raw, lo: int, hi: int, positions, width=None):
+def columns(raw, lo: int, hi: int, positions, width=None, out=None):
     """(columns, width): the cells at ``positions`` of each line of the body
     ``raw[lo:hi]`` as float64 columns, and the lines' number of fields; or
     None if the body is empty or not plain. ``raw`` is a bytes-like object
     with ``find`` (bytes, an mmap) whose byte ``lo - 1`` is a line break.
-    With ``width`` given, lines of another number of fields are declined."""
+    With ``width`` given, lines of another number of fields are declined.
+    With ``out`` given (one float64 array a position, of ``lines(raw, lo,
+    hi)`` rows), the columns are written there; a declined body may leave
+    some of them written."""
     if hi <= lo:
         return None
     data = np.frombuffer(raw, np.uint8)
-    rows = _count_lines(data, lo, hi)
-    out = [np.empty(rows) for _ in positions]
+    if out is None:
+        out = [np.empty(lines(raw, lo, hi)) for _ in positions]
     row = 0
     scratch = np.empty(min(BLOCK + 2**16, hi - lo + 1), np.uint8)
     # A map's pages already decoded are let go, so that the process's

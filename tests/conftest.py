@@ -1,3 +1,6 @@
+import os
+
+import pytest
 from hypothesis import settings
 
 ACCEPTANCE_LINES = []
@@ -22,3 +25,11 @@ def pytest_terminal_summary(terminalreporter):
 settings.register_profile("elicit", derandomize=True, database=None, deadline=None,
                           max_examples=25)
 settings.load_profile("elicit")
+
+
+@pytest.fixture
+def no_child_is_left():
+    """After the test, this process has no child, and no zombie, left."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,11 +1,14 @@
-"""The parted parse of a large CSV body (``cli._parts``, ``cli._parse``):
-a body cut into parts by row count, each later part parsed in a forked
-child, gives the arrays, the errors and the output of the one-part parse,
-bit for bit, and leaves no child behind.
+"""The parted decode of a large plain CSV body (``cli._decode``,
+``cli._parse``): a body cut at line breaks into parts, each later part
+decoded in a forked child into columns shared with this process, gives the
+arrays, the errors and the output of the one-process read, bit for bit,
+and leaves no child behind. A body the decoder declines is read in one
+process, and a part that is lost is decoded again in this one.
 
 The part size is patched down to tens or hundreds of bytes and the CPU
 count to 2 or 3, so that small files take the parted path."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -14,20 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elicit import cli
+from elicit import cli, numparse
 from elicit.errors import DataError
+
+pytestmark = [pytest.mark.usefixtures("no_child_is_left"),
+              pytest.mark.skipif(not numparse.supported(),
+                                 reason="the decoder needs an x87 long double")]
 
 NUMBER_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                          st.integers(-10**18, 10**18).map(str),
                          st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-30, 30)))
 NAMES = ["a", "b", "c"]
-
-
-@pytest.fixture(autouse=True)
-def no_child_is_left():
-    yield
-    with pytest.raises(ChildProcessError):  # no child, and no zombie, is left
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _outcome(path, columns):
@@ -46,14 +46,13 @@ def _one_part(path, columns):
 
 def _parted(path, columns, cpus, part_bytes=64):
     """``_outcome`` with ``cpus`` CPUs and parts of ``part_bytes``, and the
-    (k, h) that ``_parts`` chose."""
+    number of part processes started."""
+    forks, fork = [], os.fork
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_cpus", lambda: cpus)
         mp.setattr(cli, "_PART_BYTES", part_bytes)
-        with open(path, encoding="utf-8", newline="") as fh:
-            fh.readline()
-            chosen = cli._parts(fh, 1)
-        return _outcome(path, columns), chosen
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return _outcome(path, columns), len(forks)
 
 
 def _write(tmp_path_factory, text):
@@ -81,10 +80,10 @@ def plain_bodies(draw, min_rows=20):
 def test_the_parted_arrays_are_the_one_part_arrays(tmp_path_factory, body, cpus, part_bytes):
     text, used = body
     path = _write(tmp_path_factory, text)
-    got, (parts, _) = _parted(path, used, cpus, part_bytes)
+    got, forks = _parted(path, used, cpus, part_bytes)
     assert got == _one_part(path, used)
     body_bytes = len(text.encode()) - text.index("\n") - 1
-    assert parts == max(1, min(cpus, body_bytes // part_bytes))
+    assert forks < max(1, min(cpus, body_bytes // part_bytes))  # a long line may join parts
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,9 +108,9 @@ def test_irregular_bodies_give_what_one_part_gives(tmp_path_factory, body, cpus,
     else:
         lines.insert(at, data.draw(st.sampled_from([" ", "\t", "  \t "])))
     path = _write(tmp_path_factory, header + "\n" + "\n".join(lines))
-    got, (parts, _) = _parted(path, used, cpus)
+    got, forks = _parted(path, used, cpus)
     assert got == _one_part(path, used)
-    assert (parts > 1) == (kind == "whitespace")  # numpy rejects a blank cell as it stands
+    assert forks == 0  # the body's first lines rule it out before any part starts
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,30 +124,28 @@ def test_a_bad_cell_in_the_last_part_names_the_same_row(tmp_path_factory, body, 
     cells[NAMES.index(used[0])] = "abc"
     lines[bad] = ",".join(cells)
     path = _write(tmp_path_factory, header + "\n" + "\n".join(lines) + "\n")
-    got, (parts, _) = _parted(path, used, cpus)
-    assert parts > 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SAMPLE_BYTES", 64)  # the first lines pass, a later part declines
+        got, forks = _parted(path, used, cpus)
+    assert forks > 0
     assert got == _one_part(path, used) == f"{path}: row {bad + 2}: cannot parse {used[0]}='abc'"
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(20, 200), st.integers(20, 200), st.sampled_from([2, 3]))
 def test_unequal_line_lengths_lose_no_row(tmp_path_factory, short, long, cpus):
-    # the first lines are short, so their mean sizes h for far more rows than
-    # the body holds: h overshoots the first part, and later parts are empty
+    # short lines, then long ones: parts cut at equal byte offsets hold
+    # unequal numbers of rows, and each is written to its own rows
     rows = [f"{i},1" for i in range(short)] + [f"{i}.{'7' * 60},{i}e-5" for i in range(long)]
     path = _write(tmp_path_factory, "a,b\n" + "\n".join(rows) + "\n")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_SAMPLE_BYTES", 64)
-        got, (parts, rows_a_part) = _parted(path, ["a", "b"], cpus)
-    assert parts > 1 and rows_a_part * (parts - 1) > short
+    got, forks = _parted(path, ["a", "b"], cpus)
+    assert forks == cpus - 1
     assert got == _one_part(path, ["a", "b"])
     assert len(got[0]) == 8 * (short + long)
 
 
 def _big_file(tmp_path, rows=400):
-    """A body that ``numparse`` declines (a cell opens with ``+``), so that
-    numpy parses it in parts."""
-    text = "y,z\n" + "".join(f"+{1 + i / 7!r},{1 + i * 1e-3!r}\n" for i in range(rows))
+    text = "y,z\n" + "".join(f"{1 + i / 7!r},{1 + i * 1e-3!r}\n" for i in range(rows))
     path = tmp_path / "f.csv"
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -158,33 +155,35 @@ def _big_file(tmp_path, rows=400):
 def test_a_lost_child_leaves_the_parse_to_this_process(tmp_path, monkeypatch, failure):
     path = _big_file(tmp_path)
     want = _one_part(path, ["y", "z"])
-    parent, loadtxt = os.getpid(), np.loadtxt
+    parent, columns = os.getpid(), numparse.columns
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
             if failure == "exit":
                 os._exit(9)
             raise MemoryError
-        return loadtxt(*args, **kwargs)
+        return columns(*args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", failing)
-    got, (parts, _) = _parted(path, ["y", "z"], 3)
-    assert parts == 3 and got == want
+    monkeypatch.setattr(numparse, "columns", failing)
+    got, forks = _parted(path, ["y", "z"], 3)
+    assert forks == 2 and got == want
 
 
 def test_a_child_that_dies_mid_column_leaves_the_parse_to_this_process(tmp_path, monkeypatch):
     path = _big_file(tmp_path)
     want = _one_part(path, ["y", "z"])
-    parent, ascontiguousarray = os.getpid(), np.ascontiguousarray
+    parent, cells, calls = os.getpid(), numparse._cells, collections.Counter()
 
-    def dying(a, *args, **kwargs):  # after the child wrote its row count
-        if os.getpid() != parent:
+    def dying(*args):  # after the child wrote a block of its rows
+        calls[os.getpid()] += 1
+        if os.getpid() != parent and calls[os.getpid()] > 2:
             os._exit(9)
-        return ascontiguousarray(a, *args, **kwargs)
+        return cells(*args)
 
-    monkeypatch.setattr(np, "ascontiguousarray", dying)
-    got, (parts, _) = _parted(path, ["y", "z"], 2)
-    assert parts == 2 and got == want
+    monkeypatch.setattr(numparse, "BLOCK", 256)
+    monkeypatch.setattr(numparse, "_cells", dying)
+    got, forks = _parted(path, ["y", "z"], 2)
+    assert forks == 1 and got == want
 
 
 def test_no_fork_to_spare_is_one_part(tmp_path, monkeypatch):
@@ -195,6 +194,22 @@ def test_no_fork_to_spare_is_one_part(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert _parted(path, ["y", "z"], 2)[0] == _one_part(path, ["y", "z"])
+
+
+def test_a_fork_that_fails_after_one_part_started_ends_that_part(tmp_path, monkeypatch):
+    path = _big_file(tmp_path)
+    started, fork = [], os.fork
+
+    def second_fails():
+        if started:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        started.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    got, forks = _parted(path, ["y", "z"], 3)
+    assert forks == 2 and started
+    assert got == _one_part(path, ["y", "z"])
 
 
 def test_the_cli_output_is_the_one_part_output(tmp_path):

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from elicit import cli, numparse
 from elicit.errors import DataError
 
-pytestmark = pytest.mark.skipif(not numparse.supported(),
-                                reason="the rounding argument needs an x87 long double")
+pytestmark = [pytest.mark.usefixtures("no_child_is_left"),
+              pytest.mark.skipif(not numparse.supported(),
+                                 reason="the rounding argument needs an x87 long double")]
+
 
 def _decode(cells):
     """The kernel's column of ``cells``, one a line, under a one-line header."""
