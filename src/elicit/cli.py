@@ -150,7 +150,7 @@ def _decode_part(decode, i: int) -> None:
     status = 2
     try:
         warnings.simplefilter("ignore")
-        status = 0 if decode(i) else 1
+        status = 0 if decode(i) is not None else 1
     finally:
         os._exit(status)
 
@@ -186,7 +186,7 @@ def _parse(data, cuts, positions, width: int) -> list:
             if not pid:
                 _decode_part(decode, i)
             children.append(pid)
-        if not decode(0):
+        if decode(0) is None:
             raise ValueError("a part of the body is not plain")
         while children:
             status = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
@@ -255,8 +255,7 @@ def _decode(fh, held, skip: int, positions):
                 return None
             except ChildProcessError:  # a part was lost: this process decodes them all
                 pass
-        got = numparse.columns(data, start, len(data), positions, width)
-        return got and got[0]
+        return numparse.columns(data, start, len(data), positions, width)
     finally:
         if held is None:
             with contextlib.suppress(BufferError):  # a view a traceback still holds

@@ -248,15 +248,14 @@ def lines(raw, lo: int, hi: int) -> int:
     return count + (data[hi - 1] != _NEWLINE)
 
 
-def columns(raw, lo: int, hi: int, positions, width=None, out=None):
-    """(columns, width): the cells at ``positions`` of each line of the body
-    ``raw[lo:hi]`` as float64 columns, and the lines' number of fields; or
-    None if the body is empty or not plain. ``raw`` is a bytes-like object
-    with ``find`` (bytes, an mmap) whose byte ``lo - 1`` is a line break.
-    With ``width`` given, lines of another number of fields are declined.
-    With ``out`` given (one float64 array a position, of ``lines(raw, lo,
-    hi)`` rows), the columns are written there; a declined body may leave
-    some of them written."""
+def columns(raw, lo: int, hi: int, positions, width: int, out=None):
+    """The cells at ``positions`` of each line of the body ``raw[lo:hi]``,
+    whose lines all have ``width`` fields, as float64 columns; or None if
+    the body is empty or not plain. ``raw`` is a bytes-like object with
+    ``find`` (bytes, an mmap) whose byte ``lo - 1`` is a line break. With
+    ``out`` given (one float64 array a position, of ``lines(raw, lo, hi)``
+    rows), the columns are written there; a declined body may leave some
+    of them written."""
     if hi <= lo:
         return None
     data = np.frombuffer(raw, np.uint8)
@@ -283,8 +282,6 @@ def columns(raw, lo: int, hi: int, positions, width=None, out=None):
             return None
         nd += offset
         seps = np.flatnonzero(kind >= _COMMA)
-        if width is None:
-            width = int(np.argmax(kind[seps[1:]] == _END)) + 1
         count = (seps.size - 1) // width
         if (seps.size - 1) % width or not (np.take(kind, seps[::width]) == _END).all() \
                 or np.count_nonzero(kind == _END) != count + 1 or max(positions) >= width:
@@ -300,4 +297,4 @@ def columns(raw, lo: int, hi: int, positions, width=None, out=None):
         if release is not None and done > released:
             release(mmap.MADV_DONTNEED, released, done - released)
             released = done
-    return out, width
+    return out

@@ -20,9 +20,9 @@ pytestmark = [pytest.mark.usefixtures("no_child_is_left"),
 def _decode(cells):
     """The kernel's column of ``cells``, one a line, under a one-line header."""
     raw = ("v\n" + "\n".join(cells) + "\n").encode()
-    got = numparse.columns(raw, 2, len(raw), [0])
+    got = numparse.columns(raw, 2, len(raw), [0], 1)
     assert got is not None, cells
-    return got[0][0]
+    return got[0]
 
 
 def _same(cells):
