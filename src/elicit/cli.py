@@ -81,15 +81,8 @@ def _numpy_reads_by_path(fh, path: str) -> bool:
 def _read_header(fh, path: str, columns) -> tuple:
     """Positions of ``columns`` in the header row read from ``fh``, and the
     physical lines the header takes (a quoted name may hold a line break)."""
-    lines = 0
-
-    def counted():
-        nonlocal lines
-        for line in fh:
-            lines += 1
-            yield line
-
-    header = next(csv.reader(counted()), None)
+    reader = csv.reader(fh)
+    header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: missing header row")
     missing = [c for c in columns if c not in header]
@@ -98,7 +91,7 @@ def _read_header(fh, path: str, columns) -> tuple:
     repeated = [c for c in columns if header.count(c) > 1]
     if repeated:
         raise DataError(f"{path}: repeated column(s) {repeated}; found {header}")
-    return [header.index(c) for c in columns], lines
+    return [header.index(c) for c in columns], reader.line_num
 
 
 def _read_rows(fh, path: str, columns, positions) -> list:

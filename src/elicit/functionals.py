@@ -113,10 +113,6 @@ def expectile_exact(dist: DistributionSpec, tau: float, tol: float = 1e-12) -> f
     sup = dist.support()
     lo = sup.lo if math.isfinite(sup.lo) else dist.quantile(1e-12)
     hi = sup.hi if math.isfinite(sup.hi) else dist.quantile(1.0 - 1e-12)
-    if isinstance(lo, Interval):
-        lo = lo.lo
-    if isinstance(hi, Interval):
-        hi = hi.hi
     span = max(hi - lo, 1e-9)
     lo, hi = lo - 0.01 * span, hi + 0.01 * span
     return root1d(psi, Bracket(lo, hi), tol * max(1.0, abs(mean)))

@@ -79,20 +79,12 @@ def mv_ident_stats(z, st: StreamedStats):
     return st.stats(Piecewise(np.zeros(2, dtype=np.intp), a, a))
 
 
-def mv_ident_components(z, prepared: PreparedRealizations):
-    """V1 = x1 - w and V2 = x2 + x1^2 - w^2 of the mv pair z = (x1, x2), one
-    at a time, so a caller that reduces each holds one beside the draws."""
-    y = prepared.y
-    x1, x2 = float(z[0]), float(z[1])
-    yield x1 - np.asarray(y)
-    v = np.square(y)
-    yield np.subtract(x2 + x1 * x1, v, out=v if np.ndim(v) else None)
-
-
 def ident_values(spec: IdentSpec, z, prepared: PreparedRealizations):
-    if spec.family == "mv":
-        return tuple(mv_ident_components(z, prepared))
     y = prepared.y
+    if spec.family == "mv":  # V1 = x1 - w, V2 = x2 + x1^2 - w^2
+        x1, x2 = float(z[0]), float(z[1])
+        v = np.square(y)
+        return x1 - np.asarray(y), np.subtract(x2 + x1 * x1, v, out=v if np.ndim(v) else None)
     u = spec.transform.prediction(z)
     return per_row(u, y, _coefficients(spec, u, (y,)), spec.family != "mean")
 

@@ -3,12 +3,14 @@ for sweeping predictions over common draws.
 
 Each family is, in the effective realization w, weight * (a . b(w)): the
 coefficients a on a small basis b(w), the weight ``lo`` where 1{u >= w} and
-``hi`` elsewhere, u being the effective prediction. Only this module applies
-1{u >= w}: :func:`piece` cuts the draws at P predictions, b centred at
-constants of the draws; :func:`per_row` centres b at each row's own w, where
-the value is weight * a[0]. :class:`Stats` reads P means (and sums of
-squares) as dot products (quadratic forms) of a (P, m) coefficient table
-with the sums of b (and b b^T) over the draws below each cut, which a
+``hi`` elsewhere, u being the effective prediction. The rule lives in one
+place, the pair :func:`below` (the count of sorted draws w <= u) and
+:func:`at_or_above` (1{u >= w} row by row), which every provider and
+:func:`per_row` call: :func:`piece` cuts the draws at P predictions, b
+centred at constants of the draws; :func:`per_row` centres b at each row's
+own w, where the value is weight * a[0]. :class:`Stats` reads P means (and
+sums of squares) as dot products (quadratic forms) of a (P, m) coefficient
+table with the sums of b (and b b^T) over the draws below each cut, which a
 provider supplies. :class:`SortedStats` holds the sorted draws and
 cumulates sums over blocks of :data:`BLOCK` of them, so any cut is a
 whole-block prefix plus one partial block: O(P log n + P * BLOCK) per sweep
@@ -30,6 +32,17 @@ from .errors import ParameterError
 BLOCK = 128  # measured: each cut gathers a partial block, and more blocks cost the build
 _CHUNK = 64 * BLOCK  # draws per basis evaluation, so its columns and products stay small
 _SCRATCH = 5 * _CHUNK  # values of a streamed chunk's columns and products at once: quad's 5 rows
+
+
+def below(w: np.ndarray, u) -> np.ndarray:
+    """The number of the sorted draws w with w <= u, at each u: the draws
+    where 1{u >= w} = 1."""
+    return np.searchsorted(w, u, side="right")
+
+
+def at_or_above(u, w) -> np.ndarray:
+    """1{u >= w} row by row, as uint8."""
+    return np.greater_equal(u, w).view(np.uint8)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -141,8 +154,7 @@ class SortedStats(Stats):
         self.tot1, self.tot2 = self.c1[-1], self.c2[-1]
 
     def cut(self, u):
-        """Number of draws w <= u, at each u: the positions where 1{u >= w} = 1."""
-        return np.searchsorted(self.w, u, side="right")
+        return below(self.w, u)
 
     def _prefix(self, k: np.ndarray, second: bool):
         """Sums of b, and of b b^T if ``second``, over sorted positions
@@ -184,9 +196,9 @@ def _sums_below(w: np.ndarray, cut: np.ndarray, basis: Callable, pairs: list) ->
         last = np.searchsorted(starts, s + part.size)
         seg[first:last] += np.add.reduceat(
             x, np.concatenate(([s], starts[first + 1:last])) - s, axis=1).T
-    below = np.zeros((starts.size + 1, rows))
-    np.cumsum(seg, axis=0, out=below[1:])
-    return below[np.searchsorted(starts, cut)]
+    sums = np.zeros((starts.size + 1, rows))
+    np.cumsum(seg, axis=0, out=sums[1:])
+    return sums[np.searchsorted(starts, cut)]
 
 
 class Held:
@@ -200,7 +212,7 @@ class Held:
 
     def add(self, w: np.ndarray) -> None:
         """Keep the draws of the sorted w in (lo, hi]."""
-        part = w[slice(*np.searchsorted(w, (self.lo, self.hi), side="right"))]
+        part = w[slice(*below(w, (self.lo, self.hi)))]
         end = self.size + part.size
         if end > self.w.size:
             self.w.resize(max(end, self.w.size + self.w.size // 8), refcheck=False)
@@ -216,12 +228,12 @@ class StreamedStats(Stats):
     """The sums of :class:`SortedStats` over draws that arrive in chunks,
     taken only at points u_1..u_P fixed before the pass, and in total: no
     n-long array is held. A chunk is sorted in place (its draws are the
-    provider's own), cut at every point with one ``searchsorted`` (the
-    1{u >= w} rule) and its basis sums below each cut are added; with
-    no points it is only summed. ``centred(first chunk)`` gives the basis,
-    as for SortedStats, and its centring constants, which stay fixed for
-    the rest of the pass. ``lo`` and ``hi`` are the least and greatest
-    draw. :meth:`cut` takes only the points.
+    provider's own), cut at every point with one :func:`below` and its basis
+    sums below each cut are added; with no points it is only summed.
+    ``centred(first chunk)`` gives the basis, as for SortedStats, and its
+    centring constants, which stay fixed for the rest of the pass. ``lo``
+    and ``hi`` are the least and greatest draw. :meth:`cut` takes only the
+    points.
 
     ``hold(self)``, given with points, is called once the first chunk is
     summed, so that the sums read so far are that chunk's. It returns the
@@ -264,7 +276,7 @@ class StreamedStats(Stats):
         self.lo, self.hi = min(self.lo, float(w.min())), max(self.hi, float(w.max()))
         if self.points.size:
             w.sort()
-            cut = np.append(np.searchsorted(w, self.points, side="right"), w.size)
+            cut = np.append(below(w, self.points), w.size)
             self.acc[1:, 0] += cut
             self.acc[1:, 1:] += _sums_below(w, cut, self.basis, self.pairs)
         else:  # the totals alone: one product matrix, the fastest
@@ -308,6 +320,8 @@ class WindowStats(Stats):
         self.sorted = SortedStats(w, st.basis, None, st.centre)
 
     def cut(self, u):
+        # u against the window's ends, not a draw: the ends are points of the
+        # pass, where both branches give the same key under either tie rule.
         u = np.asarray(u, dtype=float)
         inside = (u >= self.window[0]) & (u <= self.window[1])
         keys = np.empty(u.shape, dtype=np.intp)
@@ -349,4 +363,4 @@ def per_row(u, w, entry, breaks: bool):
     if not breaks:
         return a0 if lo == 1.0 else lo * a0
     # take() by the mask's bytes: faster than np.where or indexing, same bits.
-    return np.array([hi, lo]).take(np.greater_equal(u, w).view(np.uint8)) * a0
+    return np.array([hi, lo]).take(at_or_above(u, w)) * a0

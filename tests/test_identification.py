@@ -5,10 +5,12 @@ import pytest
 from scipy.stats import norm
 
 import oracle
-from elicit import (Exponential, IdentSpec, Lognormal, Normal, ParameterError,
+from elicit import (Empirical, Exponential, IdentSpec, Lognormal, Normal, ParameterError,
                     ScoreSpec, TransformMode, catalog, evaluate_identification,
                     orientation_probe, osband_residual)
-from elicit.identification import builtin_osband_pairings
+from elicit.identification import (builtin_osband_pairings, expected_ident_curve,
+                                   ident_values, prepare_ident_realizations,
+                                   streamed_ident_curve)
 from elicit.scoring import convex_generator, ConvexGenerator, register_convex_generator
 
 
@@ -205,3 +207,24 @@ def test_normal_expectile_values_match_reference():
     pm_above = norm.expect(lambda y: max(y - z, 0.0), lb=-10, ub=10)
     pm_below = norm.expect(lambda y: max(z - y, 0.0), lb=-10, ub=10)
     assert tau * pm_above == pytest.approx((1 - tau) * pm_below, abs=1e-9)
+
+
+@pytest.mark.parametrize("values", [(1, 1, 1.5, 2, 2, 2, 3), (0.5, 0.5, 0.5, 4)])
+@pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
+def test_quantile_identification_at_an_atom_is_the_cdf_less_tau(values, tau):
+    """E[V(t, Y)] = F(t) - tau at every atom t of an empirical law, F
+    right-continuous (Gneiting 2011): the tie rule 1{t >= y} shows here, and
+    only here, since an expected score is continuous in t. The streamed
+    pass, the held sweep and the rows' mean each give the law's own cdf,
+    which shares no code with the sweeps."""
+    dist = Empirical(values)
+    spec = IdentSpec("quantile", tau=tau)
+    y = np.array(dist.values)
+    atoms = np.unique(y)
+    prepared = prepare_ident_realizations(spec, y)
+    means = {"streamed": streamed_ident_curve(spec, atoms, [y.copy()])[0],
+             "held": expected_ident_curve(spec, atoms, prepared)[0],
+             "rows": [np.mean(ident_values(spec, t, prepared)) for t in atoms]}
+    for name, got in means.items():
+        for t, m in zip(atoms, got):
+            assert abs(m - (dist.cdf(t) - tau)) <= 1e-15, (name, t)

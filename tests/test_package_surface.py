@@ -1,4 +1,5 @@
-"""Nothing sits in the package that nothing uses.
+"""Nothing sits in the package that nothing uses, and the tie rule 1{u >= w}
+is written once.
 
 Every top-level function and class of ``src/elicit/`` and every name that
 ``elicit/__init__.py`` exports (its ``_EXPORTS`` table, which the package
@@ -7,6 +8,12 @@ attribute) somewhere in ``src/elicit/`` outside ``__init__.py`` and outside
 its own definition, or be listed in ``KEPT`` with the reason it stays. An
 import alone is not a reference. Names are matched by spelling, so a
 method call ``d.quantile`` counts as a reference to any ``quantile``.
+
+A draw is compared with a prediction only in ``sweep.below`` and
+``sweep.at_or_above``: every other call of ``np.greater_equal``,
+``np.greater`` or ``searchsorted(..., side=...)`` in ``src/elicit/`` sits
+in a function of ``COMPARISONS_KEPT``, with the reason it is no second
+copy of the rule.
 """
 
 import ast
@@ -120,3 +127,45 @@ def test_every_package_name_is_used_or_kept():
 def test_every_kept_name_is_needed():
     # a kept name that the package comes to use leaves the list
     assert set(KEPT) <= _unreferenced(), sorted(set(KEPT) - _unreferenced())
+
+
+# (module, function) -> why its comparison is not a draw against a prediction
+COMPARISONS_KEPT = {
+    ("sweep", "below"): "the tie rule: the number of sorted draws w <= u",
+    ("sweep", "at_or_above"): "the tie rule: 1{u >= w} row by row",
+    ("sweep", "_sums_below"): "segment starts against positions among the draws",
+    ("functionals", "_root_cell"): "the sign change of the means at the points of a pass",
+    ("functionals", "_quantile_from"): "the counts at the points of a pass against ranks",
+    ("distributions", "Empirical.cdf"): "the law's own cdf, the independent reference the "
+                                        "tie-rule claim test reads",
+    ("numparse", "columns"): "the byte classes of CSV cells",
+}
+
+
+def _comparisons():
+    """(module, function) of every call of ``greater_equal``, ``greater``
+    or ``searchsorted`` with ``side=`` in the package; a method's function
+    is ``Class.method``, a module-level call's is ``""``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ("greater_equal", "greater") or name == "searchsorted" and any(
+                        k.arg == "side" for k in child.keywords):
+                    found.add((module, scope))
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_only_the_sweep_pair_compares_draws_with_predictions():
+    assert _comparisons() == set(COMPARISONS_KEPT), (
+        f"not kept: {sorted(_comparisons() - set(COMPARISONS_KEPT))}; "
+        f"kept but gone: {sorted(set(COMPARISONS_KEPT) - _comparisons())}")

@@ -22,15 +22,17 @@ import oracle
 from elicit.distributions import CHUNK
 from elicit.errors import ParameterError
 from elicit.functionals import sample_mv_pair
+from elicit import sweep
 from elicit.identification import (evaluate_identification, expected_ident_curve,
-                                   ident_values, mv_ident_stats, prepare_ident_realizations,
-                                   streamed_ident_curve)
+                                   ident_stats, ident_values, mv_ident_stats,
+                                   prepare_ident_realizations, streamed_ident_curve)
 from elicit.scoring import (TransformMode, argmin_window, average_score, evaluate_score,
                             expected_score, expected_score_curve, expected_score_stats,
-                            grid_pass, held_moments, prepare_realizations, score_diff_stats,
-                            score_values, streamed_stats)
+                            grid_pass, held_moments, held_window, prepare_realizations,
+                            score_diff_stats, score_values, streamed_score_stats,
+                            streamed_stats)
 from elicit.specs import parse_ident, parse_score
-from elicit.sweep import _CHUNK, BLOCK
+from elicit.sweep import _CHUNK, BLOCK, Held
 
 REL = 1e-9
 
@@ -489,3 +491,81 @@ def test_the_window_provider_equals_the_held_sweep(text, data):
         _close(got[1][k] ** 2 * n, want[1][k] ** 2 * n, square)
         _close(diffs[0][0][k], diffs[1][0][k], scale + scale_z)
         _close(diffs[0][1][k] ** 2 * n, diffs[1][1][k] ** 2 * n, square + float(np.mean(s_z * s_z)))
+
+
+# The tie rule 1{u >= w} and its strict flip 1{u > w}, as the pair of
+# sweep functions every provider and per_row call.
+TIE_RULES = {
+    "at_or_above": {},
+    "strict": {"below": lambda w, u: np.searchsorted(w, u, side="left"),
+               "at_or_above": lambda u, w: np.greater(u, w).view(np.uint8)},
+}
+TIE_SPECS = [("score", "ae"), ("score", "apl:tau=0.3"), ("score", "gpl:tau=0.6:g=exp"),
+             ("score", "expectile:tau=0.75:phi=square"), ("ident", "quantile:tau=0.3"),
+             ("ident", "expectile:tau=0.8")]
+
+
+@st.composite
+def atoms_on_the_grid(draw):
+    """A grid, a grid index i whose window (zs[i - 2], zs[i + 2]] is bounded,
+    a point inside that window, and draws in chunks with atoms at the
+    window's ends, at the point inside and at grid points (every atom at
+    least once), alone or among smooth draws."""
+    zs = np.linspace(0.4, 3.0, draw(st.sampled_from([7, 21])))
+    i = draw(st.integers(2, zs.size - 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = 0.5 * (zs[i] + zs[i + 1])
+    atoms = np.concatenate((zs[[i - 2, i + 2]], [inside], rng.choice(zs, 2)))
+    rest = rng.choice(atoms, draw(st.integers(20, 3 * BLOCK)))
+    if draw(st.booleans()):
+        smooth = rng.random(rest.size) < 0.5
+        rest[smooth] = rng.lognormal(0.2, 0.5, np.count_nonzero(smooth))
+    y = rng.permutation(np.concatenate((atoms, rest)))
+    cuts = draw(st.lists(st.integers(1, y.size - 1), min_size=1, max_size=4))
+    return zs, i, np.append(zs, inside), y, cuts
+
+
+def _score_means(spec, zs, i, points, y, draws):
+    prepared = prepare_realizations(spec, y)
+    window = argmin_window(spec, grid_pass(spec, draws, y.size, zs), zs, i, draws)
+    return ([score_values(spec, z, prepared) for z in points],
+            {"held": expected_score_curve(spec, points, prepared),
+             "streamed": streamed_score_stats(spec, points, draws())[0],
+             "window": expected_score_curve(spec, points, window)})
+
+
+def _ident_means(spec, zs, i, points, y, draws):
+    prepared = prepare_ident_realizations(spec, y)
+    lo, hi = zs[i - 2], zs[i + 2]
+    basis = "one" if spec.family == "quantile" else "lin"
+    window = held_window(streamed_stats(spec.transform, draws(), basis, zs,
+                                        lambda _: Held(lo, hi)), lo, hi, draws)
+    return ([ident_values(spec, z, prepared) for z in points],
+            {"held": expected_ident_curve(spec, points, prepared)[0],
+             "streamed": streamed_ident_curve(spec, points, draws())[0],
+             "window": ident_stats(spec, window, points)[0]})
+
+
+@pytest.mark.parametrize("rule", TIE_RULES)
+@pytest.mark.parametrize("kind, text", TIE_SPECS)
+@settings(max_examples=25, deadline=None)
+@given(data=atoms_on_the_grid())
+def test_every_provider_applies_the_one_tie_rule(rule, kind, text, data):
+    """Under the tie rule and under its strict flip, per_row's mean and the
+    held, streamed and window sweeps agree at the grid points and at a point
+    inside the window, each an atom of the draws, to 1e-12 of the mean |S|:
+    patching the pair in sweep switches every provider at once."""
+    zs, i, points, y, cuts = data
+    with pytest.MonkeyPatch.context() as mp:
+        for name, flipped in TIE_RULES[rule].items():
+            mp.setattr(sweep, name, flipped)
+        spec = parse_score(text) if kind == "score" else parse_ident(text)
+        means = _score_means if kind == "score" else _ident_means
+        rows, swept = means(spec, zs, i, points, y, lambda: _split(y, cuts))
+    if spec.family == "quantile":  # the rule in force, at the window's lower end
+        lo = zs[i - 2]
+        below = y <= lo if rule == "at_or_above" else y < lo
+        assert np.mean(rows[i - 2]) == pytest.approx(np.mean(below) - spec.tau, abs=1e-15)
+    for k, v in enumerate(rows):
+        for got in swept.values():
+            _close(got[k], np.mean(v), float(np.mean(np.abs(v))))
